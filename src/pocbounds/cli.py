@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval
 from .charts import write_plot
-from .estimation import Dataset, MicroRecord, estimate_moments, estimate_stratified
+from .estimation import Dataset, estimate_moments, estimate_stratified, table_position
 from .inference import DIRECTION_NOTE, bootstrap_bounds, test_restrictions
 
 
@@ -126,58 +126,79 @@ class Report:
 
 
 def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
-    """Parse microdata; row numbers in errors count the header as row 1."""
+    """Count the microdata rows into a table; row numbers count the header as row 1."""
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
         raise ConfigError(f"duplicate column mapping: {named}")
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvFormatError(f"{path}: empty file, header row required")
-        header = [h.strip() for h in header]
-        positions: dict[str, int] = {}
-        for role in ("y", "s", "d", "stratum"):
-            name = mapping.get(role)
-            if name is None:
-                continue
-            if name not in header:
-                raise CsvFormatError(f"{path}: column {name!r} not found in header {header}")
-            positions[role] = header.index(name)
-
-        records: list[MicroRecord] = []
-        for row_number, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise CsvFormatError(
-                    f"{path}: row {row_number} has {len(row)} fields, header has {len(header)}"
-                )
-            d = _parse_binary(row[positions["d"]], mapping["d"], row_number, path)
-            s = _parse_binary(row[positions["s"]], mapping["s"], row_number, path)
-            y_token = row[positions["y"]].strip()
-            if y_token == "":
-                y = None
-                if s == 1:
+    tally: dict[str | None, list[int]] = {}
+    row_number = 0
+    try:
+        # Undecodable bytes become lone surrogates, which _checked_lines
+        # rejects line by line, so the error names the row that holds them.
+        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            reader = csv.reader(_checked_lines(handle))
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, header row required")
+            row_number = 1
+            header = [h.strip() for h in header]
+            positions: dict[str, int | None] = {"stratum": None}
+            for role in ("y", "s", "d", "stratum"):
+                name = mapping.get(role)
+                if name is None:
+                    continue
+                if name not in header:
+                    raise CsvFormatError(f"{path}: column {name!r} not found in header {header}")
+                if header.count(name) > 1:
                     raise CsvFormatError(
-                        f"{path}: missing outcome in column {mapping['y']!r} at row "
-                        f"{row_number} although s=1"
+                        f"{path}: column {name!r} appears {header.count(name)} times in header {header}"
                     )
-            else:
-                y = _parse_binary(y_token, mapping["y"], row_number, path)
-                if s == 0:
-                    raise CsvFormatError(
-                        f"{path}: outcome present in column {mapping['y']!r} at row "
-                        f"{row_number} although s=0 (censored outcomes must be empty)"
-                    )
-            stratum = None
-            if "stratum" in positions:
-                stratum = row[positions["stratum"]].strip()
-            records.append(MicroRecord(d=d, s=s, y=y, stratum=stratum))
+                positions[role] = header.index(name)
+            y_pos, s_pos, d_pos, stratum_pos = (positions[r] for r in ("y", "s", "d", "stratum"))
 
-    if not records:
+            for row_number, row in enumerate(reader, start=2):
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: row {row_number} has {len(row)} fields, header has {len(header)}"
+                    )
+                d = _parse_binary(row[d_pos], mapping["d"], row_number, path)
+                s = _parse_binary(row[s_pos], mapping["s"], row_number, path)
+                y_token = row[y_pos].strip()
+                if y_token == "":
+                    y = None
+                    if s == 1:
+                        raise CsvFormatError(
+                            f"{path}: missing outcome in column {mapping['y']!r} at row "
+                            f"{row_number} although s=1"
+                        )
+                else:
+                    y = _parse_binary(y_token, mapping["y"], row_number, path)
+                    if s == 0:
+                        raise CsvFormatError(
+                            f"{path}: outcome present in column {mapping['y']!r} at row "
+                            f"{row_number} although s=0 (censored outcomes must be empty)"
+                        )
+                stratum = None if stratum_pos is None else row[stratum_pos].strip()
+                table = tally.get(stratum)
+                if table is None:
+                    table = tally[stratum] = [0] * 6
+                table[table_position(d, s, y)] += 1
+    except UnicodeError:
+        raise CsvFormatError(f"{path}: row {row_number + 1} is not valid UTF-8") from None
+    except csv.Error as err:
+        raise CsvFormatError(f"{path}: row {row_number + 1}: {err}") from None
+
+    if not tally:
         raise CsvFormatError(f"{path}: no data rows")
-    return Dataset(records=tuple(records))
+    return Dataset(labels=tuple(tally), counts=list(tally.values()))
+
+
+def _checked_lines(handle):
+    for line in handle:
+        if not line.isascii():
+            line.encode("utf-8")  # raises UnicodeEncodeError on an escaped byte
+        yield line
 
 
 def _parse_binary(token: str, column: str, row_number: int, path: Path) -> int:
@@ -267,12 +288,8 @@ def run_analysis(cfg: RunConfig) -> Report:
     if cfg.use_strata:
         if not data.has_complete_strata():
             raise ValueError("stratum column configured but some records lack a stratum")
-        stratified_block = {"sets": {}, "dropped": [], "n_strata": len(data.stratum_index)}
-        stratum_names = sorted(data.stratum_index)
-        sub_datasets = {
-            name: Dataset(records=tuple(data.records[i] for i in data.stratum_index[name]))
-            for name in stratum_names
-        }
+        stratum_names = data.labels
+        stratified_block = {"sets": {}, "dropped": [], "n_strata": len(stratum_names)}
         for a in requested:
             result = estimate_stratified(data, a)
             stratified_block["dropped"] = [[name, reason] for name, reason in result.dropped]
@@ -297,7 +314,7 @@ def run_analysis(cfg: RunConfig) -> Report:
                 }
                 try:
                     sub_boot = bootstrap_bounds(
-                        sub_datasets[name],
+                        Dataset(labels=(name,), counts=data.counts[ordinal : ordinal + 1]),
                         a,
                         reps=cfg.reps,
                         level=cfg.level,
@@ -452,7 +469,11 @@ def main(argv: list[str] | None = None) -> int:
 
     rendered = report.to_json() if cfg.output_format == "json" else _format_text(report)
     if args.output is not None:
-        Path(args.output).write_text(rendered, encoding="utf-8")
+        try:
+            Path(args.output).write_text(rendered, encoding="utf-8")
+        except OSError as err:
+            print(f"pocbounds: fatal: cannot write report: {err}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(rendered)
     if cfg.plot_out is not None:

@@ -1,10 +1,12 @@
 """Estimation of observed moments and stratified bounds from binary microdata.
 
-A record carries a binary treatment ``d``, a binary selection indicator
-``s``, an outcome ``y`` that is observed (0 or 1) only when ``s = 1`` and
-missing otherwise, and an optional stratum label.  Every probability is
-estimated by the corresponding sample proportion, so estimates are exact
-rationals ``k / n`` in floating point.
+Every estimator reads one table: per stratum, the counts of each arm
+(``d`` = 0, 1) in three cells, selected with ``y = 1``, selected with
+``y = 0`` and unselected (the outcome of an unselected unit is censored).
+A :class:`Dataset` is that table, so memory grows with the number of
+strata, not of rows.  Every probability is estimated by the corresponding
+sample proportion, so estimates are exact rationals ``k / n`` in floating
+point.
 
 Stratified estimation computes fully saturated within-stratum means (with
 discrete strata and no further covariates this coincides with a
@@ -19,7 +21,8 @@ independent and order-insensitive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -28,6 +31,9 @@ from .bounds import AssumptionSet, BoundsInterval, ObservedMoments, compute_boun
 #: Column layout of a count table: [y=1 among selected, y=0 among selected,
 #: not selected], one row per treatment arm (row 0 = control, row 1 = treated).
 COUNT_COLUMNS = ("s1_y1", "s1_y0", "s0")
+
+# (s, y) of each column of ``COUNT_COLUMNS``.
+_CELL_VALUES = ((1, 1), (1, 0), (0, None))
 
 
 @dataclass(frozen=True)
@@ -50,51 +56,76 @@ class MicroRecord:
             raise ValueError(f"y must be 0 or 1 when s = 1, got {self.y!r}")
 
 
-@dataclass(frozen=True)
-class Dataset:
-    """Immutable sequence of records plus an index of stratum positions."""
+def table_position(d: int, s: int, y: int | None) -> int:
+    """Position of a validated observation in a stratum's table flattened to six counts."""
+    return 3 * d + (2 if s == 0 else 1 - y)
 
-    records: tuple[MicroRecord, ...]
-    stratum_index: dict[str, tuple[int, ...]] = field(init=False)
+
+@dataclass(frozen=True, eq=False)
+class Dataset:
+    """Count table: one 2x3 table (arm x ``COUNT_COLUMNS``) per stratum.
+
+    ``labels`` names the strata; rows without a stratum form the stratum
+    labelled ``None``, so unstratified data has ``labels == (None,)``.
+    ``counts`` is a read-only int64 array of shape ``[strata, 2, 3]``.
+    Strata are kept in sorted order (``None`` first), and every stratum
+    holds at least one row.
+    """
+
+    labels: tuple[str | None, ...]
+    counts: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.records) < 1:
+        labels = tuple(self.labels)
+        counts = np.array(self.counts, dtype=np.int64).reshape(len(labels), 2, 3)
+        if counts.sum() < 1:
             raise ValueError("dataset must contain at least one record")
-        index: dict[str, list[int]] = {}
-        for pos, rec in enumerate(self.records):
-            if rec.stratum is not None:
-                index.setdefault(rec.stratum, []).append(pos)
-        object.__setattr__(
-            self, "stratum_index", {k: tuple(v) for k, v in index.items()}
-        )
+        if len(set(labels)) != len(labels):
+            raise ValueError(f"stratum labels must be unique, got {labels}")
+        if (counts < 0).any():
+            raise ValueError("counts must be non-negative")
+        if (counts.sum(axis=(1, 2)) == 0).any():
+            raise ValueError("every stratum must hold at least one record")
+        order = sorted(range(len(labels)), key=lambda i: (labels[i] is not None, labels[i] or ""))
+        counts = counts[order]
+        counts.setflags(write=False)
+        object.__setattr__(self, "labels", tuple(labels[i] for i in order))
+        object.__setattr__(self, "counts", counts)
+
+    @classmethod
+    def from_records(cls, records: Iterable[MicroRecord]) -> "Dataset":
+        """Count hand-built records into a table."""
+        tally: dict[str | None, list[int]] = {}
+        for rec in records:
+            tally.setdefault(rec.stratum, [0] * 6)[table_position(rec.d, rec.s, rec.y)] += 1
+        return cls(labels=tuple(tally), counts=list(tally.values()))
+
+    @property
+    def records(self) -> tuple[MicroRecord, ...]:
+        """The table expanded into rows, ordered by stratum, arm and cell."""
+        rows: list[MicroRecord] = []
+        for label, table in zip(self.labels, self.counts):
+            for d in (0, 1):
+                for (s, y), k in zip(_CELL_VALUES, table[d]):
+                    rows.extend([MicroRecord(d=d, s=s, y=y, stratum=label)] * int(k))
+        return tuple(rows)
 
     @property
     def n(self) -> int:
-        return len(self.records)
+        return int(self.counts.sum())
 
     def has_complete_strata(self) -> bool:
-        return all(rec.stratum is not None for rec in self.records)
+        return None not in self.labels
 
 
-def cell_counts(records) -> np.ndarray:
-    """2x3 integer table of (arm x selection/outcome cell) counts."""
-    counts = np.zeros((2, 3), dtype=np.int64)
-    for rec in records:
-        if rec.s == 0:
-            counts[rec.d, 2] += 1
-        elif rec.y == 1:
-            counts[rec.d, 0] += 1
-        else:
-            counts[rec.d, 1] += 1
-    return counts
+def cell_counts(data: Dataset) -> np.ndarray:
+    """Pooled 2x3 integer table of (arm x selection/outcome cell) counts."""
+    return data.counts.sum(axis=0)
 
 
 def stratum_cell_counts(data: Dataset) -> dict[str, np.ndarray]:
-    """Per-stratum count tables, keyed by stratum id."""
-    return {
-        name: cell_counts(data.records[i] for i in positions)
-        for name, positions in data.stratum_index.items()
-    }
+    """Per-stratum count tables, keyed by stratum id (unlabelled rows left out)."""
+    return {name: table for name, table in zip(data.labels, data.counts) if name is not None}
 
 
 def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
@@ -127,7 +158,7 @@ def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
 
 def estimate_moments(data: Dataset) -> ObservedMoments:
     """Observed moments for the pooled sample."""
-    return moments_from_counts(cell_counts(data.records))
+    return moments_from_counts(cell_counts(data))
 
 
 @dataclass(frozen=True)

@@ -106,7 +106,7 @@ def restriction_tests_from_counts(counts: np.ndarray, a: AssumptionSet) -> Restr
 
 def test_restrictions(data: Dataset, a: AssumptionSet) -> RestrictionTestResult:
     """One-sided tests of the selection and (under A4) outcome restrictions."""
-    return restriction_tests_from_counts(cell_counts(data.records), a)
+    return restriction_tests_from_counts(cell_counts(data), a)
 
 
 @dataclass(frozen=True)
@@ -164,7 +164,7 @@ def bootstrap_bounds(
             return stratified_from_counts(resampled, a).aggregate
 
     else:
-        counts = cell_counts(data.records)
+        counts = cell_counts(data)
         point = compute_bounds(moments_from_counts(counts), a)
         flat = counts.reshape(-1)
         size = int(flat.sum())

@@ -18,9 +18,9 @@ uses that order.
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
 each closed-form bound endpoint (and any interior point), and a
-brute-force envelope oracle that recovers the identified set by direct
-optimization over the cell simplex.  All functions are pure; the oracle is
-deterministic given its inputs and seed.
+brute-force envelope oracle that recovers the identified set by linear
+programming over the cell simplex.  All functions are pure and
+deterministic.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 from scipy.optimize import linprog
 
 from .bounds import (
@@ -393,19 +392,12 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
 # Brute-force envelope oracle
 # ---------------------------------------------------------------------------
 
-def _zero_cells(m: ObservedMoments, a: AssumptionSet) -> list[int]:
+def _zero_cells(a: AssumptionSet) -> list[int]:
     zeros = [cell_index(y0, y1, 1, 0) for y0 in (0, 1) for y1 in (0, 1)]
     if a is not AssumptionSet.A1_3:
         zeros.append(cell_index(1, 0, 1, 1))
         zeros.append(cell_index(1, 0, 0, 1))
-    # Strata whose total mass the selection moments pin at zero are made
-    # explicit zeros; the randomized walk needs the face, not just the
-    # implied equalities, and the linear programs are unaffected.
-    if m.p_s1_d1 - m.p_s1_d0 == 0.0:
-        zeros.extend(cell_index(y0, y1, 0, 1) for y0 in (0, 1) for y1 in (0, 1))
-    if m.p_s1_d1 == 1.0:
-        zeros.extend(cell_index(y0, y1, 0, 0) for y0 in (0, 1) for y1 in (0, 1))
-    return sorted(set(zeros))
+    return zeros
 
 
 def _constraint_system(m: ObservedMoments, a: AssumptionSet):
@@ -455,7 +447,7 @@ def _constraint_system(m: ObservedMoments, a: AssumptionSet):
                     row[idx] = -m.p_s1_d0
         dominance = row
 
-    return np.vstack(a_eq), np.asarray(b_eq), dominance, _zero_cells(m, a)
+    return np.vstack(a_eq), np.asarray(b_eq), dominance, _zero_cells(a)
 
 
 def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
@@ -489,122 +481,16 @@ def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
     return values[0] / denominator, values[1] / denominator
 
 
-def _feasible_range(x: np.ndarray, direction: np.ndarray, dominance: np.ndarray | None):
-    """Step range keeping ``x + t * direction`` inside the polytope."""
-    t_lo, t_hi = -np.inf, np.inf
-    moving = np.abs(direction) > 1e-14
-    pos = moving & (direction > 0)
-    neg = moving & (direction < 0)
-    if pos.any():
-        t_lo = max(t_lo, np.max(-x[pos] / direction[pos]))
-    if neg.any():
-        t_hi = min(t_hi, np.min(-x[neg] / direction[neg]))
-    if dominance is not None:
-        slack = float(dominance @ x)
-        rate = float(dominance @ direction)
-        if abs(rate) > 1e-14:
-            limit = -slack / rate
-            if rate > 0:
-                t_lo = max(t_lo, limit)
-            else:
-                t_hi = min(t_hi, limit)
-    return t_lo, t_hi
-
-
-def _grid_envelope(m: ObservedMoments, a: AssumptionSet, probes: int, seed: int) -> tuple[float, float]:
-    """Randomized search over the constrained simplex.
-
-    Walks the feasible polytope with hit-and-run steps from a known
-    feasible interior assignment.  Because the target functional is linear
-    along any feasible chord, each chord's extremes sit at its endpoints,
-    which the walk records; a greedy ascent from the running extremes then
-    sharpens both ends.  Deterministic given ``(m, a, probes, seed)``.
-    """
-    a_eq, b_eq, dominance, zeros = _constraint_system(m, a)
-    rows = [a_eq]
-    for idx in zeros:
-        row = np.zeros(16)
-        row[idx] = 1.0
-        rows.append(row[np.newaxis, :])
-    basis = null_space(np.vstack(rows))
-    denominator = m.p_y0_s1d0 * m.p_s1_d0
-    target_idx = cell_index(0, 1, 1, 1)
-
-    x = construct_interior_distribution(m, a, 0.5).as_array()
-    best_lo = best_hi = x
-    theta_lo = theta_hi = x[target_idx] / denominator
-
-    rng = np.random.default_rng(seed)
-    if basis.size == 0:
-        return theta_lo, theta_hi
-
-    def record(point: np.ndarray) -> None:
-        nonlocal best_lo, best_hi, theta_lo, theta_hi
-        value = point[target_idx] / denominator
-        if value < theta_lo:
-            theta_lo, best_lo = value, point
-        if value > theta_hi:
-            theta_hi, best_hi = value, point
-
-    for _ in range(probes):
-        direction = basis @ rng.standard_normal(basis.shape[1])
-        norm = np.linalg.norm(direction)
-        if norm < 1e-12:
-            continue
-        direction /= norm
-        t_lo, t_hi = _feasible_range(x, direction, dominance)
-        if not np.isfinite(t_lo) or not np.isfinite(t_hi) or t_hi <= t_lo:
-            continue
-        record(x + t_lo * direction)
-        record(x + t_hi * direction)
-        x = x + (t_lo + rng.random() * (t_hi - t_lo)) * direction
-        np.clip(x, 0.0, None, out=x)
-
-    def ascend(point: np.ndarray, sign: float) -> None:
-        current = point.copy()
-        for _ in range(200):
-            improved = False
-            for _ in range(64):
-                direction = basis @ rng.standard_normal(basis.shape[1])
-                norm = np.linalg.norm(direction)
-                if norm < 1e-12:
-                    continue
-                direction /= norm
-                t_lo, t_hi = _feasible_range(current, direction, dominance)
-                if not np.isfinite(t_lo) or not np.isfinite(t_hi) or t_hi <= t_lo:
-                    continue
-                for t in (t_lo, t_hi):
-                    candidate = current + t * direction
-                    if sign * (candidate[target_idx] - current[target_idx]) > 1e-12:
-                        current = candidate
-                        improved = True
-                record(np.clip(current, 0.0, None))
-            if not improved:
-                break
-
-    ascend(best_hi, +1.0)
-    ascend(best_lo, -1.0)
-    return theta_lo, theta_hi
-
-
-def sharp_envelope_oracle(
-    m: ObservedMoments,
-    a: AssumptionSet,
-    mode: str = "lp",
-    probes: int = 3000,
-    seed: int = 0,
-) -> tuple[float, float]:
+def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
     """Identified range of the probability of causation by direct optimization.
 
     Optimizes the target functional over every latent joint that satisfies
     assumption set ``a`` and reproduces the four identified probabilities
     of ``m``.  The functional is a ratio of linear functions of the cell
     masses whose denominator is pinned at ``q0 * P[S=1|D=0]`` by the
-    matching constraints, so ``mode="lp"`` solves two linear programs over
-    the constrained simplex (the fractional-program normalization is a
-    constant here).  ``mode="grid"`` is a cheaper randomized-search
-    fallback controlled by ``probes`` and ``seed``; expect agreement with
-    the closed forms only to a few parts per thousand in that mode.
+    matching constraints, so two linear programs over the constrained
+    simplex solve it (the fractional-program normalization is a constant
+    here).
 
     Raises ``ValueError`` when the constraint system is infeasible, i.e.
     the moments are inconsistent with the assumption set.
@@ -613,17 +499,13 @@ def sharp_envelope_oracle(
         raise ValueError("positive-mass assumption (A2) violated: P[Y=0 | S=1, D=0] = 0")
     if trim_ratio(m) > 1.0:
         raise ValueError("selection restriction violated: trim ratio exceeds one")
-    if mode == "lp":
-        return _lp_envelope(m, a)
-    if mode == "grid":
-        return _grid_envelope(m, a, probes, seed)
-    raise ValueError(f"unknown oracle mode {mode!r}; expected 'lp' or 'grid'")
+    return _lp_envelope(m, a)
 
 
 def envelope_matches_bounds(
     m: ObservedMoments, a: AssumptionSet, tol: float = 1e-6
 ) -> bool:
     """Convenience check that the oracle and the closed forms agree."""
-    lo, hi = sharp_envelope_oracle(m, a, mode="lp")
+    lo, hi = sharp_envelope_oracle(m, a)
     interval = compute_bounds(m, a)
     return abs(lo - interval.lb) <= tol and abs(hi - interval.ub) <= tol

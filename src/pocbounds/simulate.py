@@ -6,7 +6,7 @@ uniformly (Dirichlet with unit concentration) over the cells a given
 assumption set permits, with rejection sampling for the stochastic
 dominance restriction.  Microdata are drawn i.i.d. from a latent joint
 under the observability rule ``y = y_d`` when ``s_d = 1`` and missing
-otherwise.
+otherwise, and are returned as their count table.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from __future__ import annotations
 import numpy as np
 
 from .bounds import AssumptionSet
-from .estimation import Dataset, MicroRecord
-from .latent import CELL_ORDER, LatentJoint, cell_index, check_assumptions
+from .estimation import Dataset
+from .latent import CELL_ORDER, LatentJoint, check_assumptions
 
 
 def _permitted_cells(a: AssumptionSet) -> list[int]:
@@ -62,10 +62,8 @@ def sample_dataset(
     rng: np.random.Generator,
     stratum: str | None = None,
 ) -> Dataset:
-    """Draw ``n`` i.i.d. records (d, s, y) from a latent joint."""
-    d, s, y = _sample_arrays(L, n, rng)
-    records = _records_from_arrays(d, s, y, [stratum] * n if stratum is not None else None)
-    return Dataset(records=records)
+    """Count ``n`` i.i.d. draws (d, s, y) from a latent joint."""
+    return Dataset(labels=(stratum,), counts=_sample_counts(L, n, rng))
 
 
 def sample_stratified_dataset(
@@ -74,48 +72,30 @@ def sample_stratified_dataset(
     n: int,
     rng: np.random.Generator,
 ) -> Dataset:
-    """Draw records with stratum labels sampled from ``weights``.
+    """Draw rows with stratum labels sampled from ``weights``.
 
-    Each record's stratum is drawn first, then (d, s, y) from that
-    stratum's latent joint.
+    The strata sizes are drawn first, then each stratum's (d, s, y) from
+    that stratum's latent joint.
     """
     names = sorted(joints)
     probs = np.array([weights[name] for name in names], dtype=float)
     probs = probs / probs.sum()
-    counts = rng.multinomial(n, probs)
-    records: list[MicroRecord] = []
-    for name, count in zip(names, counts):
-        if count == 0:
-            continue
-        d, s, y = _sample_arrays(joints[name], int(count), rng)
-        records.extend(_records_from_arrays(d, s, y, [name] * int(count)))
-    order = rng.permutation(len(records))
-    return Dataset(records=tuple(records[i] for i in order))
+    sizes = rng.multinomial(n, probs)
+    tables = {
+        name: _sample_counts(joints[name], int(size), rng)
+        for name, size in zip(names, sizes)
+        if size > 0
+    }
+    return Dataset(labels=tuple(tables), counts=list(tables.values()))
 
 
-def _sample_arrays(L: LatentJoint, n: int, rng: np.random.Generator):
+def _sample_counts(L: LatentJoint, n: int, rng: np.random.Generator) -> np.ndarray:
+    """2x3 count table (see ``COUNT_COLUMNS``) of ``n`` draws from ``L``."""
     cells = L.as_array()
     idx = rng.choice(16, size=n, p=cells / cells.sum())
-    y0 = idx >> 3 & 1
-    y1 = idx >> 2 & 1
-    s0 = idx >> 1 & 1
-    s1 = idx & 1
     d = (rng.random(n) < L.p_d1).astype(int)
-    s = np.where(d == 1, s1, s0)
-    ystar = np.where(d == 1, y1, y0)
-    y = np.where(s == 1, ystar, -1)
-    return d, s, y
-
-
-def _records_from_arrays(d, s, y, strata) -> tuple[MicroRecord, ...]:
-    records = []
-    for i in range(len(d)):
-        records.append(
-            MicroRecord(
-                d=int(d[i]),
-                s=int(s[i]),
-                y=None if y[i] < 0 else int(y[i]),
-                stratum=None if strata is None else strata[i],
-            )
-        )
-    return tuple(records)
+    # Under arm d the unit shows s_d and y_d: bits (s1, y1) or (s0, y0) of the cell index.
+    s = np.where(d == 1, idx & 1, idx >> 1 & 1)
+    y = np.where(d == 1, idx >> 2 & 1, idx >> 3 & 1)
+    cell = np.where(s == 1, 1 - y, 2)
+    return np.bincount(3 * d + cell, minlength=6).reshape(2, 3)

@@ -96,7 +96,7 @@ def test_criterion_2_sharpness_oracle_equivalence(restricted_draws):
     worst = 0.0
     for m in restricted_draws:
         for a in ASSUMPTION_ORDER:
-            lo, hi = sharp_envelope_oracle(m, a, mode="lp")
+            lo, hi = sharp_envelope_oracle(m, a)
             interval = compute_bounds(m, a)
             worst = max(worst, abs(lo - interval.lb), abs(hi - interval.ub))
             assert abs(lo - interval.lb) <= 1e-6

@@ -1,9 +1,15 @@
 """CSV ingestion, report assembly, plotting, and CLI exit codes."""
 
+import csv
+import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from pocbounds.cli import (
     ConfigError,
@@ -15,6 +21,7 @@ from pocbounds.cli import (
     main,
     run_analysis,
 )
+from pocbounds.estimation import Dataset, MicroRecord
 
 MAPPING = {"y": "y", "s": "s", "d": "d", "stratum": None}
 
@@ -30,8 +37,9 @@ class TestLoadCsv:
         path = write(tmp_path, "y,s,d\n1,1,1\n,0,1\n0,1,0\n")
         data = load_csv(path, MAPPING)
         assert data.n == 3
-        assert data.records[1].y is None
-        assert (data.records[2].y, data.records[2].s, data.records[2].d) == (0, 1, 0)
+        assert data.labels == (None,)
+        # Treated: one selected success, one censored; control: one selected failure.
+        assert data.counts.tolist() == [[[0, 1, 0], [1, 0, 1]]]
 
     def test_non_binary_token(self, tmp_path):
         path = write(tmp_path, "y,s,d\n2,1,0\n")
@@ -54,7 +62,11 @@ class TestLoadCsv:
             "y,s,d,g\n1,1,1,a\n0,1,0,a\n,0,1,b\n1,1,0,b\n0,1,1,a\n,0,0,b\n",
         )
         data = load_csv(path, {**MAPPING, "stratum": "g"})
-        assert data.stratum_index == {"a": (0, 1, 4), "b": (2, 3, 5)}
+        assert data.labels == ("a", "b")
+        assert data.counts.tolist() == [
+            [[0, 1, 0], [1, 1, 0]],
+            [[1, 0, 1], [0, 0, 1]],
+        ]
 
     def test_missing_column(self, tmp_path):
         path = write(tmp_path, "y,s\n1,1\n")
@@ -70,6 +82,63 @@ class TestLoadCsv:
         path = write(tmp_path, "y,s,d\n1,1,1\n")
         with pytest.raises(ConfigError, match="duplicate column mapping"):
             load_csv(path, {"y": "y", "s": "y", "d": "d", "stratum": None})
+
+    def test_byte_order_mark_ignored(self, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfy,s,d\n1,1,1\n,0,1\n0,1,0\n")
+        data = load_csv(path, MAPPING)
+        assert data.counts.tolist() == [[[0, 1, 0], [1, 0, 1]]]
+
+    def test_duplicate_header_name_rejected(self, tmp_path):
+        path = write(tmp_path, "y,s,d,s\n1,1,1,0\n")
+        with pytest.raises(CsvFormatError, match="column 's' appears 2 times in header"):
+            load_csv(path, MAPPING)
+
+    def test_oversized_field_names_its_row(self, tmp_path):
+        path = write(tmp_path, "y,s,d\n1,1,1\n1,1," + "1" * (csv.field_size_limit() + 1) + "\n")
+        with pytest.raises(CsvFormatError, match="row 3: field larger than field limit"):
+            load_csv(path, MAPPING)
+
+    def test_undecodable_byte_names_its_row(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"y,s,d,g\n1,1,1,a\n0,1,0,\xff\n")
+        with pytest.raises(CsvFormatError, match="row 3 is not valid UTF-8"):
+            load_csv(path, {**MAPPING, "stratum": "g"})
+
+
+ROWS = st.lists(
+    st.tuples(
+        st.sampled_from([0, 1]),
+        st.sampled_from(["1", "0", ""]),
+        st.text(alphabet="ab ,\"é", min_size=1, max_size=3).filter(lambda x: x.strip()),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=ROWS, crlf=st.booleans())
+def test_table_matches_csv_module_recount(tmp_path, rows, crlf):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n" if crlf else "\n")
+    writer.writerow(["d", "note", "y", "s", "g"])
+    for d, y, g in rows:
+        writer.writerow([d, "x", y, 0 if y == "" else 1, g])
+    path = write(tmp_path, buffer.getvalue())
+    data = load_csv(path, {"y": "y", "s": "s", "d": "d", "stratum": "g"})
+
+    expected: dict[str, np.ndarray] = {}
+    with path.open(newline="", encoding="utf-8") as handle:
+        for row in csv.DictReader(handle):
+            cell = 2 if row["s"] == "0" else (0 if row["y"] == "1" else 1)
+            expected.setdefault(row["g"].strip(), np.zeros((2, 3), dtype=int))[int(row["d"]), cell] += 1
+    assert data.labels == tuple(sorted(expected))
+    assert data.counts.tolist() == [expected[label].tolist() for label in data.labels]
+
+    again = Dataset.from_records(data.records)
+    assert again.labels == data.labels
+    assert np.array_equal(again.counts, data.counts)
 
 
 class TestRunConfig:
@@ -274,6 +343,50 @@ class TestMainExitCodes:
         code = main(["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d"])
         assert code == 1
         assert "no control units" in capsys.readouterr().err
+
+    def test_undecodable_input_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b"y,s,d\n1,1,\xff\n")
+        code = main(["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pocbounds: ") and "row 2 is not valid UTF-8" in err
+
+    def test_unwritable_output_is_1(self, fixture_csv, tmp_path, capsys):
+        code = main([
+            "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",
+            "--reps", "4", "--output", str(tmp_path / "missing" / "r.json"),
+        ])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pocbounds: fatal: cannot write report: ")
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_canonical_report_is_pinned(self, fixture_csv, tmp_path, monkeypatch):
+        # The report bytes depend on the bootstrap's random stream; a change
+        # to that stream has to update this digest on purpose.
+        monkeypatch.chdir(fixture_csv.parents[2])
+        out = tmp_path / "report.json"
+        code = main([
+            "--input", "tests/data/table_mirror_n1769.csv", "--y-col", "y", "--s-col", "s",
+            "--d-col", "d", "--stratum-col", "course", "--reps", "200", "--seed", "0",
+            "--output", str(out),
+        ])
+        assert code == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "aae4a7ea94a78a36aeba1e1c676d7da6583c3506c0903d2689ea3eae4952a0b4"
+        )
+
+    def test_pipeline_builds_no_row_objects(self, fixture_csv, tmp_path, monkeypatch):
+        def refuse(self):
+            raise AssertionError("a MicroRecord was built")
+
+        monkeypatch.setattr(MicroRecord, "__post_init__", refuse)
+        code = main([
+            "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",
+            "--stratum-col", "course", "--reps", "4", "--output", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
 
     def test_json_stdout_round_trips(self, fixture_csv, capsys):
         code = main([

@@ -42,16 +42,44 @@ class TestMicroRecord:
 class TestDataset:
     def test_requires_records(self):
         with pytest.raises(ValueError, match="at least one record"):
-            Dataset(records=())
+            Dataset.from_records(())
+        with pytest.raises(ValueError, match="at least one record"):
+            Dataset(labels=(None,), counts=np.zeros((1, 2, 3)))
 
     def test_stratum_index_groups_positions(self):
-        data = Dataset(records=(rec(1, 1, 1, "a"), rec(0, 1, 0, "b"), rec(1, 0, None, "a")))
-        assert data.stratum_index == {"a": (0, 2), "b": (1,)}
+        # Rows land in their stratum's table, whatever their position.
+        data = Dataset.from_records((rec(1, 1, 1, "b"), rec(0, 1, 0, "a"), rec(1, 0, None, "b")))
+        assert data.labels == ("a", "b")
+        assert data.counts.tolist() == [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 1]]]
+        assert data.n == 3
+        assert data.has_complete_strata()
+
+    def test_rejects_malformed_tables(self):
+        one = [[1, 0, 0], [0, 0, 1]]
+        with pytest.raises(ValueError, match="unique"):
+            Dataset(labels=("a", "a"), counts=[one, one])
+        with pytest.raises(ValueError, match="non-negative"):
+            Dataset(labels=("a",), counts=[[[2, -1, 0], [0, 0, 1]]])
+        with pytest.raises(ValueError, match="every stratum"):
+            Dataset(labels=("a", "b"), counts=[one, np.zeros((2, 3))])
+        with pytest.raises(ValueError):
+            Dataset(labels=("a",), counts=[one, one])
+
+
+def test_simulation_builds_no_row_objects(monkeypatch):
+    def refuse(self):
+        raise AssertionError("a MicroRecord was built")
+
+    rng = np.random.default_rng(67)
+    joint = draw_latent_joint(AssumptionSet.A1_4, rng)
+    monkeypatch.setattr(MicroRecord, "__post_init__", refuse)
+    assert sample_dataset(joint, 300, rng).n == 300
+    assert sample_stratified_dataset({"a": joint, "b": joint}, {"a": 0.5, "b": 0.5}, 300, rng).n == 300
 
 
 class TestEstimateMoments:
     def test_four_record_hand_count(self):
-        m = estimate_moments(Dataset(records=FOUR_RECORDS))
+        m = estimate_moments(Dataset.from_records(FOUR_RECORDS))
         assert m.p_y1_s1d1 == 1.0
         assert m.p_y0_s1d0 == 0.5
         assert m.p_s1_d1 == 0.5
@@ -59,28 +87,29 @@ class TestEstimateMoments:
         assert m.p_d1 == 0.5
 
     def test_no_control_units_errors(self):
-        data = Dataset(records=(rec(1, 1, 1), rec(1, 1, 0)))
+        data = Dataset.from_records((rec(1, 1, 1), rec(1, 1, 0)))
         with pytest.raises(ValueError, match="no control units"):
             estimate_moments(data)
 
     def test_empty_cells_named(self):
         with pytest.raises(ValueError, match="no S=1 units with D=0"):
-            estimate_moments(Dataset(records=(rec(1, 1, 1), rec(0, 0))))
+            estimate_moments(Dataset.from_records((rec(1, 1, 1), rec(0, 0))))
         with pytest.raises(ValueError, match="no Y=0 outcomes among S=1, D=0"):
-            estimate_moments(Dataset(records=(rec(1, 1, 1), rec(0, 1, 1))))
+            estimate_moments(Dataset.from_records((rec(1, 1, 1), rec(0, 1, 1))))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(60)
         joint = draw_latent_joint(AssumptionSet.A1_3, rng)
         data = sample_dataset(joint, 500, rng)
-        shuffled = Dataset(records=tuple(data.records[i] for i in rng.permutation(data.n)))
+        rows = data.records
+        shuffled = Dataset.from_records(rows[i] for i in rng.permutation(data.n))
         assert estimate_moments(data) == estimate_moments(shuffled)
 
     def test_estimates_are_exact_count_ratios(self):
         rng = np.random.default_rng(61)
         joint = draw_latent_joint(AssumptionSet.A1_3, rng)
         data = sample_dataset(joint, 997, rng)
-        counts = cell_counts(data.records)
+        counts = cell_counts(data)
         m = estimate_moments(data)
         assert m.p_y1_s1d1 == int(counts[1, 0]) / int(counts[1, 0] + counts[1, 1])
         assert m.p_d1 == int(counts[1].sum()) / 997
@@ -96,7 +125,7 @@ class TestEstimateMoments:
 
 class TestEstimateStratified:
     def test_requires_complete_strata(self):
-        data = Dataset(records=(rec(1, 1, 1, "a"), rec(0, 1, 0)))
+        data = Dataset.from_records((rec(1, 1, 1, "a"), rec(0, 1, 0)))
         with pytest.raises(ValueError, match="stratum label"):
             estimate_stratified(data, AssumptionSet.A1_3)
 
@@ -104,7 +133,7 @@ class TestEstimateStratified:
         records = tuple(
             MicroRecord(d=r.d, s=r.s, y=r.y, stratum="only") for r in FOUR_RECORDS
         )
-        data = Dataset(records=records)
+        data = Dataset.from_records(records)
         result = estimate_stratified(data, AssumptionSet.A1_3)
         unconditional = compute_bounds(estimate_moments(data), AssumptionSet.A1_3)
         assert result.aggregate.lb == unconditional.lb
@@ -116,7 +145,7 @@ class TestEstimateStratified:
         # of the per-stratum endpoints.
         base = [rec(1, 1, 1, "x"), rec(1, 1, 0, "x"), rec(0, 1, 0, "x"), rec(0, 1, 1, "x")]
         other = [rec(1, 1, 0, "z"), rec(1, 1, 0, "z"), rec(0, 1, 0, "z"), rec(0, 1, 0, "z")]
-        data = Dataset(records=tuple(base + other))
+        data = Dataset.from_records(tuple(base + other))
         result = estimate_stratified(data, AssumptionSet.A1_5)
         bx = result.per_stratum["x"].bounds
         bz = result.per_stratum["z"].bounds
@@ -127,7 +156,7 @@ class TestEstimateStratified:
     def test_dropped_strata_renormalize(self):
         good = [rec(1, 1, 1, "g"), rec(1, 0, None, "g"), rec(0, 1, 0, "g"), rec(0, 1, 1, "g")]
         bad = [rec(1, 1, 1, "b"), rec(1, 1, 0, "b")]  # no control units
-        result = estimate_stratified(Dataset(records=tuple(good + bad)), AssumptionSet.A1_3)
+        result = estimate_stratified(Dataset.from_records(tuple(good + bad)), AssumptionSet.A1_3)
         assert [name for name, _ in result.dropped] == ["b"]
         assert "no control units" in result.dropped[0][1]
         assert result.per_stratum["g"].weight == 1.0
@@ -135,7 +164,7 @@ class TestEstimateStratified:
     def test_all_strata_dropped_errors(self):
         bad = (rec(1, 1, 1, "b"), rec(1, 1, 0, "b"))
         with pytest.raises(ValueError, match="every stratum was dropped"):
-            estimate_stratified(Dataset(records=bad), AssumptionSet.A1_3)
+            estimate_stratified(Dataset.from_records(bad), AssumptionSet.A1_3)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(63)
@@ -168,7 +197,11 @@ class TestEstimateStratified:
 
 
 def test_moments_from_counts_matches_record_path():
+    # Counting the expanded rows by hand reproduces the pipeline's moments.
     rng = np.random.default_rng(66)
     joint = draw_latent_joint(AssumptionSet.A1_3, rng)
     data = sample_dataset(joint, 800, rng)
-    assert moments_from_counts(cell_counts(data.records)) == estimate_moments(data)
+    counts = np.zeros((2, 3), dtype=np.int64)
+    for r in data.records:
+        counts[r.d, 2 if r.s == 0 else 1 - r.y] += 1
+    assert moments_from_counts(counts) == estimate_moments(data)

@@ -24,26 +24,26 @@ class TestLpMode:
         rng = np.random.default_rng(101)
         for _ in range(30):
             m = draw_restricted_moments(rng)
-            lo, hi = sharp_envelope_oracle(m, a, mode="lp")
+            lo, hi = sharp_envelope_oracle(m, a)
             interval = compute_bounds(m, a)
             assert lo == pytest.approx(interval.lb, abs=1e-6)
             assert hi == pytest.approx(interval.ub, abs=1e-6)
 
     def test_table_moments(self, table_moments):
-        lo, hi = sharp_envelope_oracle(table_moments, AssumptionSet.A1_3, mode="lp")
+        lo, hi = sharp_envelope_oracle(table_moments, AssumptionSet.A1_3)
         assert lo == pytest.approx(0.0137, abs=1e-4)
         assert hi == pytest.approx(0.6090, abs=1e-4)
 
     def test_degenerate_point_one(self):
         m = ObservedMoments(p_y1_s1d1=1.0, p_y0_s1d0=1.0, p_s1_d1=0.7, p_s1_d0=0.7)
-        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_5, mode="lp")
+        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_5)
         assert lo == pytest.approx(1.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
     def test_clipped_cases_still_match(self):
         # Heavy clipping on both ends: lb clips to 0, ub to 1.
         m = ObservedMoments(p_y1_s1d1=0.4, p_y0_s1d0=0.5, p_s1_d1=0.8, p_s1_d0=0.4)
-        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3, mode="lp")
+        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3)
         assert lo == pytest.approx(0.0, abs=1e-9)
         assert hi == pytest.approx(1.0, abs=1e-9)
 
@@ -52,7 +52,7 @@ class TestLpMode:
         for _ in range(25):
             joint = draw_latent_joint(AssumptionSet.A1_3, rng)
             m = observed_from_latent(joint)
-            lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3, mode="lp")
+            lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3)
             assert lo - 1e-9 <= theta_oo(joint) <= hi + 1e-9
 
     def test_infeasible_moments_error(self):
@@ -61,50 +61,20 @@ class TestLpMode:
         m = ObservedMoments(p_y1_s1d1=0.3, p_y0_s1d0=0.6, p_s1_d1=0.8, p_s1_d0=0.8)
         for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
             with pytest.raises(ValueError, match="inconsistent"):
-                sharp_envelope_oracle(m, a, mode="lp")
-        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3, mode="lp")
+                sharp_envelope_oracle(m, a)
+        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3)
         assert lo <= hi
+
+    def test_equal_selection_rates(self):
+        # Zero mass on the NO stratum: only the OO cells can move.
+        m = ObservedMoments(p_y1_s1d1=0.6, p_y0_s1d0=0.7, p_s1_d1=0.5, p_s1_d0=0.5)
+        for a in ASSUMPTION_ORDER:
+            lo, hi = sharp_envelope_oracle(m, a)
+            interval = compute_bounds(m, a)
+            assert lo == pytest.approx(interval.lb, abs=1e-6)
+            assert hi == pytest.approx(interval.ub, abs=1e-6)
 
     def test_trim_ratio_above_one_rejected(self):
         m = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.6)
         with pytest.raises(ValueError, match="selection restriction"):
-            sharp_envelope_oracle(m, AssumptionSet.A1_3, mode="lp")
-
-
-class TestGridMode:
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
-    def test_agrees_with_closed_forms(self, a):
-        rng = np.random.default_rng(2024)
-        for _ in range(4):
-            m = draw_restricted_moments(rng)
-            lo, hi = sharp_envelope_oracle(m, a, mode="grid", probes=2500, seed=11)
-            interval = compute_bounds(m, a)
-            assert lo == pytest.approx(interval.lb, abs=5e-3)
-            assert hi == pytest.approx(interval.ub, abs=5e-3)
-
-    def test_deterministic_given_seed(self, table_moments):
-        first = sharp_envelope_oracle(table_moments, AssumptionSet.A1_4, mode="grid", probes=500, seed=9)
-        second = sharp_envelope_oracle(table_moments, AssumptionSet.A1_4, mode="grid", probes=500, seed=9)
-        assert first == second
-
-    def test_equal_selection_rates(self):
-        # Zero mass on the NO stratum: the walk explores only the OO cells.
-        m = ObservedMoments(p_y1_s1d1=0.6, p_y0_s1d0=0.7, p_s1_d1=0.5, p_s1_d0=0.5)
-        for a in ASSUMPTION_ORDER:
-            lo, hi = sharp_envelope_oracle(m, a, mode="grid", probes=1200, seed=2)
-            interval = compute_bounds(m, a)
-            assert lo == pytest.approx(interval.lb, abs=5e-3)
-            assert hi == pytest.approx(interval.ub, abs=5e-3)
-
-    def test_never_wider_than_lp(self, table_moments):
-        grid_lo, grid_hi = sharp_envelope_oracle(
-            table_moments, AssumptionSet.A1_5, mode="grid", probes=1500, seed=3
-        )
-        lp_lo, lp_hi = sharp_envelope_oracle(table_moments, AssumptionSet.A1_5, mode="lp")
-        assert grid_lo >= lp_lo - 1e-9
-        assert grid_hi <= lp_hi + 1e-9
-
-
-def test_unknown_mode_rejected(table_moments):
-    with pytest.raises(ValueError, match="mode"):
-        sharp_envelope_oracle(table_moments, AssumptionSet.A1_3, mode="exhaustive")
+            sharp_envelope_oracle(m, AssumptionSet.A1_3)
