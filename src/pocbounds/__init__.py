@@ -28,10 +28,8 @@ from .bounds import (
     AssumptionSet,
     BoundsInterval,
     ObservedMoments,
-    bounds_a13,
-    bounds_a14,
-    bounds_a15,
     compute_bounds,
+    restriction_violations,
     trim_ratio,
 )
 from .estimation import (
@@ -76,9 +74,6 @@ __all__ = [
     "StratifiedBounds",
     "__version__",
     "bootstrap_bounds",
-    "bounds_a13",
-    "bounds_a14",
-    "bounds_a15",
     "check_assumptions",
     "compute_bounds",
     "construct_bound_distribution",
@@ -86,6 +81,7 @@ __all__ = [
     "estimate_moments",
     "estimate_stratified",
     "observed_from_latent",
+    "restriction_violations",
     "sharp_envelope_oracle",
     "test_restrictions",
     "theta_oo",

@@ -23,6 +23,14 @@ Writing ``p1 = P[Y=1 | S=1, D=1]``, ``q0 = P[Y=0 | S=1, D=0]`` and
 * ``UB2 = UB3 = min{ ((p1 / alpha) + q0 - 1) / q0, 1 }``
 * ``LB3 = max{ (p1 + q0 - 1) / q0, 0 }``
 
+The model also restricts the data.  Every bundle implies the selection
+restriction ``P[S=1|D=1] >= P[S=1|D=0]``; under A4 the outcome restriction
+``P[Y=1|D=1] >= P[Y=1|D=0]`` holds for raw success rates, which count an
+unselected unit as ``Y = 0``.  Equality is consistent with the model.
+:func:`restriction_violations` is the one encoding of both: the CLI's
+in-sample warnings, the attaining constructions in :mod:`pocbounds.latent`
+and ``BoundsInterval.restriction_violated`` all call it.
+
 Everything here is a pure function of its inputs; all operations are safe
 to call concurrently.
 """
@@ -103,11 +111,11 @@ class BoundsInterval:
     ``lb`` and ``ub`` are always clipped into [0, 1]; the unclipped values
     are retained in ``lb_raw`` / ``ub_raw`` so tests and oracles can reason
     about the raw formulas.  ``restriction_violated`` is set when the
-    moments violate the selection restriction (trim ratio above one), in
-    which case the formulas are still evaluated as written.  ``crossed``
-    is set when clipping leaves ``lb > ub``; the endpoints are reported
-    as computed, never swapped, because a crossed interval is evidence
-    against the model.
+    moments violate the selection restriction (see
+    :func:`restriction_violations`), in which case the formulas are still
+    evaluated as written.  ``crossed`` is set when clipping leaves
+    ``lb > ub``; the endpoints are reported as computed, never swapped,
+    because a crossed interval is evidence against the model.
     """
 
     lb: float
@@ -137,12 +145,37 @@ def trim_ratio(m: ObservedMoments) -> float:
     value above one is a violation of the selection restriction and is
     flagged downstream rather than clamped here.
     """
-    if m.p_s1_d1 <= 0.0:
-        raise ValueError("no selected units in treated arm")
     return m.p_s1_d0 / m.p_s1_d1
 
 
-def _require_q0(m: ObservedMoments) -> float:
+# Raw success rates are products of two rates, so rates that are equal
+# as count ratios can differ by float dust.
+_RATE_TOL = 1e-12
+
+
+def restriction_violations(m: ObservedMoments, a: AssumptionSet) -> list[str]:
+    """The observable restrictions of bundle ``a`` that ``m`` violates, as messages.
+
+    Every bundle implies the selection restriction P[S=1|D=1] >= P[S=1|D=0],
+    compared exactly.  Bundles with A4 also imply the outcome restriction
+    P[Y=1|D=1] >= P[Y=1|D=0] on raw success rates ``p1 * P[S=1|D=1]`` and
+    ``(1 - q0) * P[S=1|D=0]``, where a gap within 1e-12 counts as equality.
+    Equality is consistent with the model.  An empty list means ``m``
+    violates neither.
+    """
+    violations = []
+    if m.p_s1_d1 < m.p_s1_d0:
+        violations.append("P[S=1|D=1] < P[S=1|D=0] (selection restriction)")
+    if a is not AssumptionSet.A1_3:
+        treated = m.p_y1_s1d1 * m.p_s1_d1
+        control = (1.0 - m.p_y0_s1d0) * m.p_s1_d0
+        if control - treated > _RATE_TOL:
+            violations.append("P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)")
+    return violations
+
+
+def require_q0(m: ObservedMoments) -> float:
+    """``q0 = P[Y=0 | S=1, D=0]``, which the positive-mass assumption A2 needs positive."""
     q0 = m.p_y0_s1d0
     if q0 <= 0.0:
         raise ValueError(
@@ -152,24 +185,9 @@ def _require_q0(m: ObservedMoments) -> float:
     return q0
 
 
-def _clip_unit(x: float) -> float:
+def clip_unit(x: float) -> float:
+    """``x`` clipped into [0, 1]."""
     return min(max(x, 0.0), 1.0)
-
-
-def _make_interval(lb_raw: float, ub_raw: float, a: AssumptionSet, alpha: float) -> BoundsInterval:
-    lb = _clip_unit(lb_raw)
-    ub = _clip_unit(ub_raw)
-    return BoundsInterval(
-        lb=lb,
-        ub=ub,
-        assumption_set=a,
-        lb_clipped=lb != lb_raw,
-        ub_clipped=ub != ub_raw,
-        lb_raw=lb_raw,
-        ub_raw=ub_raw,
-        restriction_violated=alpha > 1.0,
-        crossed=lb > ub,
-    )
 
 
 def trimmed_success_floor(p1: float, alpha: float) -> float:
@@ -182,49 +200,33 @@ def trimmed_success_floor(p1: float, alpha: float) -> float:
     return min((p1 - (1.0 - alpha)) / alpha, p1)
 
 
-def _lower_shared_raw(p1: float, q0: float, alpha: float) -> float:
+def compute_bounds(m: ObservedMoments, a: AssumptionSet) -> BoundsInterval:
+    """Sharp bounds on the probability of causation under assumption set ``a``.
+
+    The four raw endpoints of the module docstring are computed once; ``a``
+    picks ``LB1 = LB2`` or ``LB3`` and ``UB1`` or ``UB2 = UB3``.
+    """
+    q0 = require_q0(m)
+    alpha = trim_ratio(m)
+    p1 = m.p_y1_s1d1
     # x + q0 - 1 is written as x - (1 - q0) so the q0 = 1 boundary does
     # not pick up a one-ulp +1/-1 round trip.
-    return (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
-
-
-def bounds_a13(m: ObservedMoments) -> BoundsInterval:
-    """Sharp bounds under random assignment, positive mass and monotone selection."""
-    q0 = _require_q0(m)
-    alpha = trim_ratio(m)
-    p1 = m.p_y1_s1d1
-    lb_raw = _lower_shared_raw(p1, q0, alpha)
-    ub_raw = (p1 / alpha) / q0
-    return _make_interval(lb_raw, ub_raw, AssumptionSet.A1_3, alpha)
-
-
-def bounds_a14(m: ObservedMoments) -> BoundsInterval:
-    """Sharp bounds adding monotone treatment response; same lower bound, tighter upper."""
-    q0 = _require_q0(m)
-    alpha = trim_ratio(m)
-    p1 = m.p_y1_s1d1
-    lb_raw = _lower_shared_raw(p1, q0, alpha)
-    ub_raw = (p1 / alpha - (1.0 - q0)) / q0
-    return _make_interval(lb_raw, ub_raw, AssumptionSet.A1_4, alpha)
-
-
-def bounds_a15(m: ObservedMoments) -> BoundsInterval:
-    """Sharp bounds adding stochastic dominance; tighter lower bound, same upper as A1_4."""
-    q0 = _require_q0(m)
-    alpha = trim_ratio(m)
-    p1 = m.p_y1_s1d1
-    lb_raw = (p1 - (1.0 - q0)) / q0
-    ub_raw = (p1 / alpha - (1.0 - q0)) / q0
-    return _make_interval(lb_raw, ub_raw, AssumptionSet.A1_5, alpha)
-
-
-_DISPATCH = {
-    AssumptionSet.A1_3: bounds_a13,
-    AssumptionSet.A1_4: bounds_a14,
-    AssumptionSet.A1_5: bounds_a15,
-}
-
-
-def compute_bounds(m: ObservedMoments, a: AssumptionSet) -> BoundsInterval:
-    """Dispatch to the bound pair for assumption set ``a``."""
-    return _DISPATCH[a](m)
+    lb1 = (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
+    ub1 = (p1 / alpha) / q0
+    ub2 = (p1 / alpha - (1.0 - q0)) / q0
+    lb3 = (p1 - (1.0 - q0)) / q0
+    lb_raw = lb3 if a is AssumptionSet.A1_5 else lb1
+    ub_raw = ub1 if a is AssumptionSet.A1_3 else ub2
+    lb = clip_unit(lb_raw)
+    ub = clip_unit(ub_raw)
+    return BoundsInterval(
+        lb=lb,
+        ub=ub,
+        assumption_set=a,
+        lb_clipped=lb != lb_raw,
+        ub_clipped=ub != ub_raw,
+        lb_raw=lb_raw,
+        ub_raw=ub_raw,
+        restriction_violated=bool(restriction_violations(m, AssumptionSet.A1_3)),
+        crossed=lb > ub,
+    )

@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval
+from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval, restriction_violations
 from .charts import write_plot
 from .estimation import Dataset, estimate_moments, estimate_stratified, table_position
 from .inference import DIRECTION_NOTE, bootstrap_bounds, test_restrictions
@@ -250,30 +250,22 @@ def run_analysis(cfg: RunConfig) -> Report:
     data = load_csv(cfg.input_path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
     digest = hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
 
-    warnings: list[str] = []
     moments = estimate_moments(data)
-    if moments.p_s1_d1 < moments.p_s1_d0:
-        warnings.append(
-            "restriction violated in-sample: P[S=1|D=1] < P[S=1|D=0] "
-            "(selection restriction); bounds reported anyway"
-        )
     requested = tuple(a for a in ASSUMPTION_ORDER if a in cfg.assumption_sets)
-    if any(a is not AssumptionSet.A1_3 for a in requested):
-        y1_rate_treated = moments.p_y1_s1d1 * moments.p_s1_d1
-        y1_rate_control = (1.0 - moments.p_y0_s1d0) * moments.p_s1_d0
-        if y1_rate_treated < y1_rate_control:
-            warnings.append(
-                "restriction violated in-sample: P[Y=1|D=1] < P[Y=1|D=0] "
-                "(outcome restriction); bounds reported anyway"
-            )
+    # The strongest requested set implies every restriction the others do.
+    strongest = requested[-1]
+    warnings = [
+        f"restriction violated in-sample: {violation}; bounds reported anyway"
+        for violation in restriction_violations(moments, strongest)
+    ]
+    tests = test_restrictions(data, strongest)
 
     restriction_tests = {}
     unconditional = {}
     for a in requested:
-        tests = test_restrictions(data, a)
         restriction_tests[a.value] = {
             "selection": _test_outcome_dict(tests.selection_test),
-            "outcome": None if tests.outcome_test is None else _test_outcome_dict(tests.outcome_test),
+            "outcome": None if a is AssumptionSet.A1_3 else _test_outcome_dict(tests.outcome_test),
         }
         boot = bootstrap_bounds(
             data, a, reps=cfg.reps, level=cfg.level, seed=cfg.seed, stratified=False

@@ -35,7 +35,10 @@ from scipy.optimize import linprog
 from .bounds import (
     AssumptionSet,
     ObservedMoments,
+    clip_unit,
     compute_bounds,
+    require_q0,
+    restriction_violations,
     trim_ratio,
     trimmed_success_floor,
 )
@@ -247,33 +250,12 @@ def observed_from_latent(L: LatentJoint) -> ObservedMoments:
 # Bound-attaining mass assignments
 # ---------------------------------------------------------------------------
 
-def _validate_construction_moments(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float, float]:
-    q0 = m.p_y0_s1d0
-    if q0 <= 0.0:
-        raise ValueError(
-            "positive-mass assumption (A2) violated: P[Y=0 | S=1, D=0] = 0"
-        )
-    alpha = trim_ratio(m)
-    if alpha > 1.0:
-        raise ValueError(
-            "selection restriction violated: P[S=1 | D=0] exceeds P[S=1 | D=1] "
-            f"(trim ratio {alpha})"
-        )
-    p1 = m.p_y1_s1d1
-    if a is not AssumptionSet.A1_3:
-        # With q0 > 0 this is the outcome restriction
-        # P[Y=1 | D=1] >= P[Y=1 | D=0] written for the identified moments.
-        if p1 / alpha - (1.0 - q0) < 0.0:
-            raise ValueError(
-                "outcome restriction violated: moments imply "
-                "P[Y=1 | D=1] < P[Y=1 | D=0], inconsistent with monotone treatment response"
-            )
-    return p1, q0, alpha
-
-
-def _clamp01(x: float) -> float:
-    # Guards float round-off on quantities that are provably in [0, 1].
-    return min(max(x, 0.0), 1.0)
+def _checked_rates(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float, float]:
+    q0 = require_q0(m)
+    violations = restriction_violations(m, a)
+    if violations:
+        raise ValueError(f"moments inconsistent with {a.value}: {violations[0]}")
+    return m.p_y1_s1d1, q0, trim_ratio(m)
 
 
 def _conditional_tables(
@@ -282,53 +264,41 @@ def _conditional_tables(
     """Conditional (y0, y1) tables for the OO and NO strata.
 
     These are the explicit assignments that attain the interval endpoints
-    while reproducing the observed moments.  When ``alpha == 1`` the NO
+    while reproducing the observed moments.  Both follow from ``rate``,
+    the OO stratum's treated-outcome rate at the endpoint: the OO table
+    splits it around the untreated failure rate ``q0``, and the NO
+    stratum takes what is left of ``p1``.  When ``alpha == 1`` the NO
     stratum has zero mass and its table is fixed to a point mass on
     (0, 0), which is immaterial for every observable quantity.
     """
-    if side is Side.LOWER:
-        if a is AssumptionSet.A1_3:
-            anchor = max(trimmed_success_floor(p1, alpha), 0.0)
-            oo01 = max(anchor - (1.0 - q0), 0.0)
-            oo11 = min(1.0 - q0, anchor)
-        elif a is AssumptionSet.A1_4:
-            anchor = max(trimmed_success_floor(p1, alpha), 1.0 - q0)
-            oo01 = anchor - (1.0 - q0)
-            oo11 = 1.0 - q0
-        else:
-            oo01 = max(p1 - (1.0 - q0), 0.0)
-            oo11 = 1.0 - q0
-        oo00 = q0 - oo01
-        y1_rate_oo = oo01 + oo11
-        if alpha < 1.0:
-            no01 = (p1 - y1_rate_oo * alpha) / (1.0 - alpha)
-        else:
-            no01 = 0.0
+    if side is Side.UPPER:
+        rate = min(p1 / alpha, 1.0)
+    elif a is AssumptionSet.A1_3:
+        rate = max(trimmed_success_floor(p1, alpha), 0.0)
+    elif a is AssumptionSet.A1_4:
+        rate = max(trimmed_success_floor(p1, alpha), 1.0 - q0)
     else:
-        if a is AssumptionSet.A1_3:
-            oo01 = min(p1 / alpha, q0)
-            oo11 = max(min(p1 / alpha, 1.0) - q0, 0.0)
-        else:
-            oo01 = min(p1 / alpha, 1.0) - (1.0 - q0)
-            oo11 = 1.0 - q0
-        oo00 = q0 - oo01
-        if alpha < 1.0:
-            no01 = max((p1 - alpha) / (1.0 - alpha), 0.0)
-        else:
-            no01 = 0.0
+        rate = max(p1, 1.0 - q0)
 
+    if a is AssumptionSet.A1_3 and side is Side.UPPER:
+        oo01 = min(rate, q0)
+    else:
+        oo01 = max(rate - (1.0 - q0), 0.0)
     if a is AssumptionSet.A1_3:
+        oo11 = rate - oo01
         oo10 = (1.0 - q0) - oo11
     else:
+        oo11 = 1.0 - q0
         oo10 = 0.0
+    no01 = (p1 - rate * alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
 
     oo = {
-        (0, 1): _clamp01(oo01),
-        (1, 1): _clamp01(oo11),
-        (0, 0): _clamp01(oo00),
-        (1, 0): _clamp01(oo10),
+        (0, 1): clip_unit(oo01),
+        (1, 1): clip_unit(oo11),
+        (0, 0): clip_unit(q0 - oo01),
+        (1, 0): clip_unit(oo10),
     }
-    no01 = _clamp01(no01)
+    no01 = clip_unit(no01)
     no = {(0, 1): no01, (1, 1): 0.0, (0, 0): 1.0 - no01, (1, 0): 0.0}
     return oo, no
 
@@ -364,7 +334,7 @@ def construct_bound_distribution(m: ObservedMoments, a: AssumptionSet, side: Sid
     Raises a descriptive ``ValueError`` when the moments violate a
     restriction required by ``a``.
     """
-    p1, q0, alpha = _validate_construction_moments(m, a)
+    p1, q0, alpha = _checked_rates(m, a)
     oo, no = _conditional_tables(p1, q0, alpha, a, side)
     return _assemble_joint(m, oo, no)
 
@@ -380,7 +350,7 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega = {omega!r} must lie strictly in (0, 1)")
-    p1, q0, alpha = _validate_construction_moments(m, a)
+    p1, q0, alpha = _checked_rates(m, a)
     oo_lo, no_lo = _conditional_tables(p1, q0, alpha, a, Side.LOWER)
     oo_hi, no_hi = _conditional_tables(p1, q0, alpha, a, Side.UPPER)
     oo = {k: omega * oo_lo[k] + (1.0 - omega) * oo_hi[k] for k in oo_lo}

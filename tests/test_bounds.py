@@ -1,5 +1,7 @@
 """Closed-form bound pairs: worked examples and algebraic invariants."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,12 +12,11 @@ from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
     ObservedMoments,
-    bounds_a13,
-    bounds_a14,
-    bounds_a15,
     compute_bounds,
+    restriction_violations,
     trim_ratio,
 )
+from pocbounds.estimation import moments_from_counts
 
 RNG = np.random.default_rng(90210)
 
@@ -66,6 +67,34 @@ class TestTrimRatio:
         assert interval.lb > interval.ub
 
 
+class TestRestrictionViolations:
+    # Control cells (selected y=1, selected y=0, unselected) [40, 20, 60]:
+    # raw success rate 40/120 = 1/3, as in the treated arm [20, 20, 20].
+    CONTROL = [40, 20, 60]
+
+    def test_equal_raw_success_rates_are_consistent(self):
+        m = moments_from_counts(np.array([self.CONTROL, [20, 20, 20]]))
+        assert m.p_y1_s1d1 * m.p_s1_d1 != (1.0 - m.p_y0_s1d0) * m.p_s1_d0  # float dust
+        for a in ASSUMPTION_ORDER:
+            assert restriction_violations(m, a) == []
+
+    def test_one_count_past_the_outcome_boundary(self):
+        m = moments_from_counts(np.array([self.CONTROL, [19, 21, 20]]))
+        assert restriction_violations(m, AssumptionSet.A1_3) == []
+        for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
+            assert restriction_violations(m, a) == ["P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)"]
+
+    def test_selection_compared_exactly(self):
+        equal = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.5)
+        assert restriction_violations(equal, AssumptionSet.A1_3) == []
+        above = ObservedMoments(
+            p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=math.nextafter(0.5, 1.0)
+        )
+        for a in ASSUMPTION_ORDER:
+            assert restriction_violations(above, a)[0] == "P[S=1|D=1] < P[S=1|D=0] (selection restriction)"
+            assert compute_bounds(above, a).restriction_violated
+
+
 class TestTableReproduction:
     """The fixture moments must reproduce the published interval triplet."""
 
@@ -86,31 +115,31 @@ class TestTableReproduction:
 
 class TestWorkedExamples:
     def test_a13_full_clipping(self):
-        interval = bounds_a13(make_moments(p1=0.4, q0=0.5, alpha=0.5))
+        interval = compute_bounds(make_moments(p1=0.4, q0=0.5, alpha=0.5), AssumptionSet.A1_3)
         assert (interval.lb, interval.ub) == (0.0, 1.0)
         assert interval.lb_clipped and interval.ub_clipped
         assert interval.ub_raw == pytest.approx(1.6)
 
     def test_a13_degenerate_point_one(self):
-        interval = bounds_a13(make_moments(p1=1.0, q0=1.0, alpha=1.0))
+        interval = compute_bounds(make_moments(p1=1.0, q0=1.0, alpha=1.0), AssumptionSet.A1_3)
         assert (interval.lb, interval.ub) == (1.0, 1.0)
         assert not interval.lb_clipped and not interval.ub_clipped
 
     def test_a14_equals_a13_lower(self):
         m = make_moments(p1=0.4, q0=0.5, alpha=0.5)
-        assert bounds_a14(m).lb == bounds_a13(m).lb
+        assert compute_bounds(m, AssumptionSet.A1_4).lb == compute_bounds(m, AssumptionSet.A1_3).lb
 
     def test_a14_upper(self):
-        interval = bounds_a14(make_moments(p1=0.4, q0=0.5, alpha=0.5))
+        interval = compute_bounds(make_moments(p1=0.4, q0=0.5, alpha=0.5), AssumptionSet.A1_4)
         assert interval.lb == 0.0
         assert interval.ub == pytest.approx(0.6)
 
     def test_a14_degenerate_point_one(self):
-        interval = bounds_a14(make_moments(p1=1.0, q0=1.0, alpha=1.0))
+        interval = compute_bounds(make_moments(p1=1.0, q0=1.0, alpha=1.0), AssumptionSet.A1_4)
         assert (interval.lb, interval.ub) == (1.0, 1.0)
 
     def test_a15_point_one_with_upper_clip(self):
-        interval = bounds_a15(make_moments(p1=1.0, q0=1.0, alpha=0.9))
+        interval = compute_bounds(make_moments(p1=1.0, q0=1.0, alpha=0.9), AssumptionSet.A1_5)
         assert (interval.lb, interval.ub) == (1.0, 1.0)
         assert interval.ub_clipped
 
@@ -119,7 +148,7 @@ class TestWorkedExamples:
         # response; both raw endpoints go negative and clip to a [0, 0]
         # point (the envelope oracle confirms infeasibility, see
         # test_oracle.py).
-        interval = bounds_a15(make_moments(p1=0.3, q0=0.6, alpha=1.0))
+        interval = compute_bounds(make_moments(p1=0.3, q0=0.6, alpha=1.0), AssumptionSet.A1_5)
         assert (interval.lb, interval.ub) == (0.0, 0.0)
         assert interval.lb_clipped and interval.ub_clipped
         assert interval.lb_raw == pytest.approx(-1.0 / 6.0)
@@ -128,24 +157,9 @@ class TestWorkedExamples:
 
     def test_q0_zero_errors(self):
         m = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.0, p_s1_d1=0.5, p_s1_d0=0.5)
-        for fn in (bounds_a13, bounds_a14, bounds_a15):
+        for a in ASSUMPTION_ORDER:
             with pytest.raises(ValueError, match="A2"):
-                fn(m)
-
-
-class TestDispatch:
-    @pytest.mark.parametrize(
-        ("a", "fn"),
-        [
-            (AssumptionSet.A1_3, bounds_a13),
-            (AssumptionSet.A1_4, bounds_a14),
-            (AssumptionSet.A1_5, bounds_a15),
-        ],
-        ids=lambda x: getattr(x, "value", getattr(x, "__name__", str(x))),
-    )
-    def test_matches_direct_call(self, a, fn):
-        m = make_moments(p1=0.45, q0=0.62, alpha=0.8)
-        assert compute_bounds(m, a) == fn(m)
+                compute_bounds(m, a)
 
 
 class TestNestingAndRange:
@@ -154,9 +168,7 @@ class TestNestingAndRange:
         # ratio at most one, not just on-model ones.
         for _ in range(10_000):
             m = draw_any_moments(RNG)
-            i1 = bounds_a13(m)
-            i2 = bounds_a14(m)
-            i3 = bounds_a15(m)
+            i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
             assert 0.0 <= i1.lb <= i1.ub <= 1.0
             assert i1.lb == i2.lb
             assert i2.ub == i3.ub
@@ -168,8 +180,9 @@ class TestNestingAndRange:
         # dominance can only raise the lower bound.
         for _ in range(2_000):
             m = draw_any_moments(RNG)
-            assert bounds_a14(m).ub <= bounds_a13(m).ub
-            assert bounds_a15(m).lb >= bounds_a14(m).lb
+            i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
+            assert i2.ub <= i1.ub
+            assert i3.lb >= i2.lb
 
 
 class TestScaleInvariance:
@@ -255,7 +268,7 @@ def moment_vectors(draw):
 @settings(max_examples=300, deadline=None)
 @given(moment_vectors())
 def test_property_nesting_and_range(m):
-    i1, i2, i3 = bounds_a13(m), bounds_a14(m), bounds_a15(m)
+    i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
     for interval in (i1, i2, i3):
         assert 0.0 <= interval.lb <= 1.0
         assert 0.0 <= interval.ub <= 1.0

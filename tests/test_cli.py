@@ -1,5 +1,6 @@
 """CSV ingestion, report assembly, plotting, and CLI exit codes."""
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -141,6 +142,52 @@ def test_table_matches_csv_module_recount(tmp_path, rows, crlf):
     assert np.array_equal(again.counts, data.counts)
 
 
+VALID_ROWS = st.sampled_from(["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"])
+STRATA = st.sampled_from([",a", ",b", ', " b"'])
+FIELDS = st.sampled_from(["0", "1", "", " 1 ", "2", "y", '"1"', '"', '"a,b"', "\x00", "é", '"a\nb"'])
+HEADERS = st.sampled_from(["y,s,d,g", "y,s,d,g", "d,s,y,g", "y,s", "y,s,d,s", "", "y;s;d"])
+STRAY_BYTES = st.sampled_from([b"\xff", b"\x00", b"\xc3", b"\r", b"\n", b'"', b","])
+
+
+@st.composite
+def csv_bytes(draw):
+    """CSV bytes: clean files, or ones with malformed rows, stray and undecodable bytes."""
+    clean = draw(st.booleans())
+    lines = ["y,s,d,g" if clean else draw(HEADERS)]
+    for _ in range(draw(st.integers(0, 24))):
+        if clean or draw(st.integers(0, 3)):
+            lines.append(draw(VALID_ROWS) + draw(STRATA))
+        else:
+            lines.append(",".join(draw(st.lists(FIELDS, max_size=5))))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = (newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))).encode("utf-8")
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    for _ in range(0 if clean else draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(STRAY_BYTES) + data[at:]
+    return data
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes(), stratified=st.booleans())
+def test_main_on_arbitrary_csv_fails_cleanly(tmp_path, data, stratified):
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    argv = ["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d",
+            "--reps", "2", "--output", str(tmp_path / "r.json")]
+    if stratified:
+        argv += ["--stratum-col", "g"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("pocbounds: ")
+
+
 class TestRunConfig:
     def test_duplicate_mapping_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate column mapping"):
@@ -254,6 +301,24 @@ class TestRunAnalysis:
         )
         assert any("restriction violated" in w for w in report.warnings)
         assert report.unconditional["A1_3"]["restriction_violated"]
+
+    @pytest.mark.parametrize(("treated", "warns"), [([20, 20, 20], False), ([19, 21, 20], True)])
+    def test_outcome_warning_only_past_the_boundary(self, tmp_path, treated, warns):
+        # Control cells [40, 20, 60] have a raw success rate of 1/3, as
+        # does the treated arm [20, 20, 20]; [19, 21, 20] falls below it.
+        rows = ["y,s,d"]
+        for d, counts in ((0, [40, 20, 60]), (1, treated)):
+            for cell, k in zip(("1,1", "0,1", ",0"), counts):
+                rows += [f"{cell},{d}"] * k
+        path = write(tmp_path, "\n".join(rows) + "\n")
+        report = run_analysis(
+            RunConfig(input_path=str(path), y_col="y", s_col="s", d_col="d", reps=2, seed=0)
+        )
+        outcome_warnings = [w for w in report.warnings if "outcome restriction" in w]
+        assert len(outcome_warnings) == int(warns)
+        assert not any("selection restriction" in w for w in report.warnings)
+        if not warns:
+            assert report.restriction_tests["A1_4"]["outcome"]["stat"] == 0.0
 
     def test_numeric_fields_finite(self, fixture_report):
         json.dumps(fixture_report.to_dict(), allow_nan=False)

@@ -1,5 +1,6 @@
 """Latent model: checks, target functional, forward map, attainment recipes."""
 
+import itertools
 import math
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from pocbounds import (
     theta_oo,
     trim_ratio,
 )
+from pocbounds.estimation import moments_from_counts
 from pocbounds.latent import CELL_ORDER, Side, cell_index
 from pocbounds.simulate import draw_latent_joint
 
@@ -212,11 +214,58 @@ class TestConstructions:
             construct_bound_distribution(m, AssumptionSet.A1_3, Side.LOWER)
 
     def test_outcome_restriction_precondition(self):
-        # p1 / alpha < 1 - q0 is infeasible once monotone response is imposed.
-        m = ObservedMoments(p_y1_s1d1=0.05, p_y0_s1d0=0.4, p_s1_d1=0.8, p_s1_d0=0.72)
-        with pytest.raises(ValueError, match="outcome restriction"):
-            construct_bound_distribution(m, AssumptionSet.A1_4, Side.LOWER)
-        construct_bound_distribution(m, AssumptionSet.A1_3, Side.LOWER)
+        # p1 / alpha < 1 - q0 is infeasible once monotone response is imposed,
+        # also one count past the boundary: raw success rates 40/120 in
+        # control and 19/60 in treated.
+        for m in (
+            ObservedMoments(p_y1_s1d1=0.05, p_y0_s1d0=0.4, p_s1_d1=0.8, p_s1_d0=0.72),
+            moments_from_counts(np.array([[40, 20, 60], [19, 21, 20]])),
+        ):
+            for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
+                with pytest.raises(ValueError, match="outcome restriction"):
+                    construct_bound_distribution(m, a, Side.LOWER)
+            construct_bound_distribution(m, AssumptionSet.A1_3, Side.LOWER)
+
+    def test_equal_raw_success_rates_attained(self):
+        # Every table with nonempty cells, at most 12 units per arm, equal
+        # raw success rates and the selection restriction holding sits on
+        # the outcome-restriction boundary, which the model allows.
+        tables = 0
+        for control, treated in itertools.product(_small_arms(12), repeat=2):
+            n0, n1 = sum(control), sum(treated)
+            if treated[0] * n0 != control[0] * n1:
+                continue
+            if (treated[0] + treated[1]) * n0 < (control[0] + control[1]) * n1:
+                continue
+            tables += 1
+            m = moments_from_counts(np.array([control, treated]))
+            for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
+                interval = compute_bounds(m, a)
+                for side, target in ((Side.LOWER, interval.lb), (Side.UPPER, interval.ub)):
+                    joint = construct_bound_distribution(m, a, side)
+                    assert check_assumptions(joint).holds(a)
+                    assert abs(theta_oo(joint) - target) <= 1e-12
+                    mm = observed_from_latent(joint)
+                    for name in ("p_y1_s1d1", "p_y0_s1d0", "p_s1_d1", "p_s1_d0"):
+                        assert abs(getattr(mm, name) - getattr(m, name)) <= 1e-12
+        assert tables == 1065
+
+    def test_committed_fixture_records_match_constructions(self, table_moments):
+        # scripts/make_latent_fixtures.py writes these six records.
+        expected = [
+            construct_bound_distribution(table_moments, a, side).to_fixture_line()
+            for a in ASSUMPTION_ORDER
+            for side in (Side.LOWER, Side.UPPER)
+        ]
+        assert FIXTURES.read_text().splitlines() == expected
+
+
+def _small_arms(n_max):
+    """Every arm (selected y=1, selected y=0, unselected) with nonempty cells and n <= n_max."""
+    for n in range(3, n_max + 1):
+        for k1 in range(1, n - 1):
+            for k0 in range(1, n - k1):
+                yield (k1, k0, n - k1 - k0)
 
 
 class TestInteriorConstruction:
