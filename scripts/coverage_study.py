@@ -38,12 +38,13 @@ def run(trials: int = 200, n: int = 1000, reps: int = 300, level: float = 0.90) 
     for trial, child in enumerate(root.spawn(trials)):
         data = sample_dataset(joint, n, np.random.default_rng(child))
         try:
-            boot = bootstrap_bounds(data, AssumptionSet.A1_5, reps=reps, level=level, seed=trial)
+            boot = bootstrap_bounds(data, [AssumptionSet.A1_5], reps=reps, level=level, seed=trial)
         except ValueError:
             failures += 1
             continue
-        covered_lb += boot.ci_lb[0] <= truth.lb <= boot.ci_lb[1]
-        covered_ub += boot.ci_ub[0] <= truth.ub <= boot.ci_ub[1]
+        cis = boot.aggregate[AssumptionSet.A1_5]
+        covered_lb += cis.ci_lb[0] <= truth.lb <= cis.ci_lb[1]
+        covered_ub += cis.ci_ub[0] <= truth.ub <= cis.ci_ub[1]
     ok = trials - failures
     print(f"coverage at n={n}, reps={reps}, level={level}: "
           f"LB {covered_lb / ok:.3f}, UB {covered_ub / ok:.3f} ({failures} failed trials)")
@@ -55,8 +56,9 @@ def run(trials: int = 200, n: int = 1000, reps: int = 300, level: float = 0.90) 
         widths = []
         for rep in range(6):
             data = sample_dataset(joint, size, width_rng)
-            boot = bootstrap_bounds(data, AssumptionSet.A1_5, reps=reps, level=level, seed=rep)
-            widths.append(boot.ci_lb[1] - boot.ci_lb[0])
+            boot = bootstrap_bounds(data, [AssumptionSet.A1_5], reps=reps, level=level, seed=rep)
+            cis = boot.aggregate[AssumptionSet.A1_5]
+            widths.append(cis.ci_lb[1] - cis.ci_lb[0])
         log_widths.append(np.log(np.mean(widths)))
     slope = np.polyfit(np.log(sizes), log_widths, 1)[0]
     print(f"log-width vs log-n slope: {slope:.3f} (root-n decay is -0.5)")

@@ -27,10 +27,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval, restriction_violations
+from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval, compute_bounds, restriction_violations
 from .charts import write_plot
-from .estimation import Dataset, estimate_moments, estimate_stratified, table_position
-from .inference import DIRECTION_NOTE, bootstrap_bounds, test_restrictions
+from .estimation import Dataset, cell_counts, estimate_moments, estimate_stratified, table_position
+from .inference import DIRECTION_NOTE, UNSTABLE, EndpointIntervals, bootstrap_bounds, test_restrictions
 
 
 class ConfigError(Exception):
@@ -158,6 +158,8 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
             y_pos, s_pos, d_pos, stratum_pos = (positions[r] for r in ("y", "s", "d", "stratum"))
 
             for row_number, row in enumerate(reader, start=2):
+                if not row:  # a blank line
+                    continue
                 if len(row) != len(header):
                     raise CsvFormatError(
                         f"{path}: row {row_number} has {len(row)} fields, header has {len(header)}"
@@ -235,8 +237,10 @@ def _interval_dict(interval: BoundsInterval) -> dict:
     }
 
 
-def _stratum_seed(seed: int, ordinal: int) -> int:
-    return int(np.random.SeedSequence([seed, 7919, ordinal]).generate_state(1)[0])
+def _ci_dict(intervals: EndpointIntervals | None) -> dict:
+    if intervals is None:
+        return {"ci_lb": None, "ci_ub": None}
+    return {"ci_lb": list(intervals.ci_lb), "ci_ub": list(intervals.ci_ub)}
 
 
 def run_analysis(cfg: RunConfig) -> Report:
@@ -244,8 +248,10 @@ def run_analysis(cfg: RunConfig) -> Report:
 
     Estimates pooled moments and bounds with bootstrap intervals for every
     requested assumption set, runs the restriction tests, and adds the
-    stratified table (aggregate plus per-stratum rows with within-stratum
-    bootstrap intervals) when strata are in play.
+    stratified table (aggregate plus per-stratum rows) when strata are in
+    play.  One bootstrap of the pooled table and one of the stratified
+    table serve every set; per-stratum intervals come from the stratified
+    one.
     """
     data = load_csv(cfg.input_path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
     digest = hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
@@ -259,6 +265,8 @@ def run_analysis(cfg: RunConfig) -> Report:
         for violation in restriction_violations(moments, strongest)
     ]
     tests = test_restrictions(data, strongest)
+    boot_args = dict(reps=cfg.reps, level=cfg.level, seed=cfg.seed)
+    pooled = bootstrap_bounds(Dataset(labels=(None,), counts=cell_counts(data)), requested, **boot_args)
 
     restriction_tests = {}
     unconditional = {}
@@ -267,60 +275,44 @@ def run_analysis(cfg: RunConfig) -> Report:
             "selection": _test_outcome_dict(tests.selection_test),
             "outcome": None if a is AssumptionSet.A1_3 else _test_outcome_dict(tests.outcome_test),
         }
-        boot = bootstrap_bounds(
-            data, a, reps=cfg.reps, level=cfg.level, seed=cfg.seed, stratified=False
-        )
-        entry = _interval_dict(boot.point)
-        entry["ci_lb"] = list(boot.ci_lb)
-        entry["ci_ub"] = list(boot.ci_ub)
-        entry["failed_replicates"] = boot.failed_replicates
-        unconditional[a.value] = entry
+        unconditional[a.value] = {
+            **_interval_dict(compute_bounds(moments, a)),
+            **_ci_dict(pooled.aggregate[a]),
+            "failed_replicates": pooled.failed_replicates,
+        }
 
     stratified_block = None
     if cfg.use_strata:
-        if not data.has_complete_strata():
-            raise ValueError("stratum column configured but some records lack a stratum")
-        stratum_names = data.labels
-        stratified_block = {"sets": {}, "dropped": [], "n_strata": len(stratum_names)}
-        for a in requested:
-            result = estimate_stratified(data, a)
-            stratified_block["dropped"] = [[name, reason] for name, reason in result.dropped]
-            boot = bootstrap_bounds(
-                data, a, reps=cfg.reps, level=cfg.level, seed=cfg.seed, stratified=True
-            )
-            aggregate = _interval_dict(result.aggregate)
-            aggregate["ci_lb"] = list(boot.ci_lb)
-            aggregate["ci_ub"] = list(boot.ci_ub)
-            aggregate["failed_replicates"] = boot.failed_replicates
-            rows = []
-            for ordinal, name in enumerate(stratum_names):
-                if name not in result.per_stratum:
-                    continue
-                stratum_result = result.per_stratum[name]
-                row = {
+        fits = {a: estimate_stratified(data, a) for a in requested}
+        boot = bootstrap_bounds(data, requested, **boot_args)
+        stratified_block = {
+            "sets": {},
+            "dropped": [[name, reason] for name, reason in fits[strongest].dropped],
+            "n_strata": len(data.labels),
+        }
+        for a, fit in fits.items():
+            aggregate = {
+                **_interval_dict(fit.aggregate),
+                **_ci_dict(boot.aggregate[a]),
+                "failed_replicates": boot.failed_replicates,
+            }
+            rows = [
+                {
                     "stratum": name,
-                    "n": stratum_result.n,
-                    "weight": stratum_result.weight,
-                    "lb": stratum_result.bounds.lb,
-                    "ub": stratum_result.bounds.ub,
+                    "n": stratum.n,
+                    "weight": stratum.weight,
+                    "lb": stratum.bounds.lb,
+                    "ub": stratum.bounds.ub,
+                    **_ci_dict(boot.per_stratum[a][name]),
                 }
-                try:
-                    sub_boot = bootstrap_bounds(
-                        Dataset(labels=(name,), counts=data.counts[ordinal : ordinal + 1]),
-                        a,
-                        reps=cfg.reps,
-                        level=cfg.level,
-                        seed=_stratum_seed(cfg.seed, ordinal),
-                        stratified=False,
-                    )
-                    row["ci_lb"] = list(sub_boot.ci_lb)
-                    row["ci_ub"] = list(sub_boot.ci_ub)
-                except ValueError as err:
-                    row["ci_lb"] = None
-                    row["ci_ub"] = None
-                    warnings.append(f"stratum {name!r}: bootstrap skipped ({err})")
-                rows.append(row)
+                for name, stratum in fit.per_stratum.items()
+            ]
             stratified_block["sets"][a.value] = {"aggregate": aggregate, "per_stratum": rows}
+        warnings += [
+            f"stratum {name!r}: bootstrap skipped ({UNSTABLE})"
+            for name in fits[strongest].per_stratum
+            if boot.per_stratum[strongest][name] is None
+        ]
 
     provenance = {
         "tool": "pocbounds",

@@ -14,31 +14,30 @@ level 5% rejects the model when p < 0.05.  The two restrictions are tested
 as separate nulls with no multiplicity correction.
 
 Bootstrap confidence intervals are percentile intervals per interval
-endpoint, computed from resamples of the records with replacement (within
-strata, preserving stratum sizes, when ``stratified`` is set).  Replicate
-``r`` uses a dedicated substream spawned from ``(seed, r)``, so results do
-not depend on evaluation order or parallelism.  Resampling is realized by
-multinomial draws over the cell counts, which is the exact distribution of
-record resampling aggregated to the sufficient statistics the estimators
-consume.
+endpoint, computed from resamples of the records with replacement within
+strata, preserving stratum sizes.  Replicate ``r`` uses a dedicated
+substream spawned from ``(seed, r)``, so results do not depend on
+evaluation order or parallelism.  One draw per replicate serves every
+assumption set and every stratum, so a stratum's intervals are marginals
+of the stratified draw.  Resampling is realized by multinomial draws over
+the cell counts, which is the exact distribution of record resampling
+aggregated to the sufficient statistics the estimators consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 from scipy.stats import norm
 
-from .bounds import AssumptionSet, BoundsInterval, compute_bounds
-from .estimation import (
-    Dataset,
-    cell_counts,
-    moments_from_counts,
-    stratified_from_counts,
-    stratum_cell_counts,
-)
+from .bounds import AssumptionSet
+from .estimation import Dataset, cell_counts, stratified_from_counts
+
+# Unused here: perfbench/tracer.py looks these names up in this module.
+from .bounds import compute_bounds  # noqa: F401
+from .estimation import stratum_cell_counts  # noqa: F401
 
 #: Direction note embedded in reports.
 DIRECTION_NOTE = (
@@ -109,13 +108,30 @@ def test_restrictions(data: Dataset, a: AssumptionSet) -> RestrictionTestResult:
     return restriction_tests_from_counts(cell_counts(data), a)
 
 
-@dataclass(frozen=True)
-class BootstrapResult:
-    """Percentile confidence intervals around each interval endpoint."""
+#: Why a bootstrap gives up: more than half of its replicates failed.
+UNSTABLE = "bootstrap unstable: data too sparse"
+
+
+class EndpointIntervals(NamedTuple):
+    """Percentile confidence intervals around the two endpoints of one interval."""
 
     ci_lb: tuple[float, float]
     ci_ub: tuple[float, float]
-    point: BoundsInterval
+
+
+@dataclass(frozen=True)
+class BootstrapResult:
+    """Percentile intervals for every requested set, all read off one set of draws.
+
+    ``aggregate`` maps each set to the intervals of the table's aggregate
+    interval; ``per_stratum`` maps each set to the intervals of every
+    stratum's own interval, ``None`` for a stratum that more than half of
+    the replicates dropped.  ``failed_replicates`` counts the replicates
+    that dropped every stratum.
+    """
+
+    aggregate: dict[AssumptionSet, EndpointIntervals]
+    per_stratum: dict[AssumptionSet, dict[str | None, EndpointIntervals | None]]
     replications: int
     level: float
     seed: int
@@ -124,82 +140,68 @@ class BootstrapResult:
 
 def bootstrap_bounds(
     data: Dataset,
-    a: AssumptionSet,
+    sets: Iterable[AssumptionSet],
     reps: int = 1000,
     level: float = 0.90,
     seed: int = 0,
-    stratified: bool = False,
 ) -> BootstrapResult:
-    """Empirical-bootstrap percentile intervals for the two bound endpoints.
+    """Empirical-bootstrap percentile intervals for the bound endpoints of ``sets``.
 
-    When ``stratified`` is set, the statistic is the stratified aggregate
-    interval and resampling preserves each stratum's size; otherwise the
-    statistic is the pooled-sample interval and records are resampled
-    freely.  Replicates whose estimation fails on an empty cell are
-    excluded and counted in ``failed_replicates``; resampling until
-    success would bias the replicate distribution, so failures surface
-    instead.  Identical inputs (including ``seed``) give bit-identical
-    output.
+    Each replicate resamples every stratum of ``data`` at its own size and
+    scores every set on that one draw with :func:`stratified_from_counts`.
+    For the pooled sample, pass ``Dataset(labels=(None,), counts=cell_counts(data))``.
+    Replicates that drop every stratum on an empty cell are excluded and
+    counted in ``failed_replicates``; resampling until success would bias
+    the replicate distribution, so failures surface instead, and more than
+    ``reps // 2`` raise ``ValueError``.  Identical inputs (including
+    ``seed``) give bit-identical output.
     """
     if reps < 2:
         raise ValueError(f"reps = {reps} must be at least 2")
     if not 0.0 < level < 1.0:
         raise ValueError(f"level = {level!r} must lie strictly in (0, 1)")
+    sets = tuple(sets)
+    if not sets:
+        raise ValueError("at least one assumption set must be requested")
 
-    if stratified:
-        if not data.has_complete_strata():
-            raise ValueError("stratified bootstrap requires a stratum label on every record")
-        counts_by_stratum = stratum_cell_counts(data)
-        point = stratified_from_counts(counts_by_stratum, a).aggregate
-        layout = sorted(counts_by_stratum)
-        flats = {name: counts_by_stratum[name].reshape(-1) for name in layout}
-        sizes = {name: int(flats[name].sum()) for name in layout}
-
-        def replicate(rng: np.random.Generator) -> BoundsInterval:
-            resampled = {}
-            for name in layout:
-                flat = flats[name]
-                draw = rng.multinomial(sizes[name], flat / sizes[name])
-                resampled[name] = draw.reshape(2, 3)
-            return stratified_from_counts(resampled, a).aggregate
-
-    else:
-        counts = cell_counts(data)
-        point = compute_bounds(moments_from_counts(counts), a)
-        flat = counts.reshape(-1)
-        size = int(flat.sum())
-        probs = flat / size
-
-        def replicate(rng: np.random.Generator) -> BoundsInterval:
-            draw = rng.multinomial(size, probs)
-            return compute_bounds(moments_from_counts(draw.reshape(2, 3)), a)
-
-    children = np.random.SeedSequence(seed).spawn(reps)
-    lbs: list[float] = []
-    ubs: list[float] = []
-    failed = 0
-    for child in children:
+    sizes = [int(n) for n in data.counts.sum(axis=(1, 2))]
+    probs = [table.reshape(-1) / n for table, n in zip(data.counts, sizes)]
+    # endpoints[r, j, g] is (lb, ub) of set j in replicate r for group g:
+    # g = 0 is the aggregate and g = 1 + k stratum k.  NaN marks a dropped group.
+    endpoints = np.full((reps, len(sets), 1 + len(sizes), 2), np.nan)
+    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
         rng = np.random.default_rng(child)
-        try:
-            interval = replicate(rng)
-        except ValueError:
-            failed += 1
-            continue
-        lbs.append(interval.lb)
-        ubs.append(interval.ub)
+        # Keyed by position, which is label order, so a None label sorts too.
+        draw = {k: rng.multinomial(n, p).reshape(2, 3) for k, (n, p) in enumerate(zip(sizes, probs))}
+        for j, a in enumerate(sets):
+            try:
+                fit = stratified_from_counts(draw, a)
+            except ValueError:
+                break  # every stratum dropped; which strata drop does not depend on the set
+            endpoints[r, j, 0] = fit.aggregate.lb, fit.aggregate.ub
+            for k, stratum in fit.per_stratum.items():
+                endpoints[r, j, 1 + k] = stratum.bounds.lb, stratum.bounds.ub
 
-    if failed > reps // 2:
-        raise ValueError("bootstrap unstable: data too sparse")
-
+    dropped = np.isnan(endpoints[:, 0, :, 0]).sum(axis=0)
+    if dropped[0] > reps // 2:
+        raise ValueError(UNSTABLE)
     tail = (1.0 - level) / 2.0
-    lb_lo, lb_hi = np.quantile(lbs, [tail, 1.0 - tail])
-    ub_lo, ub_hi = np.quantile(ubs, [tail, 1.0 - tail])
+
+    def percentile(j: int, g: int) -> EndpointIntervals | None:
+        if dropped[g] > reps // 2:
+            return None
+        values = endpoints[:, j, g]
+        lo, hi = np.quantile(values[~np.isnan(values[:, 0])], [tail, 1.0 - tail], axis=0)
+        return EndpointIntervals(ci_lb=(float(lo[0]), float(hi[0])), ci_ub=(float(lo[1]), float(hi[1])))
+
     return BootstrapResult(
-        ci_lb=(float(lb_lo), float(lb_hi)),
-        ci_ub=(float(ub_lo), float(ub_hi)),
-        point=point,
+        aggregate={a: percentile(j, 0) for j, a in enumerate(sets)},
+        per_stratum={
+            a: {label: percentile(j, 1 + k) for k, label in enumerate(data.labels)}
+            for j, a in enumerate(sets)
+        },
         replications=reps,
         level=level,
         seed=seed,
-        failed_replicates=failed,
+        failed_replicates=int(dropped[0]),
     )

@@ -198,8 +198,8 @@ def test_criterion_6_bootstrap_determinism_coverage_and_rate():
 
     # Bit-identical output under a fixed seed.
     data = sample_dataset(dgp, 600, np.random.default_rng(42))
-    first = bootstrap_bounds(data, AssumptionSet.A1_5, reps=500, level=0.90, seed=99)
-    second = bootstrap_bounds(data, AssumptionSet.A1_5, reps=500, level=0.90, seed=99)
+    first = bootstrap_bounds(data, [AssumptionSet.A1_5], reps=500, level=0.90, seed=99)
+    second = bootstrap_bounds(data, [AssumptionSet.A1_5], reps=500, level=0.90, seed=99)
     assert first == second
 
     # Percentile CIs cover the true endpoints at least 87% of the time
@@ -208,7 +208,8 @@ def test_criterion_6_bootstrap_determinism_coverage_and_rate():
     covered_lb = covered_ub = 0
     for trial, child in enumerate(np.random.SeedSequence(606060).spawn(trials)):
         sample = sample_dataset(dgp, 1000, np.random.default_rng(child))
-        boot = bootstrap_bounds(sample, AssumptionSet.A1_5, reps=500, level=0.90, seed=trial)
+        boot = bootstrap_bounds(sample, [AssumptionSet.A1_5], reps=500, level=0.90, seed=trial)
+        boot = boot.aggregate[AssumptionSet.A1_5]
         covered_lb += boot.ci_lb[0] <= truth.lb <= boot.ci_lb[1]
         covered_ub += boot.ci_ub[0] <= truth.ub <= boot.ci_ub[1]
     rate_lb = covered_lb / trials
@@ -224,7 +225,8 @@ def test_criterion_6_bootstrap_determinism_coverage_and_rate():
         widths = []
         for rep in range(6):
             sample = sample_dataset(dgp, size, rng)
-            boot = bootstrap_bounds(sample, AssumptionSet.A1_5, reps=300, level=0.90, seed=rep)
+            boot = bootstrap_bounds(sample, [AssumptionSet.A1_5], reps=300, level=0.90, seed=rep)
+            boot = boot.aggregate[AssumptionSet.A1_5]
             widths.append(
                 (boot.ci_lb[1] - boot.ci_lb[0]) + (boot.ci_ub[1] - boot.ci_ub[0])
             )

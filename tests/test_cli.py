@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -12,6 +13,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import pocbounds.cli as cli
+from pocbounds.bounds import AssumptionSet
 from pocbounds.cli import (
     ConfigError,
     CsvFormatError,
@@ -99,6 +102,18 @@ class TestLoadCsv:
         path = write(tmp_path, "y,s,d\n1,1,1\n1,1," + "1" * (csv.field_size_limit() + 1) + "\n")
         with pytest.raises(CsvFormatError, match="row 3: field larger than field limit"):
             load_csv(path, MAPPING)
+
+    def test_blank_lines_skipped(self, tmp_path, capsys):
+        body = "y,s,d\n1,1,1\n,0,1\n0,1,0\n"
+        plain = load_csv(write(tmp_path, body), MAPPING)
+        for name, text in (("trailing.csv", body + "\n"), ("middle.csv", body.replace(",0,1\n", "\n,0,1\n"))):
+            data = load_csv(write(tmp_path, text, name), MAPPING)
+            assert data.labels == plain.labels
+            assert np.array_equal(data.counts, plain.counts)
+        # Row numbers count the blank line.
+        short = write(tmp_path, "y,s,d\n1,1,1\n\n0,1\n", "short.csv")
+        assert main(["--input", str(short), "--y-col", "y", "--s-col", "s", "--d-col", "d"]) == 2
+        assert "row 4 has 2 fields, header has 3" in capsys.readouterr().err
 
     def test_undecodable_byte_names_its_row(self, tmp_path):
         path = tmp_path / "latin1.csv"
@@ -290,6 +305,38 @@ class TestRunAnalysis:
             agg = with_strata.stratified["sets"][a]["aggregate"]
             assert agg["lb"] == without.unconditional[a]["lb"]
             assert agg["ub"] == without.unconditional[a]["ub"]
+            for key in ("ci_lb", "ci_ub", "failed_replicates"):
+                assert agg[key] == without.unconditional[a][key] == with_strata.unconditional[a][key]
+            (row,) = with_strata.stratified["sets"][a]["per_stratum"]
+            assert (row["ci_lb"], row["ci_ub"]) == (agg["ci_lb"], agg["ci_ub"])
+
+    def test_one_set_matches_its_entries_in_the_all_sets_report(self, fixture_cfg, fixture_report):
+        alone = run_analysis(dataclasses.replace(fixture_cfg, assumption_sets=(AssumptionSet.A1_5,)))
+        assert list(alone.unconditional) == ["A1_5"]
+        assert alone.unconditional["A1_5"] == fixture_report.unconditional["A1_5"]
+        assert alone.restriction_tests["A1_5"] == fixture_report.restriction_tests["A1_5"]
+        assert alone.stratified["sets"]["A1_5"] == fixture_report.stratified["sets"]["A1_5"]
+        assert alone.stratified["dropped"] == fixture_report.stratified["dropped"]
+        assert alone.warnings == fixture_report.warnings
+
+    def test_sparse_stratum_skipped_once(self, tmp_path):
+        # "tiny" keeps its treated row and its control y=0 row in only 12/27
+        # of resamples, so most stratified replicates drop it.
+        rows = ["y,s,d,g"]
+        rows += ["1,1,1,ok", "0,1,1,ok", ",0,1,ok", "0,1,0,ok", "1,1,0,ok", ",0,0,ok"] * 25
+        rows += ["1,1,1,tiny", "0,1,0,tiny", ",0,0,tiny"]
+        path = write(tmp_path, "\n".join(rows) + "\n")
+        report = run_analysis(
+            RunConfig(input_path=str(path), y_col="y", s_col="s", d_col="d",
+                      stratum_col="g", reps=200, seed=0)
+        )
+        assert [w for w in report.warnings if "bootstrap skipped" in w] == [
+            "stratum 'tiny': bootstrap skipped (bootstrap unstable: data too sparse)"
+        ]
+        for block in report.stratified["sets"].values():
+            ok, tiny = block["per_stratum"]
+            assert (tiny["stratum"], tiny["ci_lb"], tiny["ci_ub"]) == ("tiny", None, None)
+            assert ok["ci_lb"] is not None and ok["ci_ub"] is not None
 
     def test_selection_violation_warns_but_reports(self, tmp_path):
         # Control arm selects more often than treated: trim ratio above 1.
@@ -439,7 +486,7 @@ class TestMainExitCodes:
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == (
-            "aae4a7ea94a78a36aeba1e1c676d7da6583c3506c0903d2689ea3eae4952a0b4"
+            "8a68ecf707c8ae9b7c032214f21d3fb1e910619a204b38da3263586a2749a553"
         )
 
     def test_pipeline_builds_no_row_objects(self, fixture_csv, tmp_path, monkeypatch):
@@ -452,6 +499,23 @@ class TestMainExitCodes:
             "--stratum-col", "course", "--reps", "4", "--output", str(tmp_path / "r.json"),
         ])
         assert code == 0
+
+    @pytest.mark.parametrize(("flag", "calls"), [("--stratified", 2), ("--no-stratified", 1)])
+    def test_one_bootstrap_per_group(self, fixture_csv, tmp_path, monkeypatch, flag, calls):
+        original = cli.bootstrap_bounds
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bootstrap_bounds", counting)
+        code = main([
+            "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",
+            "--stratum-col", "course", flag, "--reps", "4", "--output", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+        assert len(seen) == calls
 
     def test_json_stdout_round_trips(self, fixture_csv, capsys):
         code = main([

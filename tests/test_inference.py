@@ -1,5 +1,10 @@
 """Restriction tests and bootstrap confidence intervals."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -11,13 +16,15 @@ from pocbounds import (
     bootstrap_bounds,
     compute_bounds,
     estimate_moments,
-    estimate_stratified,
     observed_from_latent,
     test_restrictions as run_restriction_tests,
 )
+from pocbounds.estimation import stratified_from_counts
 from pocbounds.inference import one_sided_nonnegative_test, restriction_tests_from_counts
 from pocbounds.latent import LatentJoint, cell_index, construct_interior_distribution
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def rec(d, s, y=None, stratum=None):
@@ -99,23 +106,22 @@ def dgp_joint():
     return joints["c0"]
 
 
+A1_3 = AssumptionSet.A1_3
+A1_5 = AssumptionSet.A1_5
+
+
 class TestBootstrapBounds:
     def test_bit_identical_under_fixed_seed(self, dgp_joint):
         data = sample_dataset(dgp_joint, 400, np.random.default_rng(1))
-        first = bootstrap_bounds(data, AssumptionSet.A1_5, reps=200, level=0.9, seed=42)
-        second = bootstrap_bounds(data, AssumptionSet.A1_5, reps=200, level=0.9, seed=42)
+        first = bootstrap_bounds(data, [A1_5], reps=200, level=0.9, seed=42)
+        second = bootstrap_bounds(data, [A1_5], reps=200, level=0.9, seed=42)
         assert first == second
 
     def test_seed_changes_output(self, dgp_joint):
         data = sample_dataset(dgp_joint, 400, np.random.default_rng(1))
-        first = bootstrap_bounds(data, AssumptionSet.A1_5, reps=200, level=0.9, seed=42)
-        third = bootstrap_bounds(data, AssumptionSet.A1_5, reps=200, level=0.9, seed=43)
+        first = bootstrap_bounds(data, [A1_5], reps=200, level=0.9, seed=42).aggregate[A1_5]
+        third = bootstrap_bounds(data, [A1_5], reps=200, level=0.9, seed=43).aggregate[A1_5]
         assert first.ci_lb != third.ci_lb
-
-    def test_point_estimate_matches_pipeline(self, dgp_joint):
-        data = sample_dataset(dgp_joint, 500, np.random.default_rng(2))
-        boot = bootstrap_bounds(data, AssumptionSet.A1_4, reps=50, level=0.9, seed=0)
-        assert boot.point == compute_bounds(estimate_moments(data), AssumptionSet.A1_4)
 
     def test_point_usually_inside_percentile_interval(self, dgp_joint):
         covered = 0
@@ -123,37 +129,56 @@ class TestBootstrapBounds:
         root = np.random.SeedSequence(909)
         for trial, child in enumerate(root.spawn(trials)):
             data = sample_dataset(dgp_joint, 400, np.random.default_rng(child))
-            boot = bootstrap_bounds(data, AssumptionSet.A1_5, reps=200, level=0.9, seed=trial)
+            point = compute_bounds(estimate_moments(data), A1_5)
+            boot = bootstrap_bounds(data, [A1_5], reps=200, level=0.9, seed=trial).aggregate[A1_5]
             inside = (
-                boot.ci_lb[0] <= boot.point.lb <= boot.ci_lb[1]
-                and boot.ci_ub[0] <= boot.point.ub <= boot.ci_ub[1]
+                boot.ci_lb[0] <= point.lb <= boot.ci_lb[1]
+                and boot.ci_ub[0] <= point.ub <= boot.ci_ub[1]
             )
             covered += inside
         assert covered / trials >= 0.99
 
     def test_interval_endpoints_ordered_and_in_unit_range(self, dgp_joint):
         data = sample_dataset(dgp_joint, 300, np.random.default_rng(3))
-        boot = bootstrap_bounds(data, AssumptionSet.A1_3, reps=150, level=0.9, seed=5)
+        boot = bootstrap_bounds(data, [A1_3], reps=150, level=0.9, seed=5).aggregate[A1_3]
         for lo, hi in (boot.ci_lb, boot.ci_ub):
             assert 0.0 <= lo <= hi <= 1.0
 
     def test_stratified_resampling_uses_aggregate_statistic(self):
         joints, weights, _ = build_stratified_fixture(seed=14, n_strata=3)
         data = sample_stratified_dataset(joints, weights, 1500, np.random.default_rng(8))
-        boot = bootstrap_bounds(
-            data, AssumptionSet.A1_5, reps=100, level=0.9, seed=21, stratified=True
-        )
-        expected = estimate_stratified(data, AssumptionSet.A1_5).aggregate
-        assert boot.point == expected
-        again = bootstrap_bounds(
-            data, AssumptionSet.A1_5, reps=100, level=0.9, seed=21, stratified=True
-        )
+        boot = bootstrap_bounds(data, [A1_5], reps=100, level=0.9, seed=21)
+        assert boot.failed_replicates == 0
+        # Replicate r resamples each stratum, in label order, from substream
+        # (21, r); the aggregate and every stratum are scored on that draw.
+        fits = []
+        for child in np.random.SeedSequence(21).spawn(100):
+            rng = np.random.default_rng(child)
+            draw = {
+                name: rng.multinomial(table.sum(), table.reshape(-1) / table.sum()).reshape(2, 3)
+                for name, table in zip(data.labels, data.counts)
+            }
+            fits.append(stratified_from_counts(draw, A1_5))
+
+        def percentile(values):
+            return tuple(float(x) for x in np.quantile(values, [0.05, 0.95]))
+
+        assert boot.aggregate[A1_5].ci_lb == percentile([fit.aggregate.lb for fit in fits])
+        assert boot.aggregate[A1_5].ci_ub == percentile([fit.aggregate.ub for fit in fits])
+        for name in data.labels:
+            stratum = boot.per_stratum[A1_5][name]
+            assert stratum.ci_lb == percentile([fit.per_stratum[name].bounds.lb for fit in fits])
+            assert stratum.ci_ub == percentile([fit.per_stratum[name].bounds.ub for fit in fits])
+        again = bootstrap_bounds(data, [A1_5], reps=100, level=0.9, seed=21)
         assert boot == again
 
-    def test_stratified_requires_labels(self, dgp_joint):
-        data = sample_dataset(dgp_joint, 100, np.random.default_rng(4))
-        with pytest.raises(ValueError, match="stratum label"):
-            bootstrap_bounds(data, AssumptionSet.A1_3, reps=10, seed=0, stratified=True)
+    def test_every_set_scored_on_the_same_draws(self, dgp_joint):
+        data = sample_dataset(dgp_joint, 400, np.random.default_rng(6))
+        together = bootstrap_bounds(data, [A1_3, AssumptionSet.A1_4, A1_5], reps=100, seed=9)
+        for a in (A1_3, A1_5):
+            alone = bootstrap_bounds(data, [a], reps=100, seed=9)
+            assert alone.aggregate[a] == together.aggregate[a]
+            assert alone.per_stratum[a][None] == together.per_stratum[a][None] == alone.aggregate[a]
 
     def test_stratified_replicates_survive_dropped_strata(self):
         # One stratum is so small that many replicates lose a required
@@ -165,11 +190,9 @@ class TestBootstrapBounds:
             rec(1, 1, 1, "tiny"), rec(0, 1, 0, "tiny"), rec(0, 1, 1, "tiny"), rec(1, 0, None, "tiny"),
         )
         data = Dataset.from_records(data.records + tiny)
-        boot = bootstrap_bounds(
-            data, AssumptionSet.A1_3, reps=200, level=0.9, seed=17, stratified=True
-        )
+        boot = bootstrap_bounds(data, [A1_3], reps=200, level=0.9, seed=17)
         assert boot.failed_replicates < 100
-        for lo, hi in (boot.ci_lb, boot.ci_ub):
+        for lo, hi in (boot.aggregate[A1_3].ci_lb, boot.aggregate[A1_3].ci_ub):
             assert 0.0 <= lo <= hi <= 1.0
 
     def test_failed_replicates_counted(self):
@@ -178,33 +201,45 @@ class TestBootstrapBounds:
         records = (rec(1, 1, 1), rec(0, 1, 0), rec(0, 0))
         data = Dataset.from_records(records)
         with pytest.raises(ValueError, match="bootstrap unstable"):
-            bootstrap_bounds(data, AssumptionSet.A1_3, reps=400, level=0.9, seed=2)
+            bootstrap_bounds(data, [A1_3], reps=400, level=0.9, seed=2)
 
     def test_sparse_but_workable_data_reports_failures(self, dgp_joint):
         records = (
             rec(1, 1, 1), rec(1, 1, 0), rec(1, 0), rec(0, 1, 0), rec(0, 1, 1),
             rec(0, 1, 0), rec(0, 0), rec(1, 1, 1),
         )
-        boot = bootstrap_bounds(Dataset.from_records(records), AssumptionSet.A1_3, reps=300, seed=3)
+        boot = bootstrap_bounds(Dataset.from_records(records), [A1_3], reps=300, seed=3)
         assert 0 < boot.failed_replicates < 150
         assert boot.replications == 300
 
     def test_parameter_validation(self, dgp_joint):
         data = sample_dataset(dgp_joint, 100, np.random.default_rng(5))
         with pytest.raises(ValueError, match="reps"):
-            bootstrap_bounds(data, AssumptionSet.A1_3, reps=1, seed=0)
+            bootstrap_bounds(data, [A1_3], reps=1, seed=0)
         with pytest.raises(ValueError, match="level"):
-            bootstrap_bounds(data, AssumptionSet.A1_3, reps=10, level=1.0, seed=0)
+            bootstrap_bounds(data, [A1_3], reps=10, level=1.0, seed=0)
+        with pytest.raises(ValueError, match="assumption set"):
+            bootstrap_bounds(data, [], reps=10, seed=0)
 
     def test_truth_covered_at_moderate_sample(self, dgp_joint):
-        truth = compute_bounds(observed_from_latent(dgp_joint), AssumptionSet.A1_5)
+        truth = compute_bounds(observed_from_latent(dgp_joint), A1_5)
         covered_lb = covered_ub = 0
         trials = 60
         root = np.random.SeedSequence(303)
         for trial, child in enumerate(root.spawn(trials)):
             data = sample_dataset(dgp_joint, 900, np.random.default_rng(child))
-            boot = bootstrap_bounds(data, AssumptionSet.A1_5, reps=220, level=0.9, seed=trial)
+            boot = bootstrap_bounds(data, [A1_5], reps=220, level=0.9, seed=trial).aggregate[A1_5]
             covered_lb += boot.ci_lb[0] <= truth.lb <= boot.ci_lb[1]
             covered_ub += boot.ci_ub[0] <= truth.ub <= boot.ci_ub[1]
         assert covered_lb / trials >= 0.8
         assert covered_ub / trials >= 0.8
+
+
+def test_coverage_study_script_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "coverage_study.py"), "3", "200", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "coverage at n=200" in proc.stdout
