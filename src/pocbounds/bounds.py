@@ -31,6 +31,10 @@ unselected unit as ``Y = 0``.  Equality is consistent with the model.
 in-sample warnings, the attaining constructions in :mod:`pocbounds.latent`
 and ``BoundsInterval.restriction_violated`` all call it.
 
+The formulas are written once, elementwise, in :func:`bound_fields`, so
+one call bounds a whole stack of moment vectors; :func:`compute_bounds`
+applies it to one.
+
 Everything here is a pure function of its inputs; all operations are safe
 to call concurrently.
 """
@@ -40,6 +44,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class AssumptionSet(enum.Enum):
@@ -128,10 +134,6 @@ class BoundsInterval:
     restriction_violated: bool = False
     crossed: bool = False
 
-    @property
-    def width(self) -> float:
-        return self.ub - self.lb
-
     def contains(self, theta: float, tol: float = 0.0) -> bool:
         """True when ``theta`` lies in the closed interval, within ``tol``."""
         return self.lb - tol <= theta <= self.ub + tol
@@ -153,6 +155,10 @@ def trim_ratio(m: ObservedMoments) -> float:
 _RATE_TOL = 1e-12
 
 
+def _selection_violated(m: ObservedMoments) -> bool:
+    return m.p_s1_d1 < m.p_s1_d0
+
+
 def restriction_violations(m: ObservedMoments, a: AssumptionSet) -> list[str]:
     """The observable restrictions of bundle ``a`` that ``m`` violates, as messages.
 
@@ -164,7 +170,7 @@ def restriction_violations(m: ObservedMoments, a: AssumptionSet) -> list[str]:
     violates neither.
     """
     violations = []
-    if m.p_s1_d1 < m.p_s1_d0:
+    if _selection_violated(m):
         violations.append("P[S=1|D=1] < P[S=1|D=0] (selection restriction)")
     if a is not AssumptionSet.A1_3:
         treated = m.p_y1_s1d1 * m.p_s1_d1
@@ -190,43 +196,46 @@ def clip_unit(x: float) -> float:
     return min(max(x, 0.0), 1.0)
 
 
-def trimmed_success_floor(p1: float, alpha: float) -> float:
+def trimmed_success_floor(p1, alpha):
     """Trimming lower bound on P[Y1=1 | always-selected]: (p1 - (1 - alpha)) / alpha.
 
-    The true value never exceeds ``p1``; the ``min`` only absorbs one ulp
-    of rounding when ``alpha`` sits next to 1, keeping the nested-interval
-    ordering exact in floating point.
+    Elementwise over arrays.  The true value never exceeds ``p1``; the
+    minimum only absorbs one ulp of rounding when ``alpha`` sits next to 1,
+    keeping the nested-interval ordering exact in floating point.
     """
-    return min((p1 - (1.0 - alpha)) / alpha, p1)
+    return np.minimum((p1 - (1.0 - alpha)) / alpha, p1)
+
+
+def bound_fields(m: ObservedMoments, a: AssumptionSet) -> dict[str, np.ndarray]:
+    """The fields of :func:`compute_bounds` but ``assumption_set``, elementwise over ``m``'s arrays.
+
+    ``a`` picks ``LB1 = LB2`` or ``LB3`` and ``UB1`` or ``UB2 = UB3``.  Where
+    ``q0 = 0`` the endpoints are infinite or NaN; callers refuse or mask them.
+    """
+    q0 = m.p_y0_s1d0
+    alpha = trim_ratio(m)
+    p1 = m.p_y1_s1d1
+    # x + q0 - 1 is written as x - (1 - q0) so the q0 = 1 boundary does
+    # not pick up a one-ulp +1/-1 round trip.
+    if a is AssumptionSet.A1_5:
+        lb_raw = (p1 - (1.0 - q0)) / q0
+    else:
+        lb_raw = (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
+    if a is AssumptionSet.A1_3:
+        ub_raw = (p1 / alpha) / q0
+    else:
+        ub_raw = (p1 / alpha - (1.0 - q0)) / q0
+    lb, ub = np.clip(lb_raw, 0.0, 1.0), np.clip(ub_raw, 0.0, 1.0)
+    return dict(
+        lb=lb, ub=ub, lb_raw=lb_raw, ub_raw=ub_raw, lb_clipped=lb != lb_raw, ub_clipped=ub != ub_raw,
+        restriction_violated=_selection_violated(m), crossed=lb > ub,
+    )
 
 
 def compute_bounds(m: ObservedMoments, a: AssumptionSet) -> BoundsInterval:
     """Sharp bounds on the probability of causation under assumption set ``a``.
 
-    The four raw endpoints of the module docstring are computed once; ``a``
-    picks ``LB1 = LB2`` or ``LB3`` and ``UB1`` or ``UB2 = UB3``.
+    :func:`bound_fields` of the one moment vector ``m``, as Python scalars.
     """
-    q0 = require_q0(m)
-    alpha = trim_ratio(m)
-    p1 = m.p_y1_s1d1
-    # x + q0 - 1 is written as x - (1 - q0) so the q0 = 1 boundary does
-    # not pick up a one-ulp +1/-1 round trip.
-    lb1 = (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
-    ub1 = (p1 / alpha) / q0
-    ub2 = (p1 / alpha - (1.0 - q0)) / q0
-    lb3 = (p1 - (1.0 - q0)) / q0
-    lb_raw = lb3 if a is AssumptionSet.A1_5 else lb1
-    ub_raw = ub1 if a is AssumptionSet.A1_3 else ub2
-    lb = clip_unit(lb_raw)
-    ub = clip_unit(ub_raw)
-    return BoundsInterval(
-        lb=lb,
-        ub=ub,
-        assumption_set=a,
-        lb_clipped=lb != lb_raw,
-        ub_clipped=ub != ub_raw,
-        lb_raw=lb_raw,
-        ub_raw=ub_raw,
-        restriction_violated=bool(restriction_violations(m, AssumptionSet.A1_3)),
-        crossed=lb > ub,
-    )
+    require_q0(m)
+    return BoundsInterval(assumption_set=a, **{k: np.asarray(v).item() for k, v in bound_fields(m, a).items()})

@@ -111,19 +111,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        doc = json.loads(text)
-        return cls(
-            schema_version=doc["schema_version"],
-            provenance=doc["provenance"],
-            moments=doc["moments"],
-            restriction_tests=doc["restriction_tests"],
-            unconditional=doc["unconditional"],
-            stratified=doc["stratified"],
-            warnings=doc["warnings"],
-        )
-
 
 def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     """Count the microdata rows into a table; row numbers count the header as row 1."""

@@ -21,12 +21,16 @@ independent and order-insensitive.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .bounds import AssumptionSet, BoundsInterval, ObservedMoments, compute_bounds
+from .bounds import AssumptionSet, BoundsInterval, ObservedMoments, bound_fields
+
+# Unused here: perfbench/tracer.py looks this name up in this module.
+from .bounds import compute_bounds  # noqa: F401
 
 #: Column layout of a count table: [y=1 among selected, y=0 among selected,
 #: not selected], one row per treatment arm (row 0 = control, row 1 = treated).
@@ -128,32 +132,38 @@ def stratum_cell_counts(data: Dataset) -> dict[str, np.ndarray]:
     return {name: table for name, table in zip(data.labels, data.counts) if name is not None}
 
 
+#: Why a stratum is dropped: the first of these conditioning cells that is empty.
+EMPTY_CELLS = (
+    "no treated units (D=1)",
+    "no control units (D=0)",
+    "no S=1 units with D=1",
+    "no S=1 units with D=0",
+    "no Y=0 outcomes among S=1, D=0 units",
+)
+
+# ObservedMoments' fields as unvalidated arrays; bound_fields reads either.
+_MomentArrays = namedtuple("_MomentArrays", "p_y1_s1d1 p_y0_s1d0 p_s1_d1 p_s1_d0 p_d1")
+
+
+def _proportions(counts: np.ndarray) -> tuple[np.ndarray, _MomentArrays]:
+    """Empty-cell mask ``[..., 5]`` (``EMPTY_CELLS`` order) and moments (inf or NaN over an empty cell)."""
+    n1, n0 = counts[..., 1, :].sum(axis=-1), counts[..., 0, :].sum(axis=-1)
+    s1d1, s1d0 = counts[..., 1, :2].sum(axis=-1), counts[..., 0, :2].sum(axis=-1)
+    empty = np.stack([n1, n0, s1d1, s1d0, counts[..., 0, 1]], axis=-1) == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p1, q0 = counts[..., 1, 0] / s1d1, counts[..., 0, 1] / s1d0
+        return empty, _MomentArrays(p1, q0, s1d1 / n1, s1d0 / n0, n1 / (n0 + n1))
+
+
 def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
     """Sample-proportion moments from a 2x3 count table.
 
     Raises ``ValueError`` naming the first empty conditioning cell.
     """
-    n0 = int(counts[0].sum())
-    n1 = int(counts[1].sum())
-    if n1 == 0:
-        raise ValueError("no treated units (D=1)")
-    if n0 == 0:
-        raise ValueError("no control units (D=0)")
-    s1d1 = int(counts[1, 0] + counts[1, 1])
-    s1d0 = int(counts[0, 0] + counts[0, 1])
-    if s1d1 == 0:
-        raise ValueError("no S=1 units with D=1")
-    if s1d0 == 0:
-        raise ValueError("no S=1 units with D=0")
-    if counts[0, 1] == 0:
-        raise ValueError("no Y=0 outcomes among S=1, D=0 units")
-    return ObservedMoments(
-        p_y1_s1d1=int(counts[1, 0]) / s1d1,
-        p_y0_s1d0=int(counts[0, 1]) / s1d0,
-        p_s1_d1=s1d1 / n1,
-        p_s1_d0=s1d0 / n0,
-        p_d1=n1 / (n0 + n1),
-    )
+    empty, moments = _proportions(np.asarray(counts, dtype=np.int64))
+    if empty.any():
+        raise ValueError(EMPTY_CELLS[int(empty.argmax())])
+    return ObservedMoments(*(float(p) for p in moments))
 
 
 def estimate_moments(data: Dataset) -> ObservedMoments:
@@ -163,7 +173,6 @@ def estimate_moments(data: Dataset) -> ObservedMoments:
 
 @dataclass(frozen=True)
 class StratumResult:
-    moments: ObservedMoments
     bounds: BoundsInterval
     weight: float
     n: int
@@ -171,7 +180,7 @@ class StratumResult:
 
 @dataclass(frozen=True)
 class StratifiedBounds:
-    """Per-stratum moments and bounds plus their weighted aggregate.
+    """Per-stratum bounds plus their weighted aggregate.
 
     ``aggregate`` holds the summary-measure interval: endpoint-wise
     weighted averages of the retained strata's bounds, with weights equal
@@ -184,52 +193,61 @@ class StratifiedBounds:
     aggregate: BoundsInterval
 
 
-def stratified_from_counts(
-    counts_by_stratum: dict[str, np.ndarray], a: AssumptionSet
-) -> StratifiedBounds:
-    """Stratified bounds from per-stratum count tables.
+StratifiedFields = namedtuple("StratifiedFields", "empty weight strata aggregate")
 
-    Strata failing the moment preconditions are dropped with the error
-    message as the reason; weights renormalize over what remains.
+
+def stratified_fields(counts: np.ndarray, a: AssumptionSet) -> StratifiedFields:
+    """Stratified bounds under ``a`` of count tables ``[..., strata, 2, 3]``, as a ``StratifiedFields``.
+
+    ``empty`` indexes each stratum's :data:`EMPTY_CELLS` reason, -1 if it is
+    retained; ``weight`` is its share of the retained records, 0 if dropped.
+    ``strata`` maps each :func:`~pocbounds.bounds.bound_fields` field to
+    ``[..., strata]`` (meaningless where dropped); ``aggregate`` to ``[...]``,
+    adding endpoints in table order from 0 as Python's ``sum`` does.
     """
-    fitted: dict[str, tuple[ObservedMoments, BoundsInterval, int]] = {}
-    dropped: list[tuple[str, str]] = []
-    for name in sorted(counts_by_stratum):
-        counts = counts_by_stratum[name]
-        try:
-            moments = moments_from_counts(counts)
-        except ValueError as err:
-            dropped.append((name, str(err)))
-            continue
-        fitted[name] = (moments, compute_bounds(moments, a), int(counts.sum()))
+    empty, moments = _proportions(counts)
+    dropped = empty.any(axis=-1)
+    n = np.where(dropped, 0, counts.sum(axis=(-2, -1)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        strata = bound_fields(moments, a)
+        weight = np.where(dropped, 0.0, n / n.sum(axis=-1, keepdims=True))
+    aggregate = {
+        name: sum(np.moveaxis(weight * np.where(dropped, 0.0, strata[name]), -1, 0))
+        for name in ("lb", "ub", "lb_raw", "ub_raw")
+    }
+    for name in ("lb_clipped", "ub_clipped", "restriction_violated"):
+        aggregate[name] = (strata[name] & ~dropped).any(axis=-1)
+    aggregate["crossed"] = aggregate["lb"] > aggregate["ub"]
+    return StratifiedFields(np.where(dropped, empty.argmax(axis=-1), -1), weight, strata, aggregate)
 
-    if not fitted:
+
+def stratified_from_counts(labels: Sequence[str], counts: np.ndarray, a: AssumptionSet) -> StratifiedBounds:
+    """Stratified bounds from count tables ``[strata, 2, 3]``, one per label.
+
+    Strata with an empty conditioning cell are dropped with its
+    :data:`EMPTY_CELLS` reason; weights renormalize over what remains.
+    """
+    counts = np.asarray(counts, dtype=np.int64)
+    empty, weight, strata, aggregate = stratified_fields(counts, a)
+    if (empty >= 0).all():
         raise ValueError("every stratum was dropped; no estimable stratum remains")
 
-    total = sum(n for _, _, n in fitted.values())
-    per_stratum = {
-        name: StratumResult(moments=mom, bounds=b, weight=n / total, n=n)
-        for name, (mom, b, n) in fitted.items()
-    }
+    def interval(fields: dict[str, np.ndarray], *k: int) -> BoundsInterval:
+        return BoundsInterval(assumption_set=a, **{name: v[k].item() for name, v in fields.items()})
 
-    lb = sum(r.weight * r.bounds.lb for r in per_stratum.values())
-    ub = sum(r.weight * r.bounds.ub for r in per_stratum.values())
-    aggregate = BoundsInterval(
-        lb=lb,
-        ub=ub,
-        assumption_set=a,
-        lb_clipped=any(r.bounds.lb_clipped for r in per_stratum.values()),
-        ub_clipped=any(r.bounds.ub_clipped for r in per_stratum.values()),
-        lb_raw=sum(r.weight * r.bounds.lb_raw for r in per_stratum.values()),
-        ub_raw=sum(r.weight * r.bounds.ub_raw for r in per_stratum.values()),
-        restriction_violated=any(r.bounds.restriction_violated for r in per_stratum.values()),
-        crossed=lb > ub,
+    return StratifiedBounds(
+        per_stratum={
+            name: StratumResult(bounds=interval(strata, k), weight=float(weight[k]), n=int(counts[k].sum()))
+            for k, name in enumerate(labels)
+            if empty[k] < 0
+        },
+        dropped=[(name, EMPTY_CELLS[i]) for name, i in zip(labels, empty) if i >= 0],
+        aggregate=interval(aggregate),
     )
-    return StratifiedBounds(per_stratum=per_stratum, dropped=dropped, aggregate=aggregate)
 
 
 def estimate_stratified(data: Dataset, a: AssumptionSet) -> StratifiedBounds:
     """Within-stratum moments, per-stratum bounds, and the aggregate interval."""
     if not data.has_complete_strata():
         raise ValueError("stratified estimation requires a stratum label on every record")
-    return stratified_from_counts(stratum_cell_counts(data), a)
+    return stratified_from_counts(data.labels, data.counts, a)

@@ -21,7 +21,8 @@ evaluation order or parallelism.  One draw per replicate serves every
 assumption set and every stratum, so a stratum's intervals are marginals
 of the stratified draw.  Resampling is realized by multinomial draws over
 the cell counts, which is the exact distribution of record resampling
-aggregated to the sufficient statistics the estimators consume.
+aggregated to the sufficient statistics the estimators consume.  Each set
+scores the stacked draws with the point estimator's own array code.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.stats import norm
 
 from .bounds import AssumptionSet
-from .estimation import Dataset, cell_counts, stratified_from_counts
+from .estimation import Dataset, cell_counts, stratified_fields
 
 # Unused here: perfbench/tracer.py looks these names up in this module.
 from .bounds import compute_bounds  # noqa: F401
@@ -147,8 +148,9 @@ def bootstrap_bounds(
 ) -> BootstrapResult:
     """Empirical-bootstrap percentile intervals for the bound endpoints of ``sets``.
 
-    Each replicate resamples every stratum of ``data`` at its own size and
-    scores every set on that one draw with :func:`stratified_from_counts`.
+    Replicate ``r`` resamples every stratum of ``data`` at its own size from
+    substream ``(seed, r)``; the draws are stacked and every set scores them
+    all with one :func:`~pocbounds.estimation.stratified_fields` call.
     For the pooled sample, pass ``Dataset(labels=(None,), counts=cell_counts(data))``.
     Replicates that drop every stratum on an empty cell are excluded and
     counted in ``failed_replicates``; resampling until success would bias
@@ -164,44 +166,35 @@ def bootstrap_bounds(
     if not sets:
         raise ValueError("at least one assumption set must be requested")
 
-    sizes = [int(n) for n in data.counts.sum(axis=(1, 2))]
-    probs = [table.reshape(-1) / n for table, n in zip(data.counts, sizes)]
-    # endpoints[r, j, g] is (lb, ub) of set j in replicate r for group g:
-    # g = 0 is the aggregate and g = 1 + k stratum k.  NaN marks a dropped group.
-    endpoints = np.full((reps, len(sets), 1 + len(sizes), 2), np.nan)
-    for r, child in enumerate(np.random.SeedSequence(seed).spawn(reps)):
-        rng = np.random.default_rng(child)
-        # Keyed by position, which is label order, so a None label sorts too.
-        draw = {k: rng.multinomial(n, p).reshape(2, 3) for k, (n, p) in enumerate(zip(sizes, probs))}
-        for j, a in enumerate(sets):
-            try:
-                fit = stratified_from_counts(draw, a)
-            except ValueError:
-                break  # every stratum dropped; which strata drop does not depend on the set
-            endpoints[r, j, 0] = fit.aggregate.lb, fit.aggregate.ub
-            for k, stratum in fit.per_stratum.items():
-                endpoints[r, j, 1 + k] = stratum.bounds.lb, stratum.bounds.ub
+    sizes = data.counts.sum(axis=(1, 2))
+    probs = data.counts.reshape(len(sizes), 6) / sizes[:, None]
+    # One multinomial per stratum, in label order, from substream (seed, r).
+    children = np.random.SeedSequence(seed).spawn(reps)
+    draws = np.stack([np.random.default_rng(child).multinomial(sizes, probs) for child in children])
+    fits = {a: stratified_fields(draws.reshape(reps, len(sizes), 2, 3), a) for a in sets}
 
-    dropped = np.isnan(endpoints[:, 0, :, 0]).sum(axis=0)
-    if dropped[0] > reps // 2:
+    # Which strata drop does not depend on the set.
+    dropped = fits[sets[0]].empty >= 0
+    failed = dropped.all(axis=1)
+    if failed.sum() > reps // 2:
         raise ValueError(UNSTABLE)
     tail = (1.0 - level) / 2.0
 
-    def percentile(j: int, g: int) -> EndpointIntervals | None:
-        if dropped[g] > reps // 2:
+    def percentile(fields: dict[str, np.ndarray], skip: np.ndarray, at=np.s_[:]) -> EndpointIntervals | None:
+        if skip[at].sum() > reps // 2:
             return None
-        values = endpoints[:, j, g]
-        lo, hi = np.quantile(values[~np.isnan(values[:, 0])], [tail, 1.0 - tail], axis=0)
+        values = np.stack([fields["lb"][at], fields["ub"][at]], axis=1)[~skip[at]]
+        lo, hi = np.quantile(values, [tail, 1.0 - tail], axis=0)
         return EndpointIntervals(ci_lb=(float(lo[0]), float(hi[0])), ci_ub=(float(lo[1]), float(hi[1])))
 
     return BootstrapResult(
-        aggregate={a: percentile(j, 0) for j, a in enumerate(sets)},
+        aggregate={a: percentile(fit.aggregate, failed) for a, fit in fits.items()},
         per_stratum={
-            a: {label: percentile(j, 1 + k) for k, label in enumerate(data.labels)}
-            for j, a in enumerate(sets)
+            a: {label: percentile(fit.strata, dropped, np.s_[:, k]) for k, label in enumerate(data.labels)}
+            for a, fit in fits.items()
         },
         replications=reps,
         level=level,
         seed=seed,
-        failed_replicates=int(dropped[0]),
+        failed_replicates=int(failed.sum()),
     )

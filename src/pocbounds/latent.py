@@ -36,12 +36,14 @@ from .bounds import (
     AssumptionSet,
     ObservedMoments,
     clip_unit,
-    compute_bounds,
     require_q0,
     restriction_violations,
     trim_ratio,
     trimmed_success_floor,
 )
+
+# Unused here: perfbench/tracer.py looks this name up in this module.
+from .bounds import compute_bounds  # noqa: F401
 
 #: All 16 cells in canonical order.
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -274,9 +276,9 @@ def _conditional_tables(
     if side is Side.UPPER:
         rate = min(p1 / alpha, 1.0)
     elif a is AssumptionSet.A1_3:
-        rate = max(trimmed_success_floor(p1, alpha), 0.0)
+        rate = max(float(trimmed_success_floor(p1, alpha)), 0.0)
     elif a is AssumptionSet.A1_4:
-        rate = max(trimmed_success_floor(p1, alpha), 1.0 - q0)
+        rate = max(float(trimmed_success_floor(p1, alpha)), 1.0 - q0)
     else:
         rate = max(p1, 1.0 - q0)
 
@@ -462,20 +464,9 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     simplex solve it (the fractional-program normalization is a constant
     here).
 
-    Raises ``ValueError`` when the constraint system is infeasible, i.e.
-    the moments are inconsistent with the assumption set.
+    Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
+    the selection restriction, or when the constraint system is
+    infeasible, i.e. the moments are inconsistent with the assumption set.
     """
-    if m.p_y0_s1d0 <= 0.0:
-        raise ValueError("positive-mass assumption (A2) violated: P[Y=0 | S=1, D=0] = 0")
-    if trim_ratio(m) > 1.0:
-        raise ValueError("selection restriction violated: trim ratio exceeds one")
+    _checked_rates(m, AssumptionSet.A1_3)
     return _lp_envelope(m, a)
-
-
-def envelope_matches_bounds(
-    m: ObservedMoments, a: AssumptionSet, tol: float = 1e-6
-) -> bool:
-    """Convenience check that the oracle and the closed forms agree."""
-    lo, hi = sharp_envelope_oracle(m, a)
-    interval = compute_bounds(m, a)
-    return abs(lo - interval.lb) <= tol and abs(hi - interval.ub) <= tol

@@ -2,18 +2,29 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import build_stratified_fixture
 from pocbounds import (
+    ASSUMPTION_ORDER,
     AssumptionSet,
+    BoundsInterval,
     Dataset,
     MicroRecord,
+    ObservedMoments,
     compute_bounds,
     estimate_moments,
     estimate_stratified,
     observed_from_latent,
 )
-from pocbounds.estimation import cell_counts, moments_from_counts
+from pocbounds.estimation import (
+    EMPTY_CELLS,
+    cell_counts,
+    moments_from_counts,
+    stratified_fields,
+    stratified_from_counts,
+)
 from pocbounds.simulate import draw_latent_joint, sample_dataset, sample_stratified_dataset
 
 
@@ -205,3 +216,98 @@ def test_moments_from_counts_matches_record_path():
     for r in data.records:
         counts[r.d, 2 if r.s == 0 else 1 - r.y] += 1
     assert moments_from_counts(counts) == estimate_moments(data)
+
+
+def scalar_stratified(tables, a):
+    """Stratified bounds one stratum at a time, with Python ints and sums.
+
+    Returns ``(per_stratum, dropped, aggregate)``: per-stratum ``(bounds,
+    weight, n)`` of the retained strata by position, ``(position, reason)``
+    of the dropped ones, and the aggregate interval.
+    """
+    fitted, dropped = {}, []
+    for k, t in enumerate(tables):
+        n0, n1 = int(t[0].sum()), int(t[1].sum())
+        s1d1, s1d0 = int(t[1, 0] + t[1, 1]), int(t[0, 0] + t[0, 1])
+        checks = (
+            (n1, "no treated units (D=1)"),
+            (n0, "no control units (D=0)"),
+            (s1d1, "no S=1 units with D=1"),
+            (s1d0, "no S=1 units with D=0"),
+            (int(t[0, 1]), "no Y=0 outcomes among S=1, D=0 units"),
+        )
+        reason = next((why for count, why in checks if count == 0), None)
+        if reason is not None:
+            dropped.append((k, reason))
+            continue
+        m = ObservedMoments(
+            p_y1_s1d1=int(t[1, 0]) / s1d1,
+            p_y0_s1d0=int(t[0, 1]) / s1d0,
+            p_s1_d1=s1d1 / n1,
+            p_s1_d0=s1d0 / n0,
+            p_d1=n1 / (n0 + n1),
+        )
+        fitted[k] = (compute_bounds(m, a), n0 + n1)
+    total = sum(n for _, n in fitted.values())
+    per_stratum = {k: (b, n / total, n) for k, (b, n) in fitted.items()}
+    rows = per_stratum.values()
+    lb = sum(w * b.lb for b, w, _ in rows)
+    ub = sum(w * b.ub for b, w, _ in rows)
+    aggregate = BoundsInterval(
+        lb=lb,
+        ub=ub,
+        assumption_set=a,
+        lb_clipped=any(b.lb_clipped for b, _, _ in rows),
+        ub_clipped=any(b.ub_clipped for b, _, _ in rows),
+        lb_raw=sum(w * b.lb_raw for b, w, _ in rows),
+        ub_raw=sum(w * b.ub_raw for b, w, _ in rows),
+        restriction_violated=any(b.restriction_violated for b, _, _ in rows),
+        crossed=lb > ub,
+    )
+    return per_stratum, dropped, aggregate
+
+
+@st.composite
+def table_stacks(draw):
+    """Count tables ``[batch, strata, 2, 3]`` with small cells, so empty cells are common."""
+    batch, strata = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    cells = st.lists(st.integers(0, 4), min_size=3, max_size=3)
+    tables = []
+    for _ in range(batch * strata):
+        treated = draw(cells)
+        if draw(st.booleans()):
+            # Equal selection rates: the control arm has the treated arm's size and selected count.
+            y1 = draw(st.integers(0, treated[0] + treated[1]))
+            control = [y1, treated[0] + treated[1] - y1, treated[2]]
+        else:
+            control = draw(cells)
+        tables.append([control, treated])
+    return np.array(tables, dtype=np.int64).reshape(batch, strata, 2, 3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_stacks(), st.sampled_from(ASSUMPTION_ORDER))
+def test_property_stacked_tables_match_scalar_path(stack, a):
+    fit = stratified_fields(stack, a)
+    for b, tables in enumerate(stack):
+        per_stratum, dropped, aggregate = scalar_stratified(tables, a)
+        assert [(k, EMPTY_CELLS[i]) for k, i in enumerate(fit.empty[b]) if i >= 0] == dropped
+        assert [k for k in range(len(tables)) if fit.weight[b, k] == 0.0] == [k for k, _ in dropped]
+        for k, (bounds, weight, _) in per_stratum.items():
+            assert fit.weight[b, k] == weight
+            for name, values in fit.strata.items():
+                assert values[b, k] == getattr(bounds, name), name
+        for name, values in fit.aggregate.items():
+            assert values[b] == getattr(aggregate, name), name
+
+        labels = [f"s{k}" for k in range(len(tables))]
+        if not per_stratum:
+            with pytest.raises(ValueError, match="every stratum was dropped"):
+                stratified_from_counts(labels, tables, a)
+            continue
+        result = stratified_from_counts(labels, tables, a)
+        assert result.aggregate == aggregate
+        assert result.dropped == [(labels[k], reason) for k, reason in dropped]
+        assert {name: (r.bounds, r.weight, r.n) for name, r in result.per_stratum.items()} == {
+            labels[k]: row for k, row in per_stratum.items()
+        }

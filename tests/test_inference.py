@@ -10,16 +10,19 @@ import pytest
 
 from _oracles import build_stratified_fixture
 from pocbounds import (
+    ASSUMPTION_ORDER,
     AssumptionSet,
+    BoundsInterval,
     Dataset,
     MicroRecord,
+    ObservedMoments,
     bootstrap_bounds,
     compute_bounds,
     estimate_moments,
     observed_from_latent,
     test_restrictions as run_restriction_tests,
 )
-from pocbounds.estimation import stratified_from_counts
+from pocbounds.estimation import moments_from_counts
 from pocbounds.inference import one_sided_nonnegative_test, restriction_tests_from_counts
 from pocbounds.latent import LatentJoint, cell_index, construct_interior_distribution
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
@@ -151,26 +154,40 @@ class TestBootstrapBounds:
         assert boot.failed_replicates == 0
         # Replicate r resamples each stratum, in label order, from substream
         # (21, r); the aggregate and every stratum are scored on that draw.
-        fits = []
+        # Reference: each stratum bounded on its own, averaged by share.
+        strata, aggregate_lb, aggregate_ub = [], [], []
         for child in np.random.SeedSequence(21).spawn(100):
             rng = np.random.default_rng(child)
-            draw = {
-                name: rng.multinomial(table.sum(), table.reshape(-1) / table.sum()).reshape(2, 3)
-                for name, table in zip(data.labels, data.counts)
-            }
-            fits.append(stratified_from_counts(draw, A1_5))
+            tables = [rng.multinomial(t.sum(), t.reshape(-1) / t.sum()).reshape(2, 3) for t in data.counts]
+            fits = [compute_bounds(moments_from_counts(t), A1_5) for t in tables]
+            shares = [int(t.sum()) / data.n for t in tables]
+            strata.append(fits)
+            aggregate_lb.append(sum(w * fit.lb for w, fit in zip(shares, fits)))
+            aggregate_ub.append(sum(w * fit.ub for w, fit in zip(shares, fits)))
 
         def percentile(values):
             return tuple(float(x) for x in np.quantile(values, [0.05, 0.95]))
 
-        assert boot.aggregate[A1_5].ci_lb == percentile([fit.aggregate.lb for fit in fits])
-        assert boot.aggregate[A1_5].ci_ub == percentile([fit.aggregate.ub for fit in fits])
-        for name in data.labels:
+        assert boot.aggregate[A1_5].ci_lb == percentile(aggregate_lb)
+        assert boot.aggregate[A1_5].ci_ub == percentile(aggregate_ub)
+        for k, name in enumerate(data.labels):
             stratum = boot.per_stratum[A1_5][name]
-            assert stratum.ci_lb == percentile([fit.per_stratum[name].bounds.lb for fit in fits])
-            assert stratum.ci_ub == percentile([fit.per_stratum[name].bounds.ub for fit in fits])
+            assert stratum.ci_lb == percentile([fits[k].lb for fits in strata])
+            assert stratum.ci_ub == percentile([fits[k].ub for fits in strata])
         again = bootstrap_bounds(data, [A1_5], reps=100, level=0.9, seed=21)
         assert boot == again
+
+    def test_builds_no_interval_objects(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        joints, weights, _ = build_stratified_fixture(seed=14, n_strata=3)
+        data = sample_stratified_dataset(joints, weights, 600, np.random.default_rng(8))
+        monkeypatch.setattr(ObservedMoments, "__post_init__", refuse)
+        monkeypatch.setattr(BoundsInterval, "__init__", refuse)
+        boot = bootstrap_bounds(data, ASSUMPTION_ORDER, reps=50, seed=3)
+        assert boot.failed_replicates == 0
+        assert all(ci is not None for a in ASSUMPTION_ORDER for ci in boot.per_stratum[a].values())
 
     def test_every_set_scored_on_the_same_draws(self, dgp_joint):
         data = sample_dataset(dgp_joint, 400, np.random.default_rng(6))

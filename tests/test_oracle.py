@@ -64,6 +64,13 @@ class TestLpMode:
                 sharp_envelope_oracle(m, a)
         lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3)
         assert lo <= hi
+        # q0 = 0 (no A2) and a selection-violating vector are refused under every bundle.
+        no_q0 = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.0, p_s1_d1=0.6, p_s1_d0=0.5)
+        selection = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.5 + 1e-9)
+        for bad in (no_q0, selection):
+            for a in ASSUMPTION_ORDER:
+                with pytest.raises(ValueError):
+                    sharp_envelope_oracle(bad, a)
 
     def test_equal_selection_rates(self):
         # Zero mass on the NO stratum: only the OO cells can move.
