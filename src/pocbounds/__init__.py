@@ -45,18 +45,34 @@ from .inference import (
     bootstrap_bounds,
     test_restrictions,
 )
-from .latent import (
-    CELL_ORDER,
-    AssumptionReport,
-    LatentJoint,
-    Side,
-    check_assumptions,
-    construct_bound_distribution,
-    construct_interior_distribution,
-    observed_from_latent,
-    sharp_envelope_oracle,
-    theta_oo,
-)
+
+# The latent API needs scipy.optimize, which the command line never calls:
+# its names load with pocbounds.latent on first access (PEP 562).
+_LATENT_NAMES = frozenset({
+    "CELL_ORDER",
+    "AssumptionReport",
+    "LatentJoint",
+    "Side",
+    "check_assumptions",
+    "construct_bound_distribution",
+    "construct_interior_distribution",
+    "observed_from_latent",
+    "sharp_envelope_oracle",
+    "theta_oo",
+})
+
+
+def __getattr__(name: str):
+    if name in _LATENT_NAMES:
+        from . import latent
+
+        return getattr(latent, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _LATENT_NAMES)
+
 
 __all__ = [
     "ASSUMPTION_ORDER",

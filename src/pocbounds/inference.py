@@ -11,7 +11,10 @@ divided by its standard error, and the reported p-value is the lower-tail
 normal probability of the statistic.  Small p-values therefore mean the
 observed difference runs in the direction the model rules out; testing at
 level 5% rejects the model when p < 0.05.  The two restrictions are tested
-as separate nulls with no multiplicity correction.
+as separate nulls with no multiplicity correction.  The normal tail is a
+port of Cephes ``ndtr`` (Moshier 1989) on :mod:`math` alone, with Cephes'
+coefficients and operation order, so p-values are bit-identical to
+``scipy.stats.norm.cdf`` without importing SciPy.
 
 Bootstrap confidence intervals are percentile intervals per interval
 endpoint, computed from resamples of the records with replacement within
@@ -27,11 +30,11 @@ scores the stacked draws with the point estimator's own array code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
-from scipy.stats import norm
 
 from .bounds import AssumptionSet
 from .estimation import Dataset, cell_counts, stratified_fields
@@ -67,6 +70,75 @@ class RestrictionTestResult:
     assumption_set: AssumptionSet
 
 
+# Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
+# erfc(x) = exp(-x^2) P(x) / Q(x) below 8, exp(-x^2) R(x) / S(x) from 8 on.
+# The leading 1.0 of U, Q and S is the coefficient Cephes' p1evl implies;
+# Horner's first step 1.0 * x + c is exact, so _polevl matches p1evl.
+_ERF_T = (
+    9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+    7.00332514112805075473e3, 5.55923013010394962768e4,
+)
+_ERF_U = (
+    1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+    2.26290000613890934246e4, 4.92673942608635921086e4,
+)
+_ERFC_P = (
+    2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+    4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+    9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2,
+)
+_ERFC_Q = (
+    1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+    9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+    1.65666309194161350182e3, 5.57535340817727675546e2,
+)
+_ERFC_R = (
+    5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+    6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0,
+)
+_ERFC_S = (
+    1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+    1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0,
+)
+_SQRT1_2 = 0.70710678118654752440
+# Cephes MAXLOG, log(DBL_MAX): past it erfc returns 0 without calling exp.
+_MAXLOG = 7.09782712893383996843e2
+
+
+def _polevl(x: float, coef: tuple[float, ...]) -> float:
+    """Cephes ``polevl``: Horner's rule, highest power first."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _erf(x: float) -> float:
+    """Cephes ``erf`` for ``|x| <= 1``, the only range ``_ndtr`` calls it on."""
+    z = x * x
+    return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, bit for bit Cephes ``ndtr`` (``scipy.special.ndtr``).
+
+    Cephes' ``erfc`` is inlined for the nonnegative arguments ``ndtr`` passes
+    it; a NaN argument propagates to a NaN result.
+    """
+    x = a * _SQRT1_2
+    z = abs(x)
+    if z < _SQRT1_2:
+        return 0.5 + 0.5 * _erf(x)
+    if z < 1.0:
+        y = 0.5 * (1.0 - _erf(z))
+    elif z * z > _MAXLOG:
+        y = 0.0
+    else:
+        p, q = (_ERFC_P, _ERFC_Q) if z < 8.0 else (_ERFC_R, _ERFC_S)
+        y = 0.5 * (math.exp(-z * z) * _polevl(z, p) / _polevl(z, q))
+    return 1.0 - y if x > 0.0 else y
+
+
 def one_sided_nonnegative_test(k1: int, n1: int, k0: int, n0: int) -> TestOutcome:
     """z test of a nonnegative difference in proportions, lower-tail p-value.
 
@@ -84,8 +156,8 @@ def one_sided_nonnegative_test(k1: int, n1: int, k0: int, n0: int) -> TestOutcom
             return TestOutcome(stat=-np.inf, p_value=0.0, degenerate=True)
         stat = np.inf if diff > 0.0 else 0.0
         return TestOutcome(stat=stat, p_value=1.0, degenerate=True)
-    stat = diff / np.sqrt(var)
-    return TestOutcome(stat=float(stat), p_value=float(norm.cdf(stat)))
+    stat = float(diff / np.sqrt(var))
+    return TestOutcome(stat=stat, p_value=_ndtr(stat))
 
 
 def restriction_tests_from_counts(counts: np.ndarray, a: AssumptionSet) -> RestrictionTestResult:

@@ -129,12 +129,11 @@ class LatentJoint:
 class AssumptionReport:
     """Outcome of checking the five model assumptions on a latent joint.
 
-    ``holds_a1`` is true by construction (treatment independence is part of
-    the :class:`LatentJoint` type).  ``details`` lists the cells or strata
-    behind any failed or vacuous check.
+    A1 has no field: treatment independence is part of the
+    :class:`LatentJoint` type, so it holds by construction.  ``details``
+    lists the cells or strata behind any failed or vacuous check.
     """
 
-    holds_a1: bool
     holds_a2: bool
     holds_a3: bool
     holds_a4: bool
@@ -143,7 +142,7 @@ class AssumptionReport:
 
     def holds(self, a: AssumptionSet) -> bool:
         """True when every assumption in bundle ``a`` passes."""
-        base = self.holds_a1 and self.holds_a2 and self.holds_a3
+        base = self.holds_a2 and self.holds_a3
         if a is AssumptionSet.A1_3:
             return base
         if a is AssumptionSet.A1_4:
@@ -199,7 +198,6 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
             details.append(f"A5: P[Y1=1 | OO] = {p_y1_oo} < P[Y1=1 | NO] = {p_y1_no}")
 
     return AssumptionReport(
-        holds_a1=True,
         holds_a2=holds_a2,
         holds_a3=holds_a3,
         holds_a4=holds_a4,

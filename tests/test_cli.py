@@ -6,6 +6,9 @@ import dataclasses
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -529,3 +532,35 @@ class TestMainExitCodes:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["schema_version"] == "1"
+
+
+SCIPY_GUARD = """
+import json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import pocbounds.cli as cli
+after_import = scipy_modules()
+code = cli.main(sys.argv[1:])
+after_main = scipy_modules()
+import pocbounds.latent as latent
+print(json.dumps({"after_import": after_import, "exit": code, "after_main": after_main,
+                  "linprog": "linprog" in vars(latent)}))
+"""
+
+
+def test_cli_loads_no_scipy(fixture_csv, tmp_path):
+    # A fresh interpreter: the test process has SciPy loaded already.
+    src = str(fixture_csv.parents[2] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [
+            sys.executable, "-c", SCIPY_GUARD, "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s",
+            "--d-col", "d", "--stratum-col", "course", "--reps", "20",
+            "--plot-out", str(tmp_path / "r.svg"), "--output", str(tmp_path / "r.json"),
+        ],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"after_import": [], "exit": 0, "after_main": [], "linprog": True}

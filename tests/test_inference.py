@@ -1,5 +1,6 @@
 """Restriction tests and bootstrap confidence intervals."""
 
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
+from scipy.stats import norm
 
 from _oracles import build_stratified_fixture
 from pocbounds import (
@@ -23,7 +26,7 @@ from pocbounds import (
     test_restrictions as run_restriction_tests,
 )
 from pocbounds.estimation import moments_from_counts
-from pocbounds.inference import one_sided_nonnegative_test, restriction_tests_from_counts
+from pocbounds.inference import _ndtr, one_sided_nonnegative_test, restriction_tests_from_counts
 from pocbounds.latent import LatentJoint, cell_index, construct_interior_distribution
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
 
@@ -101,6 +104,54 @@ class TestRestrictionTests:
         assert restriction_tests_from_counts(
             np.array([[1, 1, 2], [1, 1, 2]]), AssumptionSet.A1_5
         ) == run_restriction_tests(data, AssumptionSet.A1_5)
+
+
+def normal_tail_points():
+    """Seeded bulk draws plus every branch edge of Cephes ``ndtr`` and its neighbours."""
+    rng = np.random.default_rng(20240615)
+    # In the argument a: ndtr switches from erf to erfc at |a| = 1, erfc
+    # from 1 - erf to its first rational form at sqrt(2), to its second at
+    # 8 sqrt(2), and to 0 where a^2 / 2 passes MAXLOG (about 37.7); 1/sqrt(2)
+    # is the threshold's own value.
+    edges = [math.sqrt(0.5), 1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2)]
+    near = []
+    for edge in edges:
+        for start, toward in ((edge, math.inf), (edge, -math.inf), (-edge, math.inf), (-edge, -math.inf)):
+            x = start
+            for _ in range(50):
+                near.append(x)
+                x = math.nextafter(x, toward)
+    tiny = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 2.2250738585072014e-308, 1e-300, -1e-300]
+    return np.concatenate([
+        rng.normal(0.0, 4.0, 200_000),
+        rng.uniform(-45.0, 45.0, 200_000),
+        rng.uniform(-38.0, -37.4, 2_000),
+        rng.uniform(37.4, 38.0, 2_000),
+        near,
+        tiny,
+        [math.inf, -math.inf, math.nan],
+    ])
+
+
+class TestNormalTail:
+    def test_bit_identical_to_scipy_ndtr(self):
+        points = normal_tail_points()
+        expected = ndtr(points)
+        got = np.array([_ndtr(x) for x in points.tolist()])
+        same = (got == expected) | (np.isnan(got) & np.isnan(expected))
+        assert same.all(), points[~same][:5]
+
+    def test_p_values_match_norm_cdf(self):
+        rng = np.random.default_rng(77)
+        checked = 0
+        for _ in range(3000):
+            n1, n0 = (int(n) for n in rng.integers(1, 3000, size=2))
+            k1, k0 = int(rng.integers(0, n1 + 1)), int(rng.integers(0, n0 + 1))
+            outcome = one_sided_nonnegative_test(k1, n1, k0, n0)
+            if not outcome.degenerate:
+                assert outcome.p_value == float(norm.cdf(outcome.stat)), (k1, n1, k0, n0)
+                checked += 1
+        assert checked > 2900
 
 
 @pytest.fixture(scope="module")
