@@ -34,7 +34,6 @@ from .bounds import (
 )
 from .estimation import (
     Dataset,
-    MicroRecord,
     StratifiedBounds,
     estimate_moments,
     estimate_stratified,
@@ -83,7 +82,6 @@ __all__ = [
     "CELL_ORDER",
     "Dataset",
     "LatentJoint",
-    "MicroRecord",
     "ObservedMoments",
     "RestrictionTestResult",
     "Side",

@@ -14,6 +14,7 @@ from pathlib import Path
 
 _COLORS = {"A1_3": "#4c72b0", "A1_4": "#dd8452", "A1_5": "#55a868"}
 
+_TITLE = "Bounds on the probability of causation"
 _WIDTH, _HEIGHT = 720, 420
 _MARGIN_LEFT, _MARGIN_RIGHT, _MARGIN_TOP, _MARGIN_BOTTOM = 70, 30, 50, 70
 
@@ -23,7 +24,7 @@ def _y_pixel(value: float) -> float:
     return _MARGIN_TOP + (1.0 - value) * chart_height
 
 
-def render_bounds_svg(bars: list[dict], title: str = "Bounds on the probability of causation") -> str:
+def render_bounds_svg(bars: list[dict]) -> str:
     """Render interval bars to an SVG string.
 
     Each bar dict needs keys ``assumption_set``, ``group`` (``unconditional``
@@ -44,7 +45,7 @@ def render_bounds_svg(bars: list[dict], title: str = "Bounds on the probability 
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" height="{_HEIGHT}" '
         f'viewBox="0 0 {_WIDTH} {_HEIGHT}" font-family="Helvetica,Arial,sans-serif">',
         f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
-        f'<text x="{_WIDTH / 2}" y="28" text-anchor="middle" font-size="16">{title}</text>',
+        f'<text x="{_WIDTH / 2}" y="28" text-anchor="middle" font-size="16">{_TITLE}</text>',
     ]
 
     for tick in range(0, 11, 2):

@@ -4,7 +4,8 @@ The expected input is a comma-separated UTF-8 file with a header row.
 Treatment and selection columns must contain 0/1; the outcome column must
 contain 0/1 for selected rows and be empty for unselected rows (the
 outcome of an unselected unit is censored).  An optional stratum column is
-read verbatim as an opaque string id.
+read as an opaque string id with surrounding whitespace stripped, so
+``" b"`` and ``"b"`` are one stratum.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``

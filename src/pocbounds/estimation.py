@@ -4,9 +4,11 @@ Every estimator reads one table: per stratum, the counts of each arm
 (``d`` = 0, 1) in three cells, selected with ``y = 1``, selected with
 ``y = 0`` and unselected (the outcome of an unselected unit is censored).
 A :class:`Dataset` is that table, so memory grows with the number of
-strata, not of rows.  Every probability is estimated by the corresponding
-sample proportion, so estimates are exact rationals ``k / n`` in floating
-point.
+strata, not of rows.  Hand-built data enter as
+``Dataset(labels=..., counts=...)``; ``Dataset.records`` is a read-only
+expansion into rows, kept for independent recounts.  Every probability is
+estimated by the corresponding sample proportion, so estimates are exact
+rationals ``k / n`` in floating point.
 
 Stratified estimation computes fully saturated within-stratum means (with
 discrete strata and no further covariates this coincides with a
@@ -23,7 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,24 +42,13 @@ COUNT_COLUMNS = ("s1_y1", "s1_y0", "s0")
 _CELL_VALUES = ((1, 1), (1, 0), (0, None))
 
 
-@dataclass(frozen=True)
-class MicroRecord:
-    """One observation (d, s, y, stratum) under the censoring rule y = y* . s."""
+class MicroRecord(NamedTuple):
+    """One row of :attr:`Dataset.records`; ``y`` is ``None`` where ``s = 0`` (censored)."""
 
     d: int
     s: int
     y: int | None
-    stratum: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.d not in (0, 1):
-            raise ValueError(f"d must be 0 or 1, got {self.d!r}")
-        if self.s not in (0, 1):
-            raise ValueError(f"s must be 0 or 1, got {self.s!r}")
-        if self.s == 0 and self.y is not None:
-            raise ValueError("y must be missing when s = 0 (outcome is censored)")
-        if self.s == 1 and self.y not in (0, 1):
-            raise ValueError(f"y must be 0 or 1 when s = 1, got {self.y!r}")
+    stratum: str | None
 
 
 def table_position(d: int, s: int, y: int | None) -> int:
@@ -73,7 +64,8 @@ class Dataset:
     labelled ``None``, so unstratified data has ``labels == (None,)``.
     ``counts`` is a read-only int64 array of shape ``[strata, 2, 3]``.
     Strata are kept in sorted order (``None`` first), and every stratum
-    holds at least one row.
+    holds at least one row.  A count the int64 cast would change (1.7,
+    inf, NaN) is refused.
     """
 
     labels: tuple[str | None, ...]
@@ -81,7 +73,12 @@ class Dataset:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        counts = np.array(self.counts, dtype=np.int64).reshape(len(labels), 2, 3)
+        raw = np.asarray(self.counts)
+        with np.errstate(invalid="ignore"):
+            counts = raw.astype(np.int64)
+        if not np.array_equal(counts, raw):
+            raise ValueError("counts must be whole numbers")
+        counts = counts.reshape(len(labels), 2, 3)
         if counts.sum() < 1:
             raise ValueError("dataset must contain at least one record")
         if len(set(labels)) != len(labels):
@@ -96,17 +93,9 @@ class Dataset:
         object.__setattr__(self, "labels", tuple(labels[i] for i in order))
         object.__setattr__(self, "counts", counts)
 
-    @classmethod
-    def from_records(cls, records: Iterable[MicroRecord]) -> "Dataset":
-        """Count hand-built records into a table."""
-        tally: dict[str | None, list[int]] = {}
-        for rec in records:
-            tally.setdefault(rec.stratum, [0] * 6)[table_position(rec.d, rec.s, rec.y)] += 1
-        return cls(labels=tuple(tally), counts=list(tally.values()))
-
     @property
     def records(self) -> tuple[MicroRecord, ...]:
-        """The table expanded into rows, ordered by stratum, arm and cell."""
+        """The table expanded into rows, ordered by stratum, arm and cell (for independent recounts)."""
         rows: list[MicroRecord] = []
         for label, table in zip(self.labels, self.counts):
             for d in (0, 1):

@@ -11,7 +11,6 @@ from pocbounds import (
     AssumptionSet,
     BoundsInterval,
     Dataset,
-    MicroRecord,
     ObservedMoments,
     compute_bounds,
     estimate_moments,
@@ -28,38 +27,25 @@ from pocbounds.estimation import (
 from pocbounds.simulate import draw_latent_joint, sample_dataset, sample_stratified_dataset
 
 
-def rec(d, s, y=None, stratum=None):
-    return MicroRecord(d=d, s=s, y=y, stratum=stratum)
+# Four units: control selected with y = 1 and with y = 0; treated selected
+# with y = 1 and unselected.  Rows are arms, columns COUNT_COLUMNS.
+FOUR_TABLE = [[1, 1, 0], [1, 0, 1]]
 
 
-FOUR_RECORDS = (
-    rec(1, 1, 1),
-    rec(1, 0),
-    rec(0, 1, 0),
-    rec(0, 1, 1),
-)
-
-
-class TestMicroRecord:
-    def test_censoring_rule_enforced(self):
-        with pytest.raises(ValueError, match="missing when s = 0"):
-            MicroRecord(d=1, s=0, y=1)
-        with pytest.raises(ValueError, match="y must be 0 or 1"):
-            MicroRecord(d=1, s=1, y=None)
-        with pytest.raises(ValueError, match="d must be"):
-            MicroRecord(d=2, s=1, y=1)
+def pooled(table):
+    return Dataset(labels=(None,), counts=[table])
 
 
 class TestDataset:
     def test_requires_records(self):
         with pytest.raises(ValueError, match="at least one record"):
-            Dataset.from_records(())
+            Dataset(labels=(), counts=[])
         with pytest.raises(ValueError, match="at least one record"):
             Dataset(labels=(None,), counts=np.zeros((1, 2, 3)))
 
     def test_stratum_index_groups_positions(self):
-        # Rows land in their stratum's table, whatever their position.
-        data = Dataset.from_records((rec(1, 1, 1, "b"), rec(0, 1, 0, "a"), rec(1, 0, None, "b")))
+        # Strata are kept sorted, whatever order their tables come in.
+        data = Dataset(labels=("b", "a"), counts=[[[0, 0, 0], [1, 0, 1]], [[0, 1, 0], [0, 0, 0]]])
         assert data.labels == ("a", "b")
         assert data.counts.tolist() == [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 1]]]
         assert data.n == 3
@@ -75,22 +61,25 @@ class TestDataset:
             Dataset(labels=("a", "b"), counts=[one, np.zeros((2, 3))])
         with pytest.raises(ValueError):
             Dataset(labels=("a",), counts=[one, one])
+        for count in (1.7, np.inf, np.nan):
+            with pytest.raises(ValueError, match="whole numbers"):
+                Dataset(labels=("a",), counts=[[[count, 0, 0], [0, 0, 1]]])
 
 
 def test_simulation_builds_no_row_objects(monkeypatch):
     def refuse(self):
-        raise AssertionError("a MicroRecord was built")
+        raise AssertionError("Dataset.records was read")
 
     rng = np.random.default_rng(67)
     joint = draw_latent_joint(AssumptionSet.A1_4, rng)
-    monkeypatch.setattr(MicroRecord, "__post_init__", refuse)
+    monkeypatch.setattr(Dataset, "records", property(refuse))
     assert sample_dataset(joint, 300, rng).n == 300
     assert sample_stratified_dataset({"a": joint, "b": joint}, {"a": 0.5, "b": 0.5}, 300, rng).n == 300
 
 
 class TestEstimateMoments:
     def test_four_record_hand_count(self):
-        m = estimate_moments(Dataset.from_records(FOUR_RECORDS))
+        m = estimate_moments(pooled(FOUR_TABLE))
         assert m.p_y1_s1d1 == 1.0
         assert m.p_y0_s1d0 == 0.5
         assert m.p_s1_d1 == 0.5
@@ -98,22 +87,22 @@ class TestEstimateMoments:
         assert m.p_d1 == 0.5
 
     def test_no_control_units_errors(self):
-        data = Dataset.from_records((rec(1, 1, 1), rec(1, 1, 0)))
+        data = pooled([[0, 0, 0], [1, 1, 0]])
         with pytest.raises(ValueError, match="no control units"):
             estimate_moments(data)
 
     def test_empty_cells_named(self):
         with pytest.raises(ValueError, match="no S=1 units with D=0"):
-            estimate_moments(Dataset.from_records((rec(1, 1, 1), rec(0, 0))))
+            estimate_moments(pooled([[0, 0, 1], [1, 0, 0]]))
         with pytest.raises(ValueError, match="no Y=0 outcomes among S=1, D=0"):
-            estimate_moments(Dataset.from_records((rec(1, 1, 1), rec(0, 1, 1))))
+            estimate_moments(pooled([[1, 0, 0], [1, 0, 0]]))
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(60)
-        joint = draw_latent_joint(AssumptionSet.A1_3, rng)
-        data = sample_dataset(joint, 500, rng)
-        rows = data.records
-        shuffled = Dataset.from_records(rows[i] for i in rng.permutation(data.n))
+        joints = {f"s{k}": draw_latent_joint(AssumptionSet.A1_3, rng) for k in range(4)}
+        data = sample_stratified_dataset(joints, {name: 0.25 for name in joints}, 500, rng)
+        order = rng.permutation(len(data.labels))
+        shuffled = Dataset(labels=[data.labels[k] for k in order], counts=data.counts[order])
         assert estimate_moments(data) == estimate_moments(shuffled)
 
     def test_estimates_are_exact_count_ratios(self):
@@ -136,15 +125,12 @@ class TestEstimateMoments:
 
 class TestEstimateStratified:
     def test_requires_complete_strata(self):
-        data = Dataset.from_records((rec(1, 1, 1, "a"), rec(0, 1, 0)))
+        data = Dataset(labels=("a", None), counts=[[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 0]]])
         with pytest.raises(ValueError, match="stratum label"):
             estimate_stratified(data, AssumptionSet.A1_3)
 
     def test_single_stratum_matches_unconditional(self):
-        records = tuple(
-            MicroRecord(d=r.d, s=r.s, y=r.y, stratum="only") for r in FOUR_RECORDS
-        )
-        data = Dataset.from_records(records)
+        data = Dataset(labels=("only",), counts=[FOUR_TABLE])
         result = estimate_stratified(data, AssumptionSet.A1_3)
         unconditional = compute_bounds(estimate_moments(data), AssumptionSet.A1_3)
         assert result.aggregate.lb == unconditional.lb
@@ -154,9 +140,9 @@ class TestEstimateStratified:
     def test_two_equal_strata_average(self):
         # Two equal-size strata: the aggregate must be the plain average
         # of the per-stratum endpoints.
-        base = [rec(1, 1, 1, "x"), rec(1, 1, 0, "x"), rec(0, 1, 0, "x"), rec(0, 1, 1, "x")]
-        other = [rec(1, 1, 0, "z"), rec(1, 1, 0, "z"), rec(0, 1, 0, "z"), rec(0, 1, 0, "z")]
-        data = Dataset.from_records(tuple(base + other))
+        base = [[1, 1, 0], [1, 1, 0]]
+        other = [[0, 2, 0], [0, 2, 0]]
+        data = Dataset(labels=("x", "z"), counts=[base, other])
         result = estimate_stratified(data, AssumptionSet.A1_5)
         bx = result.per_stratum["x"].bounds
         bz = result.per_stratum["z"].bounds
@@ -165,17 +151,16 @@ class TestEstimateStratified:
         assert result.aggregate.ub == pytest.approx(0.5 * bx.ub + 0.5 * bz.ub)
 
     def test_dropped_strata_renormalize(self):
-        good = [rec(1, 1, 1, "g"), rec(1, 0, None, "g"), rec(0, 1, 0, "g"), rec(0, 1, 1, "g")]
-        bad = [rec(1, 1, 1, "b"), rec(1, 1, 0, "b")]  # no control units
-        result = estimate_stratified(Dataset.from_records(tuple(good + bad)), AssumptionSet.A1_3)
+        bad = [[0, 0, 0], [1, 1, 0]]  # no control units
+        result = estimate_stratified(Dataset(labels=("g", "b"), counts=[FOUR_TABLE, bad]), AssumptionSet.A1_3)
         assert [name for name, _ in result.dropped] == ["b"]
         assert "no control units" in result.dropped[0][1]
         assert result.per_stratum["g"].weight == 1.0
 
     def test_all_strata_dropped_errors(self):
-        bad = (rec(1, 1, 1, "b"), rec(1, 1, 0, "b"))
+        bad = [[0, 0, 0], [1, 1, 0]]
         with pytest.raises(ValueError, match="every stratum was dropped"):
-            estimate_stratified(Dataset.from_records(bad), AssumptionSet.A1_3)
+            estimate_stratified(Dataset(labels=("b",), counts=[bad]), AssumptionSet.A1_3)
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(63)

@@ -17,7 +17,6 @@ from pocbounds import (
     AssumptionSet,
     BoundsInterval,
     Dataset,
-    MicroRecord,
     ObservedMoments,
     bootstrap_bounds,
     compute_bounds,
@@ -33,16 +32,14 @@ from pocbounds.simulate import sample_dataset, sample_stratified_dataset
 REPO = Path(__file__).resolve().parents[1]
 
 
-def rec(d, s, y=None, stratum=None):
-    return MicroRecord(d=d, s=s, y=y, stratum=stratum)
+def pooled(table):
+    """One-stratum dataset; rows are arms, columns ``COUNT_COLUMNS``."""
+    return Dataset(labels=(None,), counts=[table])
 
 
 def balanced_dataset():
     # 8 records, both arms identical: selection 1/2, success 1/2 of selected.
-    records = []
-    for d in (0, 1):
-        records += [rec(d, 1, 1), rec(d, 1, 0), rec(d, 0), rec(d, 0)]
-    return Dataset.from_records(tuple(records))
+    return pooled([[1, 1, 2], [1, 1, 2]])
 
 
 class TestRestrictionTests:
@@ -66,8 +63,7 @@ class TestRestrictionTests:
     def test_missing_outcomes_count_as_zero(self):
         # Treated arm: 1 success of 2 (one censored); control arm: 1 of 2
         # selected successes. Raw success rates are both 1/2.
-        records = (rec(1, 1, 1), rec(1, 0), rec(0, 1, 1), rec(0, 1, 0))
-        result = run_restriction_tests(Dataset.from_records(records), AssumptionSet.A1_4)
+        result = run_restriction_tests(pooled([[1, 1, 0], [1, 0, 1]]), AssumptionSet.A1_4)
         assert result.outcome_test.stat == 0.0
 
     def test_violation_rejected_with_large_sample(self):
@@ -254,10 +250,8 @@ class TestBootstrapBounds:
         # rather than failing outright.
         joints, weights, _ = build_stratified_fixture(seed=15, n_strata=2)
         data = sample_stratified_dataset(joints, weights, 400, np.random.default_rng(9))
-        tiny = (
-            rec(1, 1, 1, "tiny"), rec(0, 1, 0, "tiny"), rec(0, 1, 1, "tiny"), rec(1, 0, None, "tiny"),
-        )
-        data = Dataset.from_records(data.records + tiny)
+        tiny = [[1, 1, 0], [1, 0, 1]]
+        data = Dataset(labels=data.labels + ("tiny",), counts=[*data.counts, tiny])
         boot = bootstrap_bounds(data, [A1_3], reps=200, level=0.9, seed=17)
         assert boot.failed_replicates < 100
         for lo, hi in (boot.aggregate[A1_3].ci_lb, boot.aggregate[A1_3].ci_ub):
@@ -266,17 +260,12 @@ class TestBootstrapBounds:
     def test_failed_replicates_counted(self):
         # One treated and one control-selected-failure record among three:
         # resamples frequently lose a required cell.
-        records = (rec(1, 1, 1), rec(0, 1, 0), rec(0, 0))
-        data = Dataset.from_records(records)
+        data = pooled([[0, 1, 1], [1, 0, 0]])
         with pytest.raises(ValueError, match="bootstrap unstable"):
             bootstrap_bounds(data, [A1_3], reps=400, level=0.9, seed=2)
 
     def test_sparse_but_workable_data_reports_failures(self, dgp_joint):
-        records = (
-            rec(1, 1, 1), rec(1, 1, 0), rec(1, 0), rec(0, 1, 0), rec(0, 1, 1),
-            rec(0, 1, 0), rec(0, 0), rec(1, 1, 1),
-        )
-        boot = bootstrap_bounds(Dataset.from_records(records), [A1_3], reps=300, seed=3)
+        boot = bootstrap_bounds(pooled([[1, 2, 1], [2, 1, 1]]), [A1_3], reps=300, seed=3)
         assert 0 < boot.failed_replicates < 150
         assert boot.replications == 300
 
