@@ -34,7 +34,7 @@ from .bounds import (
 )
 from .estimation import (
     Dataset,
-    StratifiedBounds,
+    StratifiedFields,
     estimate_moments,
     estimate_stratified,
 )
@@ -85,7 +85,7 @@ __all__ = [
     "ObservedMoments",
     "RestrictionTestResult",
     "Side",
-    "StratifiedBounds",
+    "StratifiedFields",
     "__version__",
     "bootstrap_bounds",
     "check_assumptions",

@@ -22,15 +22,15 @@ import csv
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import ASSUMPTION_ORDER, AssumptionSet, BoundsInterval, compute_bounds, restriction_violations
+from .bounds import ASSUMPTION_ORDER, AssumptionSet, restriction_violations
 from .charts import write_plot
-from .estimation import Dataset, cell_counts, estimate_moments, estimate_stratified, table_position
+from .estimation import EMPTY_CELLS, Dataset, cell_counts, estimate_moments, estimate_stratified, table_position
 from .inference import DIRECTION_NOTE, UNSTABLE, EndpointIntervals, bootstrap_bounds, test_restrictions
 
 
@@ -99,15 +99,7 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": self.schema_version,
-            "provenance": self.provenance,
-            "moments": self.moments,
-            "restriction_tests": self.restriction_tests,
-            "unconditional": self.unconditional,
-            "stratified": self.stratified,
-            "warnings": self.warnings,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -212,23 +204,46 @@ def _test_outcome_dict(outcome) -> dict:
     }
 
 
-def _interval_dict(interval: BoundsInterval) -> dict:
-    return {
-        "lb": interval.lb,
-        "ub": interval.ub,
-        "lb_raw": interval.lb_raw,
-        "ub_raw": interval.ub_raw,
-        "lb_clipped": interval.lb_clipped,
-        "ub_clipped": interval.ub_clipped,
-        "restriction_violated": interval.restriction_violated,
-        "crossed": interval.crossed,
-    }
-
-
 def _ci_dict(intervals: EndpointIntervals | None) -> dict:
     if intervals is None:
         return {"ci_lb": None, "ci_ub": None}
     return {"ci_lb": list(intervals.ci_lb), "ci_ub": list(intervals.ci_ub)}
+
+
+def _group_block(data: Dataset, requested: tuple[AssumptionSet, ...], boot_args: dict) -> dict:
+    """Bounds and percentile intervals of ``data``'s aggregate and retained strata, per set.
+
+    One :func:`estimate_stratified` call per set and one bootstrap serve
+    every set; each field is read straight off the fitted arrays.
+    """
+    fits = {a: estimate_stratified(data, a) for a in requested}
+    boot = bootstrap_bounds(data, requested, **boot_args)
+    empty = fits[requested[0]].empty  # which strata drop does not depend on the set
+    sets = {}
+    for a, fit in fits.items():
+        aggregate = {
+            **{name: value.item() for name, value in fit.aggregate.items()},
+            **_ci_dict(boot.aggregate[a]),
+            "failed_replicates": boot.failed_replicates,
+        }
+        rows = [
+            {
+                "stratum": label,
+                "n": int(data.counts[k].sum()),
+                "weight": fit.weight[k].item(),
+                "lb": fit.strata["lb"][k].item(),
+                "ub": fit.strata["ub"][k].item(),
+                **_ci_dict(boot.per_stratum[a][label]),
+            }
+            for k, label in enumerate(data.labels)
+            if empty[k] < 0
+        ]
+        sets[a.value] = {"aggregate": aggregate, "per_stratum": rows}
+    return {
+        "sets": sets,
+        "dropped": [[label, EMPTY_CELLS[i]] for label, i in zip(data.labels, empty) if i >= 0],
+        "n_strata": len(data.labels),
+    }
 
 
 def run_analysis(cfg: RunConfig) -> Report:
@@ -237,9 +252,9 @@ def run_analysis(cfg: RunConfig) -> Report:
     Estimates pooled moments and bounds with bootstrap intervals for every
     requested assumption set, runs the restriction tests, and adds the
     stratified table (aggregate plus per-stratum rows) when strata are in
-    play.  One bootstrap of the pooled table and one of the stratified
-    table serve every set; per-stratum intervals come from the stratified
-    one.
+    play.  Both blocks come from :func:`_group_block`: the pooled one is
+    the aggregate of the one-stratum table, so one fit and one bootstrap
+    per group serve every set.
     """
     data = load_csv(cfg.input_path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
     digest = hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
@@ -254,52 +269,23 @@ def run_analysis(cfg: RunConfig) -> Report:
     ]
     tests = test_restrictions(data, strongest)
     boot_args = dict(reps=cfg.reps, level=cfg.level, seed=cfg.seed)
-    pooled = bootstrap_bounds(Dataset(labels=(None,), counts=cell_counts(data)), requested, **boot_args)
-
-    restriction_tests = {}
-    unconditional = {}
-    for a in requested:
-        restriction_tests[a.value] = {
+    pooled = _group_block(Dataset(labels=(None,), counts=cell_counts(data)), requested, boot_args)
+    unconditional = {name: block["aggregate"] for name, block in pooled["sets"].items()}
+    restriction_tests = {
+        a.value: {
             "selection": _test_outcome_dict(tests.selection_test),
             "outcome": None if a is AssumptionSet.A1_3 else _test_outcome_dict(tests.outcome_test),
         }
-        unconditional[a.value] = {
-            **_interval_dict(compute_bounds(moments, a)),
-            **_ci_dict(pooled.aggregate[a]),
-            "failed_replicates": pooled.failed_replicates,
-        }
+        for a in requested
+    }
 
     stratified_block = None
     if cfg.use_strata:
-        fits = {a: estimate_stratified(data, a) for a in requested}
-        boot = bootstrap_bounds(data, requested, **boot_args)
-        stratified_block = {
-            "sets": {},
-            "dropped": [[name, reason] for name, reason in fits[strongest].dropped],
-            "n_strata": len(data.labels),
-        }
-        for a, fit in fits.items():
-            aggregate = {
-                **_interval_dict(fit.aggregate),
-                **_ci_dict(boot.aggregate[a]),
-                "failed_replicates": boot.failed_replicates,
-            }
-            rows = [
-                {
-                    "stratum": name,
-                    "n": stratum.n,
-                    "weight": stratum.weight,
-                    "lb": stratum.bounds.lb,
-                    "ub": stratum.bounds.ub,
-                    **_ci_dict(boot.per_stratum[a][name]),
-                }
-                for name, stratum in fit.per_stratum.items()
-            ]
-            stratified_block["sets"][a.value] = {"aggregate": aggregate, "per_stratum": rows}
+        stratified_block = _group_block(data, requested, boot_args)
         warnings += [
-            f"stratum {name!r}: bootstrap skipped ({UNSTABLE})"
-            for name in fits[strongest].per_stratum
-            if boot.per_stratum[strongest][name] is None
+            f"stratum {row['stratum']!r}: bootstrap skipped ({UNSTABLE})"
+            for row in stratified_block["sets"][strongest.value]["per_stratum"]
+            if row["ci_lb"] is None
         ]
 
     provenance = {

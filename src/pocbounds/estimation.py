@@ -15,7 +15,9 @@ discrete strata and no further covariates this coincides with a
 fixed-effects fit), bounds each stratum, and averages the endpoints with
 the strata's sample shares.  Strata on which a conditioning cell is empty
 are dropped with a reason and the remaining weights renormalized; silent
-reweighting would hide the bias, so the drops are reported.
+reweighting would hide the bias, so the drops are reported.  The pooled
+bounds are the same fit of the one-stratum table
+``Dataset(labels=(None,), counts=cell_counts(data))``.
 
 Estimation is read-only over an immutable dataset; per-stratum work is
 independent and order-insensitive.
@@ -25,11 +27,11 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import AssumptionSet, BoundsInterval, ObservedMoments, bound_fields
+from .bounds import AssumptionSet, ObservedMoments, bound_fields
 
 # Unused here: perfbench/tracer.py looks this name up in this module.
 from .bounds import compute_bounds  # noqa: F401
@@ -107,9 +109,6 @@ class Dataset:
     def n(self) -> int:
         return int(self.counts.sum())
 
-    def has_complete_strata(self) -> bool:
-        return None not in self.labels
-
 
 def cell_counts(data: Dataset) -> np.ndarray:
     """Pooled 2x3 integer table of (arm x selection/outcome cell) counts."""
@@ -160,28 +159,6 @@ def estimate_moments(data: Dataset) -> ObservedMoments:
     return moments_from_counts(cell_counts(data))
 
 
-@dataclass(frozen=True)
-class StratumResult:
-    bounds: BoundsInterval
-    weight: float
-    n: int
-
-
-@dataclass(frozen=True)
-class StratifiedBounds:
-    """Per-stratum bounds plus their weighted aggregate.
-
-    ``aggregate`` holds the summary-measure interval: endpoint-wise
-    weighted averages of the retained strata's bounds, with weights equal
-    to each stratum's share of the retained records.  Its flags are the
-    disjunction of the per-stratum flags.
-    """
-
-    per_stratum: dict[str, StratumResult]
-    dropped: list[tuple[str, str]]
-    aggregate: BoundsInterval
-
-
 StratifiedFields = namedtuple("StratifiedFields", "empty weight strata aggregate")
 
 
@@ -192,7 +169,8 @@ def stratified_fields(counts: np.ndarray, a: AssumptionSet) -> StratifiedFields:
     retained; ``weight`` is its share of the retained records, 0 if dropped.
     ``strata`` maps each :func:`~pocbounds.bounds.bound_fields` field to
     ``[..., strata]`` (meaningless where dropped); ``aggregate`` to ``[...]``,
-    adding endpoints in table order from 0 as Python's ``sum`` does.
+    adding endpoints in table order from 0 as Python's ``sum`` does, with
+    each flag the disjunction over the retained strata.
     """
     empty, moments = _proportions(counts)
     dropped = empty.any(axis=-1)
@@ -210,33 +188,14 @@ def stratified_fields(counts: np.ndarray, a: AssumptionSet) -> StratifiedFields:
     return StratifiedFields(np.where(dropped, empty.argmax(axis=-1), -1), weight, strata, aggregate)
 
 
-def stratified_from_counts(labels: Sequence[str], counts: np.ndarray, a: AssumptionSet) -> StratifiedBounds:
-    """Stratified bounds from count tables ``[strata, 2, 3]``, one per label.
+def estimate_stratified(data: Dataset, a: AssumptionSet) -> StratifiedFields:
+    """:func:`stratified_fields` of ``data``'s table: each stratum's bounds and their aggregate.
 
-    Strata with an empty conditioning cell are dropped with its
-    :data:`EMPTY_CELLS` reason; weights renormalize over what remains.
+    A stratum labelled ``None`` is estimated like any other, so the pooled
+    estimate is this fit of the one-stratum table.  Raises ``ValueError``
+    when every stratum is dropped.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    empty, weight, strata, aggregate = stratified_fields(counts, a)
-    if (empty >= 0).all():
+    fit = stratified_fields(data.counts, a)
+    if (fit.empty >= 0).all():
         raise ValueError("every stratum was dropped; no estimable stratum remains")
-
-    def interval(fields: dict[str, np.ndarray], *k: int) -> BoundsInterval:
-        return BoundsInterval(assumption_set=a, **{name: v[k].item() for name, v in fields.items()})
-
-    return StratifiedBounds(
-        per_stratum={
-            name: StratumResult(bounds=interval(strata, k), weight=float(weight[k]), n=int(counts[k].sum()))
-            for k, name in enumerate(labels)
-            if empty[k] < 0
-        },
-        dropped=[(name, EMPTY_CELLS[i]) for name, i in zip(labels, empty) if i >= 0],
-        aggregate=interval(aggregate),
-    )
-
-
-def estimate_stratified(data: Dataset, a: AssumptionSet) -> StratifiedBounds:
-    """Within-stratum moments, per-stratum bounds, and the aggregate interval."""
-    if not data.has_complete_strata():
-        raise ValueError("stratified estimation requires a stratum label on every record")
-    return stratified_from_counts(data.labels, data.counts, a)
+    return fit

@@ -79,7 +79,7 @@ def test_criterion_1_table_reproduction_and_stratified_fixture():
     for a in ASSUMPTION_ORDER:
         aggregate = estimate_stratified(data, a).aggregate
         lb_t, ub_t = truth[a]
-        worst = max(worst, abs(aggregate.lb - lb_t), abs(aggregate.ub - ub_t))
+        worst = max(worst, abs(aggregate["lb"] - lb_t), abs(aggregate["ub"] - ub_t))
     assert worst <= 0.01
     _passed(1, "table reproduction + stratified fixture",
             f"closed-form best time {best * 1e6:.0f} us, aggregate error {worst:.4f}")

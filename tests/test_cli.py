@@ -482,22 +482,27 @@ class TestMainExitCodes:
         assert "Traceback" not in err and err.count("\n") == 1
 
     @pytest.mark.parametrize(
-        ("reps", "digest"),
+        ("flags", "digest"),
         [
-            ("200", "8a68ecf707c8ae9b7c032214f21d3fb1e910619a204b38da3263586a2749a553"),
-            ("1000", "440ccff7439b104241de96934e65322e49d4bad6b2ce1c5bb5917edea98d499c"),
+            (["--stratum-col", "course", "--reps", "200"],
+             "8a68ecf707c8ae9b7c032214f21d3fb1e910619a204b38da3263586a2749a553"),
+            (["--stratum-col", "course", "--reps", "1000"],
+             "440ccff7439b104241de96934e65322e49d4bad6b2ce1c5bb5917edea98d499c"),
+            (["--stratum-col", "course", "--no-stratified", "--reps", "200"],
+             "bb3bc5e9adb9587518c01c22056fc19acdbb277d01d9586b2af0143ec45468bd"),
+            (["--assumptions", "A1_3", "--reps", "200"],
+             "26dfdce4f1214fab168c1855366fd88c06b08a25597dd681e5e7698c288b9e5a"),
         ],
-        ids=["200", "1000"],
+        ids=["200", "1000", "no-stratified-200", "A1_3-pooled-200"],
     )
-    def test_canonical_report_is_pinned(self, fixture_csv, tmp_path, monkeypatch, reps, digest):
+    def test_canonical_report_is_pinned(self, fixture_csv, tmp_path, monkeypatch, flags, digest):
         # The report bytes depend on the bootstrap's random stream; a change
         # to that stream has to update these digests on purpose.
         monkeypatch.chdir(fixture_csv.parents[2])
         out = tmp_path / "report.json"
         code = main([
             "--input", "tests/data/table_mirror_n1769.csv", "--y-col", "y", "--s-col", "s",
-            "--d-col", "d", "--stratum-col", "course", "--reps", reps, "--seed", "0",
-            "--output", str(out),
+            "--d-col", "d", *flags, "--seed", "0", "--output", str(out),
         ])
         assert code == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

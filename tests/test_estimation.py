@@ -22,7 +22,6 @@ from pocbounds.estimation import (
     cell_counts,
     moments_from_counts,
     stratified_fields,
-    stratified_from_counts,
 )
 from pocbounds.simulate import draw_latent_joint, sample_dataset, sample_stratified_dataset
 
@@ -49,7 +48,6 @@ class TestDataset:
         assert data.labels == ("a", "b")
         assert data.counts.tolist() == [[[0, 1, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 1]]]
         assert data.n == 3
-        assert data.has_complete_strata()
 
     def test_rejects_malformed_tables(self):
         one = [[1, 0, 0], [0, 0, 1]]
@@ -124,18 +122,29 @@ class TestEstimateMoments:
 
 
 class TestEstimateStratified:
-    def test_requires_complete_strata(self):
-        data = Dataset(labels=("a", None), counts=[[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 0]]])
-        with pytest.raises(ValueError, match="stratum label"):
-            estimate_stratified(data, AssumptionSet.A1_3)
+    def test_none_stratum_is_an_ordinary_stratum(self):
+        data = Dataset(labels=("a", None), counts=[[[1, 2, 2], [3, 1, 1]], [[2, 3, 1], [4, 1, 2]]])
+        assert data.labels == (None, "a")
+        for a in ASSUMPTION_ORDER:
+            fit = estimate_stratified(data, a)
+            per_stratum, dropped, aggregate = scalar_stratified(data.counts, a)
+            assert dropped == [] and fit.empty.tolist() == [-1, -1]
+            for k, (bounds, weight, _) in per_stratum.items():
+                assert fit.weight[k] == weight
+                assert fit.strata["lb"][k] == bounds.lb and fit.strata["ub"][k] == bounds.ub
+            assert fit.aggregate["lb"] == aggregate.lb and fit.aggregate["ub"] == aggregate.ub
 
     def test_single_stratum_matches_unconditional(self):
-        data = Dataset(labels=("only",), counts=[FOUR_TABLE])
-        result = estimate_stratified(data, AssumptionSet.A1_3)
-        unconditional = compute_bounds(estimate_moments(data), AssumptionSet.A1_3)
-        assert result.aggregate.lb == unconditional.lb
-        assert result.aggregate.ub == unconditional.ub
-        assert result.per_stratum["only"].weight == 1.0
+        for table in (FOUR_TABLE, [[3, 5, 2], [6, 2, 4]], [[1, 4, 0], [5, 0, 0]]):
+            data = Dataset(labels=("only",), counts=[table])
+            for a in ASSUMPTION_ORDER:
+                result = estimate_stratified(data, a)
+                unconditional = compute_bounds(estimate_moments(data), a)
+                # repr tells -0.0 from 0.0 and prints floats exactly: bit for bit.
+                assert {name: repr(value.item()) for name, value in result.aggregate.items()} == {
+                    name: repr(getattr(unconditional, name)) for name in result.aggregate
+                }
+                assert result.weight.tolist() == [1.0]
 
     def test_two_equal_strata_average(self):
         # Two equal-size strata: the aggregate must be the plain average
@@ -144,18 +153,19 @@ class TestEstimateStratified:
         other = [[0, 2, 0], [0, 2, 0]]
         data = Dataset(labels=("x", "z"), counts=[base, other])
         result = estimate_stratified(data, AssumptionSet.A1_5)
-        bx = result.per_stratum["x"].bounds
-        bz = result.per_stratum["z"].bounds
-        assert result.per_stratum["x"].weight == 0.5
-        assert result.aggregate.lb == pytest.approx(0.5 * bx.lb + 0.5 * bz.lb)
-        assert result.aggregate.ub == pytest.approx(0.5 * bx.ub + 0.5 * bz.ub)
+        (bx_lb, bz_lb), (bx_ub, bz_ub) = result.strata["lb"], result.strata["ub"]
+        assert result.weight[0] == 0.5
+        assert result.aggregate["lb"] == pytest.approx(0.5 * bx_lb + 0.5 * bz_lb)
+        assert result.aggregate["ub"] == pytest.approx(0.5 * bx_ub + 0.5 * bz_ub)
 
     def test_dropped_strata_renormalize(self):
         bad = [[0, 0, 0], [1, 1, 0]]  # no control units
-        result = estimate_stratified(Dataset(labels=("g", "b"), counts=[FOUR_TABLE, bad]), AssumptionSet.A1_3)
-        assert [name for name, _ in result.dropped] == ["b"]
-        assert "no control units" in result.dropped[0][1]
-        assert result.per_stratum["g"].weight == 1.0
+        data = Dataset(labels=("g", "b"), counts=[FOUR_TABLE, bad])
+        result = estimate_stratified(data, AssumptionSet.A1_3)
+        dropped = [(name, EMPTY_CELLS[i]) for name, i in zip(data.labels, result.empty) if i >= 0]
+        assert [name for name, _ in dropped] == ["b"]
+        assert "no control units" in dropped[0][1]
+        assert result.weight[data.labels.index("g")] == 1.0
 
     def test_all_strata_dropped_errors(self):
         bad = [[0, 0, 0], [1, 1, 0]]
@@ -168,7 +178,7 @@ class TestEstimateStratified:
         weights = {name: 1.0 / 5 for name in joints}
         data = sample_stratified_dataset(joints, weights, 4000, rng)
         result = estimate_stratified(data, AssumptionSet.A1_5)
-        assert sum(r.weight for r in result.per_stratum.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(result.weight) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooling_invariance_with_identical_strata(self):
         # All strata share one data-generating process, so the stratified
@@ -180,16 +190,16 @@ class TestEstimateStratified:
         data = sample_stratified_dataset(joints, weights, 40_000, rng)
         stratified = estimate_stratified(data, AssumptionSet.A1_5).aggregate
         unconditional = compute_bounds(estimate_moments(data), AssumptionSet.A1_5)
-        assert stratified.lb == pytest.approx(unconditional.lb, abs=0.02)
-        assert stratified.ub == pytest.approx(unconditional.ub, abs=0.02)
+        assert stratified["lb"] == pytest.approx(unconditional.lb, abs=0.02)
+        assert stratified["ub"] == pytest.approx(unconditional.ub, abs=0.02)
 
     def test_synthetic_multi_stratum_aggregate_matches_truth(self):
         joints, weights, truth = build_stratified_fixture(seed=12)
         data = sample_stratified_dataset(joints, weights, 50_000, np.random.default_rng(20_001))
         result = estimate_stratified(data, AssumptionSet.A1_5)
         truth_lb, truth_ub = truth[AssumptionSet.A1_5]
-        assert result.aggregate.lb == pytest.approx(truth_lb, abs=0.01)
-        assert result.aggregate.ub == pytest.approx(truth_ub, abs=0.01)
+        assert result.aggregate["lb"] == pytest.approx(truth_lb, abs=0.01)
+        assert result.aggregate["ub"] == pytest.approx(truth_ub, abs=0.01)
 
 
 def test_moments_from_counts_matches_record_path():
@@ -285,14 +295,3 @@ def test_property_stacked_tables_match_scalar_path(stack, a):
         for name, values in fit.aggregate.items():
             assert values[b] == getattr(aggregate, name), name
 
-        labels = [f"s{k}" for k in range(len(tables))]
-        if not per_stratum:
-            with pytest.raises(ValueError, match="every stratum was dropped"):
-                stratified_from_counts(labels, tables, a)
-            continue
-        result = stratified_from_counts(labels, tables, a)
-        assert result.aggregate == aggregate
-        assert result.dropped == [(labels[k], reason) for k, reason in dropped]
-        assert {name: (r.bounds, r.weight, r.n) for name, r in result.per_stratum.items()} == {
-            labels[k]: row for k, row in per_stratum.items()
-        }
