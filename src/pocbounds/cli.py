@@ -213,16 +213,16 @@ def _ci_dict(intervals: EndpointIntervals | None) -> dict:
 def _group_block(data: Dataset, requested: tuple[AssumptionSet, ...], boot_args: dict) -> dict:
     """Bounds and percentile intervals of ``data``'s aggregate and retained strata, per set.
 
-    One :func:`estimate_stratified` call per set and one bootstrap serve
-    every set; each field is read straight off the fitted arrays.
+    One :func:`estimate_stratified` call and one bootstrap serve every
+    set, and the drops and weights are shared by all of them; each field
+    is read straight off the fitted arrays.
     """
-    fits = {a: estimate_stratified(data, a) for a in requested}
+    fit = estimate_stratified(data, requested)
     boot = bootstrap_bounds(data, requested, **boot_args)
-    empty = fits[requested[0]].empty  # which strata drop does not depend on the set
     sets = {}
-    for a, fit in fits.items():
+    for a in requested:
         aggregate = {
-            **{name: value.item() for name, value in fit.aggregate.items()},
+            **{name: value.item() for name, value in fit.aggregate[a].items()},
             **_ci_dict(boot.aggregate[a]),
             "failed_replicates": boot.failed_replicates,
         }
@@ -231,17 +231,17 @@ def _group_block(data: Dataset, requested: tuple[AssumptionSet, ...], boot_args:
                 "stratum": label,
                 "n": int(data.counts[k].sum()),
                 "weight": fit.weight[k].item(),
-                "lb": fit.strata["lb"][k].item(),
-                "ub": fit.strata["ub"][k].item(),
+                "lb": fit.strata[a]["lb"][k].item(),
+                "ub": fit.strata[a]["ub"][k].item(),
                 **_ci_dict(boot.per_stratum[a][label]),
             }
             for k, label in enumerate(data.labels)
-            if empty[k] < 0
+            if fit.empty[k] < 0
         ]
         sets[a.value] = {"aggregate": aggregate, "per_stratum": rows}
     return {
         "sets": sets,
-        "dropped": [[label, EMPTY_CELLS[i]] for label, i in zip(data.labels, empty) if i >= 0],
+        "dropped": [[label, EMPTY_CELLS[i]] for label, i in zip(data.labels, fit.empty) if i >= 0],
         "n_strata": len(data.labels),
     }
 
@@ -301,17 +301,10 @@ def run_analysis(cfg: RunConfig) -> Report:
         "assumption_sets": [a.value for a in requested],
         "direction_note": DIRECTION_NOTE,
     }
-    moments_block = {
-        "p_y1_s1d1": moments.p_y1_s1d1,
-        "p_y0_s1d0": moments.p_y0_s1d0,
-        "p_s1_d1": moments.p_s1_d1,
-        "p_s1_d0": moments.p_s1_d0,
-        "p_d1": moments.p_d1,
-    }
     return Report(
         schema_version="1",
         provenance=provenance,
-        moments=moments_block,
+        moments=asdict(moments),
         restriction_tests=restriction_tests,
         unconditional=unconditional,
         stratified=stratified_block,

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -162,40 +162,44 @@ def estimate_moments(data: Dataset) -> ObservedMoments:
 StratifiedFields = namedtuple("StratifiedFields", "empty weight strata aggregate")
 
 
-def stratified_fields(counts: np.ndarray, a: AssumptionSet) -> StratifiedFields:
-    """Stratified bounds under ``a`` of count tables ``[..., strata, 2, 3]``, as a ``StratifiedFields``.
+def stratified_fields(counts: np.ndarray, sets: Iterable[AssumptionSet]) -> StratifiedFields:
+    """Stratified bounds under each of ``sets`` of count tables ``[..., strata, 2, 3]``, as a ``StratifiedFields``.
 
-    ``empty`` indexes each stratum's :data:`EMPTY_CELLS` reason, -1 if it is
-    retained; ``weight`` is its share of the retained records, 0 if dropped.
-    ``strata`` maps each :func:`~pocbounds.bounds.bound_fields` field to
-    ``[..., strata]`` (meaningless where dropped); ``aggregate`` to ``[...]``,
-    adding endpoints in table order from 0 as Python's ``sum`` does, with
-    each flag the disjunction over the retained strata.
+    The moments, the drops and the weights do not depend on the set, so
+    they are computed once and shared: ``empty`` indexes each stratum's
+    :data:`EMPTY_CELLS` reason, -1 if it is retained; ``weight`` is its
+    share of the retained records, 0 if dropped.  ``strata[a]`` maps each
+    :func:`~pocbounds.bounds.bound_fields` field under set ``a`` to
+    ``[..., strata]`` (meaningless where dropped); ``aggregate[a]`` to
+    ``[...]``, adding endpoints in table order from 0 as Python's ``sum``
+    does, with each flag the disjunction over the retained strata.
     """
     empty, moments = _proportions(counts)
     dropped = empty.any(axis=-1)
     n = np.where(dropped, 0, counts.sum(axis=(-2, -1)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        strata = bound_fields(moments, a)
+        strata = {a: bound_fields(moments, a) for a in sets}
         weight = np.where(dropped, 0.0, n / n.sum(axis=-1, keepdims=True))
-    aggregate = {
-        name: sum(np.moveaxis(weight * np.where(dropped, 0.0, strata[name]), -1, 0))
-        for name in ("lb", "ub", "lb_raw", "ub_raw")
-    }
-    for name in ("lb_clipped", "ub_clipped", "restriction_violated"):
-        aggregate[name] = (strata[name] & ~dropped).any(axis=-1)
-    aggregate["crossed"] = aggregate["lb"] > aggregate["ub"]
+    aggregate = {}
+    for a, fields in strata.items():
+        totals = aggregate[a] = {
+            name: sum(np.moveaxis(weight * np.where(dropped, 0.0, fields[name]), -1, 0))
+            for name in ("lb", "ub", "lb_raw", "ub_raw")
+        }
+        for name in ("lb_clipped", "ub_clipped", "restriction_violated"):
+            totals[name] = (fields[name] & ~dropped).any(axis=-1)
+        totals["crossed"] = totals["lb"] > totals["ub"]
     return StratifiedFields(np.where(dropped, empty.argmax(axis=-1), -1), weight, strata, aggregate)
 
 
-def estimate_stratified(data: Dataset, a: AssumptionSet) -> StratifiedFields:
-    """:func:`stratified_fields` of ``data``'s table: each stratum's bounds and their aggregate.
+def estimate_stratified(data: Dataset, sets: Iterable[AssumptionSet]) -> StratifiedFields:
+    """:func:`stratified_fields` of ``data``'s table: each stratum's bounds and their aggregate, per set.
 
     A stratum labelled ``None`` is estimated like any other, so the pooled
     estimate is this fit of the one-stratum table.  Raises ``ValueError``
     when every stratum is dropped.
     """
-    fit = stratified_fields(data.counts, a)
+    fit = stratified_fields(data.counts, sets)
     if (fit.empty >= 0).all():
         raise ValueError("every stratum was dropped; no estimable stratum remains")
     return fit

@@ -24,8 +24,9 @@ evaluation order or parallelism.  One draw per replicate serves every
 assumption set and every stratum, so a stratum's intervals are marginals
 of the stratified draw.  Resampling is realized by multinomial draws over
 the cell counts, which is the exact distribution of record resampling
-aggregated to the sufficient statistics the estimators consume.  Each set
-scores the stacked draws with the point estimator's own array code.
+aggregated to the sufficient statistics the estimators consume.  One call
+of the point estimator's own array code scores the stacked draws under
+every set, on moments, drops and weights computed once.
 """
 
 from __future__ import annotations
@@ -206,8 +207,6 @@ class BootstrapResult:
     aggregate: dict[AssumptionSet, EndpointIntervals]
     per_stratum: dict[AssumptionSet, dict[str | None, EndpointIntervals | None]]
     replications: int
-    level: float
-    seed: int
     failed_replicates: int
 
 
@@ -221,8 +220,9 @@ def bootstrap_bounds(
     """Empirical-bootstrap percentile intervals for the bound endpoints of ``sets``.
 
     Replicate ``r`` resamples every stratum of ``data`` at its own size from
-    substream ``(seed, r)``; the draws are stacked and every set scores them
-    all with one :func:`~pocbounds.estimation.stratified_fields` call.
+    substream ``(seed, r)``; the draws are stacked and one
+    :func:`~pocbounds.estimation.stratified_fields` call scores them all
+    under every set.
     For the pooled sample, pass ``Dataset(labels=(None,), counts=cell_counts(data))``.
     Replicates that drop every stratum on an empty cell are excluded and
     counted in ``failed_replicates``; resampling until success would bias
@@ -243,10 +243,8 @@ def bootstrap_bounds(
     # One multinomial per stratum, in label order, from substream (seed, r).
     children = np.random.SeedSequence(seed).spawn(reps)
     draws = np.stack([np.random.default_rng(child).multinomial(sizes, probs) for child in children])
-    fits = {a: stratified_fields(draws.reshape(reps, len(sizes), 2, 3), a) for a in sets}
-
-    # Which strata drop does not depend on the set.
-    dropped = fits[sets[0]].empty >= 0
+    fit = stratified_fields(draws.reshape(reps, len(sizes), 2, 3), sets)
+    dropped = fit.empty >= 0
     failed = dropped.all(axis=1)
     if failed.sum() > reps // 2:
         raise ValueError(UNSTABLE)
@@ -260,13 +258,11 @@ def bootstrap_bounds(
         return EndpointIntervals(ci_lb=(float(lo[0]), float(hi[0])), ci_ub=(float(lo[1]), float(hi[1])))
 
     return BootstrapResult(
-        aggregate={a: percentile(fit.aggregate, failed) for a, fit in fits.items()},
+        aggregate={a: percentile(fields, failed) for a, fields in fit.aggregate.items()},
         per_stratum={
-            a: {label: percentile(fit.strata, dropped, np.s_[:, k]) for k, label in enumerate(data.labels)}
-            for a, fit in fits.items()
+            a: {label: percentile(fields, dropped, np.s_[:, k]) for k, label in enumerate(data.labels)}
+            for a, fields in fit.strata.items()
         },
         replications=reps,
-        level=level,
-        seed=seed,
         failed_replicates=int(failed.sum()),
     )

@@ -19,6 +19,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import pocbounds.cli as cli
+import pocbounds.estimation as estimation
+import pocbounds.inference as inference
 from pocbounds.bounds import AssumptionSet
 from pocbounds.cli import (
     ConfigError,
@@ -518,22 +520,35 @@ class TestMainExitCodes:
         ])
         assert code == 0
 
-    @pytest.mark.parametrize(("flag", "calls"), [("--stratified", 2), ("--no-stratified", 1)])
-    def test_one_bootstrap_per_group(self, fixture_csv, tmp_path, monkeypatch, flag, calls):
-        original = cli.bootstrap_bounds
-        seen = []
+    # Per group: one bootstrap, and one kernel call each for the point fit
+    # and the bootstrap, whatever the number of sets.
+    @pytest.mark.parametrize(
+        ("flag", "calls", "kernel_calls"),
+        [
+            pytest.param("--stratified", 2, 4, id="--stratified-2"),
+            pytest.param("--no-stratified", 1, 2, id="--no-stratified-1"),
+        ],
+    )
+    def test_one_bootstrap_per_group(self, fixture_csv, tmp_path, monkeypatch, flag, calls, kernel_calls):
+        seen = {"bootstrap_bounds": 0, "stratified_fields": 0}
 
-        def counting(*args, **kwargs):
-            seen.append(args)
-            return original(*args, **kwargs)
+        def counting(name, original):
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "bootstrap_bounds", counting)
+            return wrapper
+
+        monkeypatch.setattr(cli, "bootstrap_bounds", counting("bootstrap_bounds", cli.bootstrap_bounds))
+        # Both lookup sites of the kernel: estimate_stratified's and bootstrap_bounds'.
+        for module in (estimation, inference):
+            monkeypatch.setattr(module, "stratified_fields", counting("stratified_fields", module.stratified_fields))
         code = main([
             "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",
             "--stratum-col", "course", flag, "--reps", "4", "--output", str(tmp_path / "r.json"),
         ])
         assert code == 0
-        assert len(seen) == calls
+        assert seen == {"bootstrap_bounds": calls, "stratified_fields": kernel_calls}
 
     def test_json_stdout_round_trips(self, fixture_csv, capsys):
         code = main([

@@ -126,23 +126,23 @@ class TestEstimateStratified:
         data = Dataset(labels=("a", None), counts=[[[1, 2, 2], [3, 1, 1]], [[2, 3, 1], [4, 1, 2]]])
         assert data.labels == (None, "a")
         for a in ASSUMPTION_ORDER:
-            fit = estimate_stratified(data, a)
+            fit = estimate_stratified(data, [a])
             per_stratum, dropped, aggregate = scalar_stratified(data.counts, a)
             assert dropped == [] and fit.empty.tolist() == [-1, -1]
             for k, (bounds, weight, _) in per_stratum.items():
                 assert fit.weight[k] == weight
-                assert fit.strata["lb"][k] == bounds.lb and fit.strata["ub"][k] == bounds.ub
-            assert fit.aggregate["lb"] == aggregate.lb and fit.aggregate["ub"] == aggregate.ub
+                assert fit.strata[a]["lb"][k] == bounds.lb and fit.strata[a]["ub"][k] == bounds.ub
+            assert fit.aggregate[a]["lb"] == aggregate.lb and fit.aggregate[a]["ub"] == aggregate.ub
 
     def test_single_stratum_matches_unconditional(self):
         for table in (FOUR_TABLE, [[3, 5, 2], [6, 2, 4]], [[1, 4, 0], [5, 0, 0]]):
             data = Dataset(labels=("only",), counts=[table])
             for a in ASSUMPTION_ORDER:
-                result = estimate_stratified(data, a)
+                result = estimate_stratified(data, [a])
                 unconditional = compute_bounds(estimate_moments(data), a)
                 # repr tells -0.0 from 0.0 and prints floats exactly: bit for bit.
-                assert {name: repr(value.item()) for name, value in result.aggregate.items()} == {
-                    name: repr(getattr(unconditional, name)) for name in result.aggregate
+                assert {name: repr(value.item()) for name, value in result.aggregate[a].items()} == {
+                    name: repr(getattr(unconditional, name)) for name in result.aggregate[a]
                 }
                 assert result.weight.tolist() == [1.0]
 
@@ -152,32 +152,37 @@ class TestEstimateStratified:
         base = [[1, 1, 0], [1, 1, 0]]
         other = [[0, 2, 0], [0, 2, 0]]
         data = Dataset(labels=("x", "z"), counts=[base, other])
-        result = estimate_stratified(data, AssumptionSet.A1_5)
-        (bx_lb, bz_lb), (bx_ub, bz_ub) = result.strata["lb"], result.strata["ub"]
+        a = AssumptionSet.A1_5
+        result = estimate_stratified(data, [a])
+        (bx_lb, bz_lb), (bx_ub, bz_ub) = result.strata[a]["lb"], result.strata[a]["ub"]
         assert result.weight[0] == 0.5
-        assert result.aggregate["lb"] == pytest.approx(0.5 * bx_lb + 0.5 * bz_lb)
-        assert result.aggregate["ub"] == pytest.approx(0.5 * bx_ub + 0.5 * bz_ub)
+        assert result.aggregate[a]["lb"] == pytest.approx(0.5 * bx_lb + 0.5 * bz_lb)
+        assert result.aggregate[a]["ub"] == pytest.approx(0.5 * bx_ub + 0.5 * bz_ub)
 
     def test_dropped_strata_renormalize(self):
         bad = [[0, 0, 0], [1, 1, 0]]  # no control units
         data = Dataset(labels=("g", "b"), counts=[FOUR_TABLE, bad])
-        result = estimate_stratified(data, AssumptionSet.A1_3)
+        result = estimate_stratified(data, [AssumptionSet.A1_3])
         dropped = [(name, EMPTY_CELLS[i]) for name, i in zip(data.labels, result.empty) if i >= 0]
         assert [name for name, _ in dropped] == ["b"]
         assert "no control units" in dropped[0][1]
         assert result.weight[data.labels.index("g")] == 1.0
+        # Drops and weights do not depend on the set: every request shares them.
+        every = estimate_stratified(data, ASSUMPTION_ORDER)
+        assert every.empty.tolist() == result.empty.tolist()
+        assert every.weight.tolist() == result.weight.tolist()
 
     def test_all_strata_dropped_errors(self):
         bad = [[0, 0, 0], [1, 1, 0]]
         with pytest.raises(ValueError, match="every stratum was dropped"):
-            estimate_stratified(Dataset(labels=("b",), counts=[bad]), AssumptionSet.A1_3)
+            estimate_stratified(Dataset(labels=("b",), counts=[bad]), [AssumptionSet.A1_3])
 
     def test_weights_sum_to_one(self):
         rng = np.random.default_rng(63)
         joints = {f"s{k}": draw_latent_joint(AssumptionSet.A1_5, rng) for k in range(5)}
         weights = {name: 1.0 / 5 for name in joints}
         data = sample_stratified_dataset(joints, weights, 4000, rng)
-        result = estimate_stratified(data, AssumptionSet.A1_5)
+        result = estimate_stratified(data, [AssumptionSet.A1_5])
         assert sum(result.weight) == pytest.approx(1.0, abs=1e-12)
 
     def test_pooling_invariance_with_identical_strata(self):
@@ -188,7 +193,7 @@ class TestEstimateStratified:
         joints = {f"s{k}": joint for k in range(4)}
         weights = {name: 0.25 for name in joints}
         data = sample_stratified_dataset(joints, weights, 40_000, rng)
-        stratified = estimate_stratified(data, AssumptionSet.A1_5).aggregate
+        stratified = estimate_stratified(data, [AssumptionSet.A1_5]).aggregate[AssumptionSet.A1_5]
         unconditional = compute_bounds(estimate_moments(data), AssumptionSet.A1_5)
         assert stratified["lb"] == pytest.approx(unconditional.lb, abs=0.02)
         assert stratified["ub"] == pytest.approx(unconditional.ub, abs=0.02)
@@ -196,10 +201,10 @@ class TestEstimateStratified:
     def test_synthetic_multi_stratum_aggregate_matches_truth(self):
         joints, weights, truth = build_stratified_fixture(seed=12)
         data = sample_stratified_dataset(joints, weights, 50_000, np.random.default_rng(20_001))
-        result = estimate_stratified(data, AssumptionSet.A1_5)
+        aggregate = estimate_stratified(data, [AssumptionSet.A1_5]).aggregate[AssumptionSet.A1_5]
         truth_lb, truth_ub = truth[AssumptionSet.A1_5]
-        assert result.aggregate["lb"] == pytest.approx(truth_lb, abs=0.01)
-        assert result.aggregate["ub"] == pytest.approx(truth_ub, abs=0.01)
+        assert aggregate["lb"] == pytest.approx(truth_lb, abs=0.01)
+        assert aggregate["ub"] == pytest.approx(truth_ub, abs=0.01)
 
 
 def test_moments_from_counts_matches_record_path():
@@ -281,17 +286,18 @@ def table_stacks(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(table_stacks(), st.sampled_from(ASSUMPTION_ORDER))
-def test_property_stacked_tables_match_scalar_path(stack, a):
-    fit = stratified_fields(stack, a)
-    for b, tables in enumerate(stack):
-        per_stratum, dropped, aggregate = scalar_stratified(tables, a)
-        assert [(k, EMPTY_CELLS[i]) for k, i in enumerate(fit.empty[b]) if i >= 0] == dropped
-        assert [k for k in range(len(tables)) if fit.weight[b, k] == 0.0] == [k for k, _ in dropped]
-        for k, (bounds, weight, _) in per_stratum.items():
-            assert fit.weight[b, k] == weight
-            for name, values in fit.strata.items():
-                assert values[b, k] == getattr(bounds, name), name
-        for name, values in fit.aggregate.items():
-            assert values[b] == getattr(aggregate, name), name
+@given(table_stacks())
+def test_property_stacked_tables_match_scalar_path(stack):
+    fit = stratified_fields(stack, ASSUMPTION_ORDER)
+    for a in ASSUMPTION_ORDER:
+        for b, tables in enumerate(stack):
+            per_stratum, dropped, aggregate = scalar_stratified(tables, a)
+            assert [(k, EMPTY_CELLS[i]) for k, i in enumerate(fit.empty[b]) if i >= 0] == dropped
+            assert [k for k in range(len(tables)) if fit.weight[b, k] == 0.0] == [k for k, _ in dropped]
+            for k, (bounds, weight, _) in per_stratum.items():
+                assert fit.weight[b, k] == weight
+                for name, values in fit.strata[a].items():
+                    assert values[b, k] == getattr(bounds, name), name
+            for name, values in fit.aggregate[a].items():
+                assert values[b] == getattr(aggregate, name), name
 

@@ -1,11 +1,19 @@
-"""Every import in the package is used, re-exported in ``__all__``, or marked ``# noqa: F401``."""
+"""Every import in the package is used, re-exported in ``__all__``, or marked ``# noqa: F401``.
+
+The benchmark's tracer looks names up in the package, so they are checked here too.
+"""
 
 import ast
+import dataclasses
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "pocbounds").glob("*.py"))
+from pocbounds.inference import BootstrapResult
+
+REPO = Path(__file__).resolve().parents[1]
+SOURCES = sorted((REPO / "src" / "pocbounds").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,3 +49,15 @@ def test_checker_flags_a_dead_import():
     source = "from typing import NamedTuple, Sequence\nfrom x import y  # noqa: F401\n\nclass T(NamedTuple):\n    a: int\n"
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unused_imports("import os.path\nos.sep\n__all__ = ['json']\nimport json\n") == []
+
+
+def test_benchmark_tracer_names_exist():
+    # Tier-1 does not run the benchmark, whose tracer fails to install when a
+    # name it patches is gone; its module imports the standard library only.
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(owner, attr) for owner, attr, _ in tracer.SPANNED + tracer.COUNTED]
+    assert [f"{owner}.{attr}" for owner, attr in names if not hasattr(tracer._resolve(owner), attr)] == []
+    # Its replicate counters read these fields off every bootstrap result.
+    assert {"replications", "failed_replicates"} <= {f.name for f in dataclasses.fields(BootstrapResult)}
