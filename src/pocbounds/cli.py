@@ -5,7 +5,10 @@ Treatment and selection columns must contain 0/1; the outcome column must
 contain 0/1 for selected rows and be empty for unselected rows (the
 outcome of an unselected unit is censored).  An optional stratum column is
 read as an opaque string id with surrounding whitespace stripped, so
-``" b"`` and ``"b"`` are one stratum.
+``" b"`` and ``"b"`` are one stratum.  A row's validity depends only on
+its field count and its mapped tokens, so :func:`load_csv` checks each
+distinct token tuple once, on its first row, and its memory grows with
+distinct tuples, not rows.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
@@ -21,6 +24,7 @@ import argparse
 import csv
 import hashlib
 import json
+import operator
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -106,12 +110,19 @@ class Report:
 
 
 def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
-    """Count the microdata rows into a table; row numbers count the header as row 1."""
+    """Count the microdata rows into a table; row numbers count the header as row 1.
+
+    A row's validity depends only on its field count and its mapped (d, s,
+    y[, stratum]) tokens, so each distinct token tuple is checked once, on
+    the first row that holds it, and memory grows with distinct tuples, not
+    rows.
+    """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
         raise ConfigError(f"duplicate column mapping: {named}")
     path = Path(path)
-    tally: dict[str | None, list[int]] = {}
+    # Mapped-token tuple -> [stratum, table position, rows holding it].
+    cells: dict[tuple[str, ...], list] = {}
     row_number = 0
     try:
         # Undecodable bytes become lone surrogates, which _checked_lines
@@ -123,7 +134,7 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
                 raise CsvFormatError(f"{path}: empty file, header row required")
             row_number = 1
             header = [h.strip() for h in header]
-            positions: dict[str, int | None] = {"stratum": None}
+            positions: dict[str, int] = {}
             for role in ("y", "s", "d", "stratum"):
                 name = mapping.get(role)
                 if name is None:
@@ -135,45 +146,54 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
                         f"{path}: column {name!r} appears {header.count(name)} times in header {header}"
                     )
                 positions[role] = header.index(name)
-            y_pos, s_pos, d_pos, stratum_pos = (positions[r] for r in ("y", "s", "d", "stratum"))
+            key_of = operator.itemgetter(*(positions[r] for r in ("d", "s", "y", "stratum") if r in positions))
+            width = len(header)
 
             for row_number, row in enumerate(reader, start=2):
                 if not row:  # a blank line
                     continue
-                if len(row) != len(header):
-                    raise CsvFormatError(
-                        f"{path}: row {row_number} has {len(row)} fields, header has {len(header)}"
-                    )
-                d = _parse_binary(row[d_pos], mapping["d"], row_number, path)
-                s = _parse_binary(row[s_pos], mapping["s"], row_number, path)
-                y_token = row[y_pos].strip()
-                if y_token == "":
-                    y = None
-                    if s == 1:
-                        raise CsvFormatError(
-                            f"{path}: missing outcome in column {mapping['y']!r} at row "
-                            f"{row_number} although s=1"
-                        )
-                else:
-                    y = _parse_binary(y_token, mapping["y"], row_number, path)
-                    if s == 0:
-                        raise CsvFormatError(
-                            f"{path}: outcome present in column {mapping['y']!r} at row "
-                            f"{row_number} although s=0 (censored outcomes must be empty)"
-                        )
-                stratum = None if stratum_pos is None else row[stratum_pos].strip()
-                table = tally.get(stratum)
-                if table is None:
-                    table = tally[stratum] = [0] * 6
-                table[table_position(d, s, y)] += 1
+                if len(row) != width:
+                    raise CsvFormatError(f"{path}: row {row_number} has {len(row)} fields, header has {width}")
+                key = key_of(row)
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = [*_cell(key, mapping, row_number, path), 0]
+                cell[2] += 1
     except UnicodeError:
         raise CsvFormatError(f"{path}: row {row_number + 1} is not valid UTF-8") from None
     except csv.Error as err:
         raise CsvFormatError(f"{path}: row {row_number + 1}: {err}") from None
 
-    if not tally:
+    if not cells:
         raise CsvFormatError(f"{path}: no data rows")
+    tally: dict[str | None, list[int]] = {}
+    for stratum, position, rows in cells.values():
+        tally.setdefault(stratum, [0] * 6)[position] += rows
     return Dataset(labels=tuple(tally), counts=list(tally.values()))
+
+
+def _cell(
+    key: tuple[str, ...], mapping: dict[str, str | None], row_number: int, path: Path
+) -> tuple[str | None, int]:
+    """Check one row's mapped (d, s, y[, stratum]) tokens; return its stratum and table position."""
+    d = _parse_binary(key[0], mapping["d"], row_number, path)
+    s = _parse_binary(key[1], mapping["s"], row_number, path)
+    y_token = key[2].strip()
+    if y_token == "":
+        y = None
+        if s == 1:
+            raise CsvFormatError(
+                f"{path}: missing outcome in column {mapping['y']!r} at row {row_number} although s=1"
+            )
+    else:
+        y = _parse_binary(y_token, mapping["y"], row_number, path)
+        if s == 0:
+            raise CsvFormatError(
+                f"{path}: outcome present in column {mapping['y']!r} at row "
+                f"{row_number} although s=0 (censored outcomes must be empty)"
+            )
+    stratum = key[3].strip() if len(key) > 3 else None
+    return stratum, table_position(d, s, y)
 
 
 def _checked_lines(handle):
@@ -190,6 +210,15 @@ def _parse_binary(token: str, column: str, row_number: int, path: Path) -> int:
     if token == "1":
         return 1
     raise CsvFormatError(f"{path}: non-binary value {token!r} in column {column!r} at row {row_number}")
+
+
+def _sha256(path: str | Path) -> str:
+    """Hex digest of the file, read 1 MiB at a time so it never sits in memory whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _finite_or_none(value: float) -> float | None:
@@ -257,7 +286,7 @@ def run_analysis(cfg: RunConfig) -> Report:
     per group serve every set.
     """
     data = load_csv(cfg.input_path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
-    digest = hashlib.sha256(Path(cfg.input_path).read_bytes()).hexdigest()
+    digest = _sha256(cfg.input_path)
 
     moments = estimate_moments(data)
     requested = tuple(a for a in ASSUMPTION_ORDER if a in cfg.assumption_sets)

@@ -2,15 +2,21 @@
 
 Everything in here is deliberately kept independent of the code paths it
 checks: the moment inversion solves the bound equations by hand-derived
-algebra, and the moment/joint samplers use only the model's permitted-cell
-patterns.
+algebra, the moment/joint samplers use only the model's permitted-cell
+patterns, and the reference CSV loader checks and counts every row on its
+own.
 """
 
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import numpy as np
 
 from pocbounds import AssumptionSet, ObservedMoments
+from pocbounds.cli import ConfigError, CsvFormatError
+from pocbounds.estimation import Dataset, table_position
 
 #: Published point bounds the fixture moments must reproduce.
 TABLE_UB1 = 0.609
@@ -164,3 +170,94 @@ def build_stratified_fixture(seed: int, n_strata: int = 10):
         )
         truth[a] = (lb, ub)
     return joints, weights, truth
+
+
+def reference_load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
+    """Per-row loader the command line's ``load_csv`` must match: the same table or the same error.
+
+    Every row runs every token check and is counted on its own.  Row
+    numbers count the header as row 1.
+    """
+    named = [name for name in mapping.values() if name is not None]
+    if len(set(named)) != len(named):
+        raise ConfigError(f"duplicate column mapping: {named}")
+    path = Path(path)
+    tally: dict[str | None, list[int]] = {}
+    row_number = 0
+    try:
+        # Undecodable bytes become lone surrogates, which _checked_lines
+        # rejects line by line, so the error names the row that holds them.
+        with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
+            reader = csv.reader(_checked_lines(handle))
+            header = next(reader, None)
+            if header is None:
+                raise CsvFormatError(f"{path}: empty file, header row required")
+            row_number = 1
+            header = [h.strip() for h in header]
+            positions: dict[str, int | None] = {"stratum": None}
+            for role in ("y", "s", "d", "stratum"):
+                name = mapping.get(role)
+                if name is None:
+                    continue
+                if name not in header:
+                    raise CsvFormatError(f"{path}: column {name!r} not found in header {header}")
+                if header.count(name) > 1:
+                    raise CsvFormatError(
+                        f"{path}: column {name!r} appears {header.count(name)} times in header {header}"
+                    )
+                positions[role] = header.index(name)
+            y_pos, s_pos, d_pos, stratum_pos = (positions[r] for r in ("y", "s", "d", "stratum"))
+
+            for row_number, row in enumerate(reader, start=2):
+                if not row:  # a blank line
+                    continue
+                if len(row) != len(header):
+                    raise CsvFormatError(
+                        f"{path}: row {row_number} has {len(row)} fields, header has {len(header)}"
+                    )
+                d = _parse_binary(row[d_pos], mapping["d"], row_number, path)
+                s = _parse_binary(row[s_pos], mapping["s"], row_number, path)
+                y_token = row[y_pos].strip()
+                if y_token == "":
+                    y = None
+                    if s == 1:
+                        raise CsvFormatError(
+                            f"{path}: missing outcome in column {mapping['y']!r} at row "
+                            f"{row_number} although s=1"
+                        )
+                else:
+                    y = _parse_binary(y_token, mapping["y"], row_number, path)
+                    if s == 0:
+                        raise CsvFormatError(
+                            f"{path}: outcome present in column {mapping['y']!r} at row "
+                            f"{row_number} although s=0 (censored outcomes must be empty)"
+                        )
+                stratum = None if stratum_pos is None else row[stratum_pos].strip()
+                table = tally.get(stratum)
+                if table is None:
+                    table = tally[stratum] = [0] * 6
+                table[table_position(d, s, y)] += 1
+    except UnicodeError:
+        raise CsvFormatError(f"{path}: row {row_number + 1} is not valid UTF-8") from None
+    except csv.Error as err:
+        raise CsvFormatError(f"{path}: row {row_number + 1}: {err}") from None
+
+    if not tally:
+        raise CsvFormatError(f"{path}: no data rows")
+    return Dataset(labels=tuple(tally), counts=list(tally.values()))
+
+
+def _checked_lines(handle):
+    for line in handle:
+        if not line.isascii():
+            line.encode("utf-8")  # raises UnicodeEncodeError on an escaped byte
+        yield line
+
+
+def _parse_binary(token: str, column: str, row_number: int, path: Path) -> int:
+    token = token.strip()
+    if token == "0":
+        return 0
+    if token == "1":
+        return 1
+    raise CsvFormatError(f"{path}: non-binary value {token!r} in column {column!r} at row {row_number}")

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import pocbounds.cli as cli
 import pocbounds.estimation as estimation
 import pocbounds.inference as inference
+from _oracles import reference_load_csv
 from pocbounds.bounds import AssumptionSet
 from pocbounds.cli import (
     ConfigError,
@@ -53,9 +54,20 @@ class TestLoadCsv:
         assert data.counts.tolist() == [[[0, 1, 0], [1, 0, 1]]]
 
     def test_non_binary_token(self, tmp_path):
-        path = write(tmp_path, "y,s,d\n2,1,0\n")
-        with pytest.raises(CsvFormatError, match=r"non-binary value '2' in column 'y' at row 2"):
-            load_csv(path, MAPPING)
+        cases = (
+            ("y,s,d\n2,1,0\n", "non-binary value '2' in column 'y' at row 2"),
+            # Rows 2-4 share a valid tuple; the bad tuple is first seen at row 5 and repeats at row 7.
+            ("y,s,d\n1,1,1\n1,1,1\n1,1,1\n2,1,0\n1,1,1\n2,1,0\n", "non-binary value '2' in column 'y' at row 5"),
+            # Within a row, d is checked before s and s before y.
+            ("y,s,d\n1,1,1\nx,2,2\n", "non-binary value '2' in column 'd' at row 3"),
+            # A short row before the first bad tuple is the first invalid row.
+            ("y,s,d\n1,1,1\n0,1\n2,1,0\n", "row 3 has 2 fields, header has 3"),
+        )
+        for text, message in cases:
+            path = write(tmp_path, text)
+            with pytest.raises(CsvFormatError) as raised:
+                load_csv(path, MAPPING)
+            assert str(raised.value) == f"{path}: {message}"
 
     def test_missing_outcome_with_selection(self, tmp_path):
         path = write(tmp_path, "y,s,d\n1,1,1\n,1,0\n")
@@ -76,6 +88,19 @@ class TestLoadCsv:
         assert data.labels == ("a", "b")
         assert data.counts.tolist() == [
             [[0, 1, 0], [1, 1, 0]],
+            [[1, 0, 1], [0, 0, 1]],
+        ]
+        # Spelling variants (" 1" and "1", " a" and "a ") are one token: the
+        # last row joins row 2's cell and every "a" row joins one stratum.
+        path = write(
+            tmp_path,
+            "y,s,d,g\n1,1,1,a\n0,1,0, a\n,0,1,b\n 1,1,0,b\n0,1, 1,a \n,0, 0,b\n 1, 1,1, a\n",
+            "variants.csv",
+        )
+        data = load_csv(path, {**MAPPING, "stratum": "g"})
+        assert data.labels == ("a", "b")
+        assert data.counts.tolist() == [
+            [[0, 1, 0], [2, 1, 0]],
             [[1, 0, 1], [0, 0, 1]],
         ]
 
@@ -127,6 +152,17 @@ class TestLoadCsv:
         path.write_bytes(b"y,s,d,g\n1,1,1,a\n0,1,0,\xff\n")
         with pytest.raises(CsvFormatError, match="row 3 is not valid UTF-8"):
             load_csv(path, {**MAPPING, "stratum": "g"})
+
+    def test_each_token_tuple_checked_once(self, tmp_path, monkeypatch):
+        tuples = ["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"]
+        path = write(tmp_path, "y,s,d\n" + "\n".join(tuples * 500) + "\n")
+        calls = []
+        parse_binary = cli._parse_binary
+        monkeypatch.setattr(cli, "_parse_binary", lambda *args: calls.append(args) or parse_binary(*args))
+        data = load_csv(path, MAPPING)
+        assert data.counts.tolist() == [[[500, 500, 500], [500, 500, 500]]]
+        # At most the d, s and y checks for each of the 6 tuples, not for each of the 3,000 rows.
+        assert len(calls) <= 3 * len(tuples)
 
 
 ROWS = st.lists(
@@ -213,6 +249,24 @@ def test_main_on_arbitrary_csv_fails_cleanly(tmp_path, data, stratified):
         assert len(lines) == 1 and lines[0].startswith("pocbounds: ")
 
 
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes(), stratified=st.booleans())
+def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
+    """The same table, or the same error class and message (row number included)."""
+    path = tmp_path / "fuzz.csv"
+    path.write_bytes(data)
+    mapping = {**MAPPING, "stratum": "g" if stratified else None}
+    outcomes = []
+    for load in (load_csv, reference_load_csv):
+        try:
+            table = load(path, mapping)
+        except (ConfigError, CsvFormatError) as err:
+            outcomes.append((type(err), str(err)))
+        else:
+            outcomes.append((table.labels, table.counts.tolist()))
+    assert outcomes[0] == outcomes[1]
+
+
 class TestRunConfig:
     def test_duplicate_mapping_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="duplicate column mapping"):
@@ -287,11 +341,18 @@ class TestRunAnalysis:
         changed_path = tmp_path / "changed.csv"
         changed_path.write_bytes(original.replace(b"c1", b"c9", 1))
         base = dict(y_col="y", s_col="s", d_col="d", stratum_col="course", reps=10, seed=0)
+        # Trailing blank lines are skipped, so only the digest sees them; the file spans two 1 MiB chunks.
+        padded = original + b"\n" * 1_100_000
+        padded_path = tmp_path / "padded.csv"
+        padded_path.write_bytes(padded)
         digest_orig = run_analysis(RunConfig(input_path=str(fixture_csv), **base)).provenance
         digest_same = run_analysis(RunConfig(input_path=str(copy_path), **base)).provenance
         digest_diff = run_analysis(RunConfig(input_path=str(changed_path), **base)).provenance
-        assert digest_same["input_sha256"] == digest_orig["input_sha256"]
+        digest_padded = run_analysis(RunConfig(input_path=str(padded_path), **base)).provenance
+        assert digest_same["input_sha256"] == digest_orig["input_sha256"] == hashlib.sha256(original).hexdigest()
         assert digest_same["input_sha256"] != digest_diff["input_sha256"]
+        assert digest_padded["input_sha256"] == hashlib.sha256(padded).hexdigest()
+        assert digest_padded["n_records"] == digest_orig["n_records"]
 
     def test_stratified_table_shape(self, fixture_report):
         block = fixture_report.stratified
