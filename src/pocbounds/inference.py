@@ -18,9 +18,10 @@ coefficients and operation order, so p-values are bit-identical to
 
 Bootstrap confidence intervals are percentile intervals per interval
 endpoint, computed from resamples of the records with replacement within
-strata, preserving stratum sizes.  Replicate ``r`` uses a dedicated
-substream spawned from ``(seed, r)``, so results do not depend on
-evaluation order or parallelism.  One draw per replicate serves every
+strata, preserving stratum sizes.  One generator seeded with ``seed``
+draws every replicate in turn, so the same seed gives the same bytes and
+fewer replicates are a prefix of more: ``reps=200`` draws the first 200
+replicates of ``reps=1000``.  One draw per replicate serves every
 assumption set and every stratum, so a stratum's intervals are marginals
 of the stratified draw.  Resampling is realized by multinomial draws over
 the cell counts, which is the exact distribution of record resampling
@@ -219,10 +220,10 @@ def bootstrap_bounds(
 ) -> BootstrapResult:
     """Empirical-bootstrap percentile intervals for the bound endpoints of ``sets``.
 
-    Replicate ``r`` resamples every stratum of ``data`` at its own size from
-    substream ``(seed, r)``; the draws are stacked and one
-    :func:`~pocbounds.estimation.stratified_fields` call scores them all
-    under every set.
+    One ``default_rng(seed)`` resamples every stratum of ``data`` at its own
+    size, in label order, replicate after replicate (a smaller ``reps`` draws
+    a prefix); one :func:`~pocbounds.estimation.stratified_fields` call
+    scores them all under every set.
     For the pooled sample, pass ``Dataset(labels=(None,), counts=cell_counts(data))``.
     Replicates that drop every stratum on an empty cell are excluded and
     counted in ``failed_replicates``; resampling until success would bias
@@ -240,9 +241,7 @@ def bootstrap_bounds(
 
     sizes = data.counts.sum(axis=(1, 2))
     probs = data.counts.reshape(len(sizes), 6) / sizes[:, None]
-    # One multinomial per stratum, in label order, from substream (seed, r).
-    children = np.random.SeedSequence(seed).spawn(reps)
-    draws = np.stack([np.random.default_rng(child).multinomial(sizes, probs) for child in children])
+    draws = np.random.default_rng(seed).multinomial(sizes, probs, size=(reps, len(sizes)))
     fit = stratified_fields(draws.reshape(reps, len(sizes), 2, 3), sets)
     dropped = fit.empty >= 0
     failed = dropped.all(axis=1)

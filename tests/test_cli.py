@@ -208,23 +208,38 @@ STRATA = st.sampled_from([",a", ",b", ', " b"'])
 FIELDS = st.sampled_from(["0", "1", "", " 1 ", "2", "y", '"1"', '"', '"a,b"', "\x00", "é", '"a\nb"'])
 HEADERS = st.sampled_from(["y,s,d,g", "y,s,d,g", "d,s,y,g", "y,s", "y,s,d,s", "", "y;s;d"])
 STRAY_BYTES = st.sampled_from([b"\xff", b"\x00", b"\xc3", b"\r", b"\n", b'"', b","])
+# Each valid in some mapped column and bad in another, or bad in all of them.
+MIXED_TOKENS = st.sampled_from(["0", "1", " 1 ", "", "2", "x"])
+ROW_KINDS = {
+    "clean": ["valid"],
+    "tokens": ["valid", "valid", "mixed"],
+    "malformed": ["valid", "valid", "mixed", "fields"],
+}
 
 
 @st.composite
 def csv_bytes(draw):
-    """CSV bytes: clean files, or ones with malformed rows, stray and undecodable bytes."""
-    clean = draw(st.booleans())
-    lines = ["y,s,d,g" if clean else draw(HEADERS)]
+    """CSV bytes: clean files, files whose rows hold bad tokens, or files with
+    malformed rows, stray and undecodable bytes."""
+    kind = draw(st.sampled_from(list(ROW_KINDS)))
+    header = draw(HEADERS) if kind == "malformed" else "y,s,d,g"
+    lines = [header]
     for _ in range(draw(st.integers(0, 24))):
-        if clean or draw(st.integers(0, 3)):
+        row = draw(st.sampled_from(ROW_KINDS[kind]))
+        if row == "valid":
             lines.append(draw(VALID_ROWS) + draw(STRATA))
+        elif row == "mixed":
+            # The header's width, so the row reaches the token checks, which
+            # can then meet several bad mapped tokens in one row.
+            width = header.count(",") + 1
+            lines.append(",".join(draw(st.lists(MIXED_TOKENS, min_size=width, max_size=width))))
         else:
             lines.append(",".join(draw(st.lists(FIELDS, max_size=5))))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))).encode("utf-8")
     if draw(st.booleans()):
         data = b"\xef\xbb\xbf" + data
-    for _ in range(0 if clean else draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 2)) if kind == "malformed" else 0):
         at = draw(st.integers(0, len(data)))
         data = data[:at] + draw(STRAY_BYTES) + data[at:]
     return data
@@ -548,13 +563,13 @@ class TestMainExitCodes:
         ("flags", "digest"),
         [
             (["--stratum-col", "course", "--reps", "200"],
-             "8a68ecf707c8ae9b7c032214f21d3fb1e910619a204b38da3263586a2749a553"),
+             "41b7a976c5007bd42fcba09b8eba4a9af46374bacec93ac1fa09805318878ab2"),
             (["--stratum-col", "course", "--reps", "1000"],
-             "440ccff7439b104241de96934e65322e49d4bad6b2ce1c5bb5917edea98d499c"),
+             "a8547827b7eb2373d9c505770735b88be345fe8c544c36eedcaf70f04d805a45"),
             (["--stratum-col", "course", "--no-stratified", "--reps", "200"],
-             "bb3bc5e9adb9587518c01c22056fc19acdbb277d01d9586b2af0143ec45468bd"),
+             "66cfedf5e5e7099c5bc64ae7b6013b666554a0c9c6443609e44d3d9274e351e3"),
             (["--assumptions", "A1_3", "--reps", "200"],
-             "26dfdce4f1214fab168c1855366fd88c06b08a25597dd681e5e7698c288b9e5a"),
+             "6d46842c2a4e80559f355a26350ed366bde90f85791a7c293a7c854c04382024"),
         ],
         ids=["200", "1000", "no-stratified-200", "A1_3-pooled-200"],
     )
@@ -581,8 +596,8 @@ class TestMainExitCodes:
         ])
         assert code == 0
 
-    # Per group: one bootstrap, and one kernel call each for the point fit
-    # and the bootstrap, whatever the number of sets.
+    # Per group: one bootstrap drawn from one generator, and one kernel call
+    # each for the point fit and the bootstrap, whatever the number of sets.
     @pytest.mark.parametrize(
         ("flag", "calls", "kernel_calls"),
         [
@@ -591,7 +606,7 @@ class TestMainExitCodes:
         ],
     )
     def test_one_bootstrap_per_group(self, fixture_csv, tmp_path, monkeypatch, flag, calls, kernel_calls):
-        seen = {"bootstrap_bounds": 0, "stratified_fields": 0}
+        seen = {"bootstrap_bounds": 0, "default_rng": 0, "stratified_fields": 0}
 
         def counting(name, original):
             def wrapper(*args, **kwargs):
@@ -604,12 +619,13 @@ class TestMainExitCodes:
         # Both lookup sites of the kernel: estimate_stratified's and bootstrap_bounds'.
         for module in (estimation, inference):
             monkeypatch.setattr(module, "stratified_fields", counting("stratified_fields", module.stratified_fields))
+        monkeypatch.setattr(np.random, "default_rng", counting("default_rng", np.random.default_rng))
         code = main([
             "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",
             "--stratum-col", "course", flag, "--reps", "4", "--output", str(tmp_path / "r.json"),
         ])
         assert code == 0
-        assert seen == {"bootstrap_bounds": calls, "stratified_fields": kernel_calls}
+        assert seen == {"bootstrap_bounds": calls, "default_rng": calls, "stratified_fields": kernel_calls}
 
     def test_json_stdout_round_trips(self, fixture_csv, capsys):
         code = main([

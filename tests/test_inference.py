@@ -11,6 +11,7 @@ import pytest
 from scipy.special import ndtr
 from scipy.stats import norm
 
+import pocbounds.inference as inference
 from _oracles import build_stratified_fixture
 from pocbounds import (
     ASSUMPTION_ORDER,
@@ -199,12 +200,12 @@ class TestBootstrapBounds:
         data = sample_stratified_dataset(joints, weights, 1500, np.random.default_rng(8))
         boot = bootstrap_bounds(data, [A1_5], reps=100, level=0.9, seed=21)
         assert boot.failed_replicates == 0
-        # Replicate r resamples each stratum, in label order, from substream
-        # (21, r); the aggregate and every stratum are scored on that draw.
+        # One generator draws replicate after replicate, each stratum in
+        # label order; the aggregate and every stratum are scored on that draw.
         # Reference: each stratum bounded on its own, averaged by share.
         strata, aggregate_lb, aggregate_ub = [], [], []
-        for child in np.random.SeedSequence(21).spawn(100):
-            rng = np.random.default_rng(child)
+        rng = np.random.default_rng(21)
+        for _ in range(100):
             tables = [rng.multinomial(t.sum(), t.reshape(-1) / t.sum()).reshape(2, 3) for t in data.counts]
             fits = [compute_bounds(moments_from_counts(t), A1_5) for t in tables]
             shares = [int(t.sum()) / data.n for t in tables]
@@ -223,6 +224,25 @@ class TestBootstrapBounds:
             assert stratum.ci_ub == percentile([fits[k].ub for fits in strata])
         again = bootstrap_bounds(data, [A1_5], reps=100, level=0.9, seed=21)
         assert boot == again
+
+    def test_fewer_replicates_draw_a_prefix(self, monkeypatch):
+        # One stream per bootstrap: with the same seed, the replicates of a
+        # smaller run are the first replicates of a larger one.
+        joints, weights, _ = build_stratified_fixture(seed=14, n_strata=3)
+        data = sample_stratified_dataset(joints, weights, 600, np.random.default_rng(8))
+        kernel = inference.stratified_fields
+        stacks = []
+
+        def capture(counts, sets):
+            stacks.append(counts)
+            return kernel(counts, sets)
+
+        monkeypatch.setattr(inference, "stratified_fields", capture)
+        for reps in (200, 1000):
+            bootstrap_bounds(data, [A1_5], reps=reps, seed=21)
+        short, long = stacks
+        assert short.shape == (200, 3, 2, 3) and long.shape == (1000, 3, 2, 3)
+        np.testing.assert_array_equal(short, long[:200])
 
     def test_builds_no_interval_objects(self, monkeypatch):
         def refuse(self, *args, **kwargs):
