@@ -10,6 +10,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -36,12 +37,22 @@ from pocbounds.estimation import Dataset
 
 REPO = Path(__file__).resolve().parents[1]
 MAPPING = {"y": "y", "s": "s", "d": "d", "stratum": None}
+STRATUM_MAPPING = {**MAPPING, "stratum": "g"}
 
 
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def load_outcome(load, path, mapping):
+    """The loaded table as (labels, counts), or the error as (class, message)."""
+    try:
+        table = load(path, mapping)
+    except (ConfigError, CsvFormatError) as err:
+        return type(err), str(err)
+    return table.labels, table.counts.tolist()
 
 
 class TestLoadCsv:
@@ -84,7 +95,7 @@ class TestLoadCsv:
             tmp_path,
             "y,s,d,g\n1,1,1,a\n0,1,0,a\n,0,1,b\n1,1,0,b\n0,1,1,a\n,0,0,b\n",
         )
-        data = load_csv(path, {**MAPPING, "stratum": "g"})
+        data = load_csv(path, STRATUM_MAPPING)
         assert data.labels == ("a", "b")
         assert data.counts.tolist() == [
             [[0, 1, 0], [1, 1, 0]],
@@ -97,7 +108,7 @@ class TestLoadCsv:
             "y,s,d,g\n1,1,1,a\n0,1,0, a\n,0,1,b\n 1,1,0,b\n0,1, 1,a \n,0, 0,b\n 1, 1,1, a\n",
             "variants.csv",
         )
-        data = load_csv(path, {**MAPPING, "stratum": "g"})
+        data = load_csv(path, STRATUM_MAPPING)
         assert data.labels == ("a", "b")
         assert data.counts.tolist() == [
             [[0, 1, 0], [2, 1, 0]],
@@ -151,7 +162,7 @@ class TestLoadCsv:
         path = tmp_path / "latin1.csv"
         path.write_bytes(b"y,s,d,g\n1,1,1,a\n0,1,0,\xff\n")
         with pytest.raises(CsvFormatError, match="row 3 is not valid UTF-8"):
-            load_csv(path, {**MAPPING, "stratum": "g"})
+            load_csv(path, STRATUM_MAPPING)
 
     def test_each_token_tuple_checked_once(self, tmp_path, monkeypatch):
         tuples = ["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"]
@@ -163,6 +174,78 @@ class TestLoadCsv:
         assert data.counts.tolist() == [[[500, 500, 500], [500, 500, 500]]]
         # At most the d, s and y checks for each of the 6 tuples, not for each of the 3,000 rows.
         assert len(calls) <= 3 * len(tuples)
+
+    def test_each_distinct_line_parsed_once(self, tmp_path, monkeypatch):
+        path = write(tmp_path, "y,s,d\n" + "\n".join(VALID_LINES * 500) + "\n")
+        parsed = []
+        make_reader = csv.reader
+
+        class CountingReader:
+            def __init__(self, *args):
+                self.reader = make_reader(*args)
+
+            def __iter__(self):
+                return self
+
+            def __next__(self):
+                row = next(self.reader)
+                parsed.append(row)
+                return row
+
+        monkeypatch.setattr(cli.csv, "reader", CountingReader)
+        data = load_csv(path, MAPPING)
+        assert data.counts.tolist() == [[[500, 500, 500], [500, 500, 500]]]
+        # The header, then each of the 6 distinct lines once, not each of the 3,000 rows.
+        assert parsed == [["y", "s", "d"], *(line.split(",") for line in VALID_LINES)]
+
+    def test_memory_grows_with_tuples_not_lines(self, tmp_path):
+        peaks = []
+        for rows in (10_000, 40_000):
+            # The id column makes every line distinct, so no line is counted from the cache.
+            body = "".join(f"{i},{VALID_LINES[i % 6]},g{i % 7}\n" for i in range(rows))
+            path = write(tmp_path, "id,y,s,d,g\n" + body, f"{rows}.csv")
+            assert load_outcome(load_csv, path, STRATUM_MAPPING) == load_outcome(
+                reference_load_csv, path, STRATUM_MAPPING
+            )
+            tracemalloc.start()
+            try:
+                load_csv(path, STRATUM_MAPPING)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+
+    @pytest.mark.parametrize(
+        "data, expected",
+        [
+            # Line 4 equals row 2's line but sits inside row 3's quoted stratum;
+            # row 4 starts with row 3's first line, which is not a whole record.
+            (
+                b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n"\n0,1,0,"b\n1,1,1,a\n"\n1,1,1,a\n',
+                (("a", "b\n1,1,1,a"), [[[0, 0, 0], [2, 0, 0]], [[0, 2, 0], [0, 0, 0]]]),
+            ),
+            # Row 2 spans lines 2-3, so the one-field line 5 is row 4.
+            (b'y,s,d,g\n1,1,1,"a\nb"\n1,1,1,a\nb"\n', "row 4 has 1 fields, header has 4"),
+            (b'y,s,d,g\n1,1,1,a\n1,1,1,"b\n\xff"\n1,1,1,a\n', "row 3 is not valid UTF-8"),
+            # An unterminated quote runs to the end of the file.
+            (
+                b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n',
+                (("a", "b\n1,1,1,a"), [[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+            ),
+            (
+                b'y,s,d,g\r1,1,1,a\r0,1,0,"a\rb"\r1,1,1,a\r',
+                (("a", "a\rb"), [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+            ),
+        ],
+        ids=["continuation-equals-kept-line", "rows-count-records", "bad-utf8-continuation", "open-quote-at-eof", "cr-only"],
+    )
+    def test_records_of_several_lines(self, tmp_path, data, expected):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            expected = (CsvFormatError, f"{path}: {expected}")
+        assert load_outcome(load_csv, path, STRATUM_MAPPING) == expected
+        assert load_outcome(reference_load_csv, path, STRATUM_MAPPING) == expected
 
 
 ROWS = st.lists(
@@ -203,7 +286,8 @@ def test_table_matches_csv_module_recount(tmp_path, rows, crlf):
     assert [recounted[label].tolist() for label in recounted] == data.counts.tolist()
 
 
-VALID_ROWS = st.sampled_from(["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"])
+VALID_LINES = ["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"]
+VALID_ROWS = st.sampled_from(VALID_LINES)
 STRATA = st.sampled_from([",a", ",b", ', " b"'])
 FIELDS = st.sampled_from(["0", "1", "", " 1 ", "2", "y", '"1"', '"', '"a,b"', "\x00", "é", '"a\nb"'])
 HEADERS = st.sampled_from(["y,s,d,g", "y,s,d,g", "d,s,y,g", "y,s", "y,s,d,s", "", "y;s;d"])
@@ -214,13 +298,17 @@ ROW_KINDS = {
     "clean": ["valid"],
     "tokens": ["valid", "valid", "mixed"],
     "malformed": ["valid", "valid", "mixed", "fields"],
+    # Rows that open and close a quoted stratum, so a record can span lines
+    # that equal earlier whole rows.
+    "quoted": ["valid", "valid", "opens", "closes"],
 }
 
 
 @st.composite
 def csv_bytes(draw):
-    """CSV bytes: clean files, files whose rows hold bad tokens, or files with
-    malformed rows, stray and undecodable bytes."""
+    """CSV bytes: clean files, files whose rows hold bad tokens, files with
+    malformed rows, stray and undecodable bytes, or files with records that
+    span several lines."""
     kind = draw(st.sampled_from(list(ROW_KINDS)))
     header = draw(HEADERS) if kind == "malformed" else "y,s,d,g"
     lines = [header]
@@ -233,6 +321,10 @@ def csv_bytes(draw):
             # can then meet several bad mapped tokens in one row.
             width = header.count(",") + 1
             lines.append(",".join(draw(st.lists(MIXED_TOKENS, min_size=width, max_size=width))))
+        elif row == "opens":
+            lines.append(draw(VALID_ROWS) + ',"a')
+        elif row == "closes":
+            lines.append(draw(VALID_ROWS) + ',a"')
         else:
             lines.append(",".join(draw(st.lists(FIELDS, max_size=5))))
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
@@ -270,16 +362,8 @@ def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
     """The same table, or the same error class and message (row number included)."""
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
-    mapping = {**MAPPING, "stratum": "g" if stratified else None}
-    outcomes = []
-    for load in (load_csv, reference_load_csv):
-        try:
-            table = load(path, mapping)
-        except (ConfigError, CsvFormatError) as err:
-            outcomes.append((type(err), str(err)))
-        else:
-            outcomes.append((table.labels, table.counts.tolist()))
-    assert outcomes[0] == outcomes[1]
+    mapping = STRATUM_MAPPING if stratified else MAPPING
+    assert load_outcome(load_csv, path, mapping) == load_outcome(reference_load_csv, path, mapping)
 
 
 class TestRunConfig:
