@@ -175,10 +175,13 @@ class TestLoadCsv:
         # At most the d, s and y checks for each of the 6 tuples, not for each of the 3,000 rows.
         assert len(calls) <= 3 * len(tuples)
 
-    def test_each_distinct_line_parsed_once(self, tmp_path, monkeypatch):
-        path = write(tmp_path, "y,s,d\n" + "\n".join(VALID_LINES * 500) + "\n")
-        parsed = []
-        make_reader = csv.reader
+    # A non-ASCII stratum, so every line read past the cache goes through _check_utf8.
+    @pytest.mark.parametrize("stratum", ["é", '"é"'], ids=["plain", "quoted"])
+    def test_each_distinct_line_parsed_once(self, tmp_path, monkeypatch, stratum):
+        lines = [f"{line},{stratum}" for line in VALID_LINES]
+        path = write(tmp_path, "y,s,d,g\n" + "\n".join(lines * 500) + "\n")
+        checked, parsed = [], []
+        check_utf8, make_reader = cli._check_utf8, csv.reader
 
         class CountingReader:
             def __init__(self, *args):
@@ -192,11 +195,15 @@ class TestLoadCsv:
                 parsed.append(row)
                 return row
 
+        monkeypatch.setattr(cli, "_check_utf8", lambda line: checked.append(line) or check_utf8(line))
         monkeypatch.setattr(cli.csv, "reader", CountingReader)
-        data = load_csv(path, MAPPING)
+        data = load_csv(path, STRATUM_MAPPING)
         assert data.counts.tolist() == [[[500, 500, 500], [500, 500, 500]]]
         # The header, then each of the 6 distinct lines once, not each of the 3,000 rows.
-        assert parsed == [["y", "s", "d"], *(line.split(",") for line in VALID_LINES)]
+        assert checked == ["y,s,d,g\n", *(line + "\n" for line in lines)]
+        # Only the lines that hold a quote reach the csv module.
+        rows = [[*line.split(","), "é"] for line in VALID_LINES] if '"' in stratum else []
+        assert parsed == [["y", "s", "d", "g"], *rows]
 
     def test_memory_grows_with_tuples_not_lines(self, tmp_path):
         peaks = []
