@@ -13,7 +13,11 @@ probability ``p_d1``.  The four selection strata are
 
 Cells are indexed canonically as ``index = 8*y0 + 4*y1 + 2*s0 + s1``
 (``y0`` is the most significant bit).  Every serialization in this package
-uses that order.
+uses that order.  Two module-level maps hold the rest of the cell
+structure: ``OBSERVE`` says which count-table column arm ``d`` shows each
+cell in, and ``forbidden_cells`` which cells an assumption set rules out.
+The forward map, the LP oracle, the assumption checks and the simulator
+all read them.
 
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
@@ -41,6 +45,7 @@ from .bounds import (
     trim_ratio,
     trimmed_success_floor,
 )
+from .estimation import table_position
 
 # Unused here: perfbench/tracer.py looks this name up in this module.
 from .bounds import compute_bounds  # noqa: F401
@@ -49,6 +54,41 @@ from .bounds import compute_bounds  # noqa: F401
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(
     (y0, y1, s0, s1) for y0 in (0, 1) for y1 in (0, 1) for s0 in (0, 1) for s1 in (0, 1)
 )
+
+
+def _observe() -> np.ndarray:
+    observe = np.zeros((6, 16), dtype=bool)
+    for idx, (y0, y1, s0, s1) in enumerate(CELL_ORDER):
+        observe[table_position(0, s0, y0), idx] = True
+        observe[table_position(1, s1, y1), idx] = True
+    observe = observe.reshape(2, 3, 16)
+    observe.flags.writeable = False
+    return observe
+
+
+#: ``OBSERVE[d, c, i]`` is 1 when arm ``d`` shows cell ``i`` in column ``c``
+#: of the count table (see ``estimation.COUNT_COLUMNS``): a unit reveals
+#: ``(s_d, y_d)`` and nothing else.  Read-only.
+OBSERVE: np.ndarray = _observe()
+
+
+def _shown(d: int, s: int, y: int | None) -> np.ndarray:
+    """Mask of the cells that arm ``d`` shows as ``(s, y)``."""
+    return OBSERVE.reshape(6, 16)[table_position(d, s, y)]
+
+
+def forbidden_cells(a: AssumptionSet) -> np.ndarray:
+    """Boolean mask of the cells that assumption set ``a`` sets to zero.
+
+    A3 forbids the ON stratum.  A4 adds ``(y0, y1) = (1, 0)`` in every
+    stratum but NN, whose outcomes no arm reveals.  A5 forbids no cell.
+    """
+    a4 = a is not AssumptionSet.A1_3
+    return np.array([
+        (s0, s1) == (1, 0) or (a4 and (y0, y1) == (1, 0) and (s0, s1) != (0, 0))
+        for y0, y1, s0, s1 in CELL_ORDER
+    ])
+
 
 _MASS_TOL = 1e-12
 # Dominance comparisons between strata tolerate float dust from products
@@ -169,15 +209,18 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
     if not holds_a2:
         details.append("A2: no mass on always-selected cells with y0=0")
 
-    on_cells = [(y0, y1) for y0 in (0, 1) for y1 in (0, 1) if L.mass(y0, y1, 1, 0) > 0.0]
+    a3_forbidden = np.flatnonzero(forbidden_cells(AssumptionSet.A1_3))
+    on_cells = [CELL_ORDER[i][:2] for i in a3_forbidden if L.cells[i] > 0.0]
     holds_a3 = not on_cells
     if on_cells:
         details.append(f"A3: positive mass on ON cells {on_cells}")
 
+    # The (1, 0) cells A1_4 forbids, in the order the message lists them: OO, NO, ON.
+    a4_forbidden = forbidden_cells(AssumptionSet.A1_4)
     a4_cells = [
         (s0, s1)
         for (s0, s1) in ((1, 1), (0, 1), (1, 0))
-        if L.mass(1, 0, s0, s1) > 0.0
+        if a4_forbidden[cell_index(1, 0, s0, s1)] and L.mass(1, 0, s0, s1) > 0.0
     ]
     holds_a4 = not a4_cells
     if a4_cells:
@@ -229,14 +272,15 @@ def observed_from_latent(L: LatentJoint) -> ObservedMoments:
     marginal of ``S_d``, and outcome rates among selected units condition
     on the corresponding potential selection indicator.
     """
-    p_s1 = math.fsum(L.cells[cell_index(y0, y1, s0, 1)] for y0 in (0, 1) for y1 in (0, 1) for s0 in (0, 1))
-    p_s0 = math.fsum(L.cells[cell_index(y0, y1, 1, s1)] for y0 in (0, 1) for y1 in (0, 1) for s1 in (0, 1))
+    cells = L.as_array()
+    p_s1 = math.fsum(cells[~_shown(1, 0, None)])
+    p_s0 = math.fsum(cells[~_shown(0, 0, None)])
     if p_s1 <= 0.0:
         raise ValueError("selection marginal P[S1=1] is zero; treated-arm moments undefined")
     if p_s0 <= 0.0:
         raise ValueError("selection marginal P[S0=1] is zero; control-arm moments undefined")
-    p_y1_and_s1 = math.fsum(L.cells[cell_index(y0, 1, s0, 1)] for y0 in (0, 1) for s0 in (0, 1))
-    p_y0zero_and_s0 = math.fsum(L.cells[cell_index(0, y1, 1, s1)] for y1 in (0, 1) for s1 in (0, 1))
+    p_y1_and_s1 = math.fsum(cells[_shown(1, 1, 1)])
+    p_y0zero_and_s0 = math.fsum(cells[_shown(0, 1, 0)])
     return ObservedMoments(
         p_y1_s1d1=p_y1_and_s1 / p_s1,
         p_y0_s1d0=p_y0zero_and_s0 / p_s0,
@@ -362,71 +406,28 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
 # Brute-force envelope oracle
 # ---------------------------------------------------------------------------
 
-def _zero_cells(a: AssumptionSet) -> list[int]:
-    zeros = [cell_index(y0, y1, 1, 0) for y0 in (0, 1) for y1 in (0, 1)]
-    if a is not AssumptionSet.A1_3:
-        zeros.append(cell_index(1, 0, 1, 1))
-        zeros.append(cell_index(1, 0, 0, 1))
-    return zeros
-
-
-def _constraint_system(m: ObservedMoments, a: AssumptionSet):
-    """Equalities, optional dominance inequality, and forced-zero cells.
+def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
+    """Two linear programs over the 16 cell masses.
 
     Moment matching is imposed after clearing denominators, e.g.
     ``P[Y1=1, S1=1] = p1 * P[S1=1]``, which keeps every constraint linear
-    in the 16 cell masses.  Under monotone selection the stratum masses of
+    in the cell masses.  Under monotone selection the stratum masses of
     OO and NO are pinned by the selection moments, so the dominance
     restriction also becomes linear with constant coefficients.
     """
-    n = 16
-    ind_s1 = np.zeros(n)
-    ind_s0 = np.zeros(n)
-    ind_y1s1 = np.zeros(n)
-    ind_y0zero_s0 = np.zeros(n)
-    for idx, (y0, y1, s0, s1) in enumerate(CELL_ORDER):
-        if s1 == 1:
-            ind_s1[idx] = 1.0
-            if y1 == 1:
-                ind_y1s1[idx] = 1.0
-        if s0 == 1:
-            ind_s0[idx] = 1.0
-            if y0 == 0:
-                ind_y0zero_s0[idx] = 1.0
-
-    a_eq = [np.ones(n), ind_s1, ind_s0, ind_y1s1, ind_y0zero_s0]
-    b_eq = [
-        1.0,
-        m.p_s1_d1,
-        m.p_s1_d0,
-        m.p_y1_s1d1 * m.p_s1_d1,
-        m.p_y0_s1d0 * m.p_s1_d0,
-    ]
-
-    dominance = None
+    selected0 = ~_shown(0, 0, None)
+    y1_s1 = _shown(1, 1, 1)
+    a_eq = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0)])
+    b_eq = np.array([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0])
+    a_ub = b_ub = None
     mass_no = m.p_s1_d1 - m.p_s1_d0
     if a is AssumptionSet.A1_5 and mass_no > 0.0:
         # P[Y1=1, OO] / P[OO] >= P[Y1=1, NO] / P[NO] with both stratum
         # masses fixed by the selection moments.
-        row = np.zeros(n)
-        for idx, (y0, y1, s0, s1) in enumerate(CELL_ORDER):
-            if y1 == 1 and s1 == 1:
-                if s0 == 1:
-                    row[idx] = mass_no
-                else:
-                    row[idx] = -m.p_s1_d0
-        dominance = row
-
-    return np.vstack(a_eq), np.asarray(b_eq), dominance, _zero_cells(a)
-
-
-def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
-    a_eq, b_eq, dominance, zeros = _constraint_system(m, a)
-    var_bounds = [(0.0, 0.0) if i in set(zeros) else (0.0, 1.0) for i in range(16)]
-    a_ub = b_ub = None
-    if dominance is not None:
+        dominance = np.where(y1_s1, np.where(selected0, mass_no, -m.p_s1_d0), 0.0)
         a_ub = -dominance[np.newaxis, :]
         b_ub = np.zeros(1)
+    var_bounds = [(0.0, 0.0) if zero else (0.0, 1.0) for zero in forbidden_cells(a)]
 
     target = np.zeros(16)
     target[cell_index(0, 1, 1, 1)] = 1.0

@@ -25,7 +25,7 @@ from pocbounds import (
 )
 from pocbounds.estimation import moments_from_counts
 from pocbounds.latent import CELL_ORDER, Side, cell_index
-from pocbounds.simulate import draw_latent_joint
+from pocbounds.simulate import draw_latent_joint, sample_dataset
 
 RNG = np.random.default_rng(431)
 FIXTURES = Path(__file__).parent / "data" / "latent_fixtures.txt"
@@ -198,6 +198,42 @@ class TestForwardMap:
     def test_zero_selection_marginal_errors(self):
         with pytest.raises(ValueError, match="S0"):
             observed_from_latent(point_mass_joint(0, 1, 0, 1))
+
+
+class TestCellMaps:
+    # Count-table columns written out: selected with y = 1, selected with y = 0, unselected.
+    COLUMN = {(1, 1): 0, (1, 0): 1, (0, 0): 2, (0, 1): 2}
+
+    @pytest.mark.parametrize("cell", CELL_ORDER, ids=lambda cell: "".join(map(str, cell)))
+    def test_each_arm_shows_its_selection_and_outcome(self, cell):
+        y0, y1, s0, s1 = cell
+        shown = (self.COLUMN[(s0, y0)], self.COLUMN[(s1, y1)])  # arm 0 shows (s0, y0), arm 1 (s1, y1)
+        expected = np.zeros((2, 3), dtype=int)
+        for d, column in enumerate(shown):
+            expected[d, column] = 1
+        assert np.array_equal(latent.OBSERVE[:, :, cell_index(*cell)], expected)
+        assert not latent.OBSERVE.flags.writeable
+
+        counts = sample_dataset(point_mass_joint(*cell, p_d1=0.3), 500, np.random.default_rng(3)).counts[0]
+        assert counts[0, shown[0]] + counts[1, shown[1]] == 500
+        assert 100 < counts[1, shown[1]] < 200  # arm 1 takes p_d1 = 0.3 of the rows
+
+    # The ON stratum, plus (y0, y1) = (1, 0) in OO and NO once A4 holds.
+    ON_CELLS = {(0, 0, 1, 0), (0, 1, 1, 0), (1, 0, 1, 0), (1, 1, 1, 0)}
+    FORBIDDEN = {
+        AssumptionSet.A1_3: ON_CELLS,
+        AssumptionSet.A1_4: ON_CELLS | {(1, 0, 1, 1), (1, 0, 0, 1)},
+        AssumptionSet.A1_5: ON_CELLS | {(1, 0, 1, 1), (1, 0, 0, 1)},
+    }
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("cell", CELL_ORDER, ids=lambda cell: "".join(map(str, cell)))
+    def test_forbidden_cells_are_the_cells_the_checks_reject(self, cell, a):
+        forbidden = bool(latent.forbidden_cells(a)[cell_index(*cell)])
+        assert forbidden is (cell in self.FORBIDDEN[a])
+        report = check_assumptions(point_mass_joint(*cell))
+        rejected = not report.holds_a3 or (a is not AssumptionSet.A1_3 and not report.holds_a4)
+        assert forbidden is rejected
 
 
 class TestConstructions:
