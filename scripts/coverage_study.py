@@ -3,7 +3,8 @@
 
 For a fixed latent joint with interior bounds, repeatedly samples a
 dataset, bootstraps percentile intervals around both endpoints, and
-reports how often each interval covers the truth, plus the slope of
+reports how often each interval covers the truth, with the binomial
+standard error of that share over the trials, plus the slope of
 log CI width against log sample size.  Heavier sibling of the checks in
 tests/test_acceptance.py; tune the constants below for longer runs.
 
@@ -28,6 +29,12 @@ sys.path.insert(0, str(REPO / "tests"))
 from _oracles import derive_table_moments  # noqa: E402
 
 
+def _share(covered: int, ok: int) -> str:
+    """Coverage share with its binomial Monte Carlo standard error."""
+    c = covered / ok
+    return f"{c:.3f} (se {np.sqrt(c * (1.0 - c) / ok):.3f})"
+
+
 def run(trials: int = 200, n: int = 1000, reps: int = 300, level: float = 0.90) -> None:
     joint = construct_interior_distribution(derive_table_moments(), AssumptionSet.A1_5, 0.5)
     truth = compute_bounds(observed_from_latent(joint), AssumptionSet.A1_5)
@@ -47,7 +54,7 @@ def run(trials: int = 200, n: int = 1000, reps: int = 300, level: float = 0.90) 
         covered_ub += cis.ci_ub[0] <= truth.ub <= cis.ci_ub[1]
     ok = trials - failures
     print(f"coverage at n={n}, reps={reps}, level={level}: "
-          f"LB {covered_lb / ok:.3f}, UB {covered_ub / ok:.3f} ({failures} failed trials)")
+          f"LB {_share(covered_lb, ok)}, UB {_share(covered_ub, ok)} ({failures} failed trials)")
 
     sizes = [500, 1000, 2000, 4000, 8000]
     log_widths = []

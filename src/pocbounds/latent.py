@@ -407,13 +407,16 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
 # ---------------------------------------------------------------------------
 
 def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
-    """Two linear programs over the 16 cell masses.
+    """One linear program over two independent copies of the 16 cell masses.
 
     Moment matching is imposed after clearing denominators, e.g.
     ``P[Y1=1, S1=1] = p1 * P[S1=1]``, which keeps every constraint linear
     in the cell masses.  Under monotone selection the stratum masses of
     OO and NO are pinned by the selection moments, so the dominance
-    restriction also becomes linear with constant coefficients.
+    restriction also becomes linear with constant coefficients.  The
+    first copy minimizes the target cell and the second maximizes it;
+    the constraints are block-diagonal, so each copy is optimal on its
+    own and one solve gives both endpoints.
     """
     selected0 = ~_shown(0, 0, None)
     y1_s1 = _shown(1, 1, 1)
@@ -425,31 +428,27 @@ def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
         # P[Y1=1, OO] / P[OO] >= P[Y1=1, NO] / P[NO] with both stratum
         # masses fixed by the selection moments.
         dominance = np.where(y1_s1, np.where(selected0, mass_no, -m.p_s1_d0), 0.0)
-        a_ub = -dominance[np.newaxis, :]
-        b_ub = np.zeros(1)
-    var_bounds = [(0.0, 0.0) if zero else (0.0, 1.0) for zero in forbidden_cells(a)]
+        a_ub = np.kron(np.eye(2), -dominance)
+        b_ub = np.zeros(2)
+    var_bounds = [(0.0, 0.0) if zero else (0.0, 1.0) for zero in forbidden_cells(a)] * 2
 
-    target = np.zeros(16)
-    target[cell_index(0, 1, 1, 1)] = 1.0
+    target = cell_index(0, 1, 1, 1)
+    objective = np.zeros(32)
+    objective[target] = 1.0
+    objective[16 + target] = -1.0
+    res = linprog(
+        objective,
+        A_ub=a_ub,
+        b_ub=b_ub,
+        A_eq=np.kron(np.eye(2), a_eq),
+        b_eq=np.tile(b_eq, 2),
+        bounds=var_bounds,
+        method="highs",
+    )
+    if not res.success:
+        raise ValueError(f"moments inconsistent with assumption set {a.value}: {res.message}")
     denominator = m.p_y0_s1d0 * m.p_s1_d0
-
-    values = []
-    for sign in (1.0, -1.0):
-        res = linprog(
-            sign * target,
-            A_ub=a_ub,
-            b_ub=b_ub,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=var_bounds,
-            method="highs",
-        )
-        if not res.success:
-            raise ValueError(
-                f"moments inconsistent with assumption set {a.value}: {res.message}"
-            )
-        values.append(sign * res.fun)
-    return values[0] / denominator, values[1] / denominator
+    return res.x[target] / denominator, res.x[16 + target] / denominator
 
 
 def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
@@ -459,9 +458,10 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     assumption set ``a`` and reproduces the four identified probabilities
     of ``m``.  The functional is a ratio of linear functions of the cell
     masses whose denominator is pinned at ``q0 * P[S=1|D=0]`` by the
-    matching constraints, so two linear programs over the constrained
-    simplex solve it (the fractional-program normalization is a constant
-    here).
+    matching constraints, so linear programming over the constrained
+    simplex solves it (the fractional-program normalization is a constant
+    here): one program whose two independent copies of the cells give the
+    minimum and the maximum.
 
     Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
     the selection restriction, or when the constraint system is

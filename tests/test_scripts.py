@@ -24,7 +24,7 @@ def test_coverage_study_runs(monkeypatch, capsys):
     load_script("coverage_study").run(3, 300, 20)
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "true interval: [0.1060, 0.1630]"
-    coverage = r"coverage at n=300, reps=20, level=0.9: LB [01]\.\d{3}, UB [01]\.\d{3} \(\d failed trials\)"
+    coverage = r"coverage at n=300, reps=20, level=0.9: LB [01]\.\d{3} \(se 0\.\d{3}\), UB [01]\.\d{3} \(se 0\.\d{3}\) \(\d failed trials\)"
     assert re.fullmatch(coverage, lines[1])
     assert re.fullmatch(r"log-width vs log-n slope: -?\d\.\d{3} \(root-n decay is -0\.5\)", lines[2])
 
