@@ -26,7 +26,7 @@ def assert_matches_closed_forms(m, a):
     assert hi == pytest.approx(interval.ub, abs=1e-6)
 
 
-def moments(p1, q0, alpha, p_s1_d1=0.8):
+def moments(p1, q0, alpha, p_s1_d1):
     return ObservedMoments(
         p_y1_s1d1=p1, p_y0_s1d0=q0, p_s1_d1=p_s1_d1, p_s1_d0=alpha * p_s1_d1
     )
