@@ -255,6 +255,49 @@ class TestLoadCsv:
         assert load_outcome(reference_load_csv, path, STRATUM_MAPPING) == expected
 
 
+class TestWhichPassRuns:
+    """The record-by-record loader runs only when some line is not a whole, valid record."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        calls = []
+        read_records = cli._read_records
+        monkeypatch.setattr(cli, "_read_records", lambda *args: calls.append(args) or read_records(*args))
+        return calls
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "y,s,d,g\n" + "1,1,1,a\n,0,1,b\n" * 3,
+            "y,s,d,g\r\n" + "1,1,1,a\r\n,0,1,b\r\n" * 3,
+            "y,s,d,g\n1,1,1,a\n\n,0,1,b\n1,1,1,a\n\n",
+            'y,s,d,g\n1,1,1,"a"\n,0,1,"b, c"\n1,1,1,"a"\n',
+        ],
+        ids=["clean", "crlf", "blank-lines", "quoted-one-line"],
+    )
+    def test_one_line_records_are_counted_in_one_pass(self, tmp_path, reads, text):
+        path = write(tmp_path, text)
+        assert load_outcome(load_csv, path, STRATUM_MAPPING) == load_outcome(
+            reference_load_csv, path, STRATUM_MAPPING
+        )
+        assert reads == []
+
+    def test_record_of_several_lines_is_read_again(self, tmp_path, reads):
+        path = write(tmp_path, 'y,s,d,g\n1,1,1,a\n0,1,0,"b\nc"\n1,1,1,a\n')
+        assert load_outcome(load_csv, path, STRATUM_MAPPING) == (
+            ("a", "b\nc"),
+            [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]],
+        )
+        assert len(reads) == 1
+
+    def test_bad_last_row_is_named(self, tmp_path, reads):
+        path = write(tmp_path, "y,s,d,g\n" + "1,1,1,a\n,0,1,b\n" * 3 + "1,1,2,a\n")
+        with pytest.raises(CsvFormatError) as raised:
+            load_csv(path, STRATUM_MAPPING)
+        assert str(raised.value) == f"{path}: non-binary value '2' in column 'd' at row 8"
+        assert len(reads) == 1
+
+
 ROWS = st.lists(
     st.tuples(
         st.sampled_from([0, 1]),
@@ -308,14 +351,16 @@ ROW_KINDS = {
     # Rows that open and close a quoted stratum, so a record can span lines
     # that equal earlier whole rows.
     "quoted": ["valid", "valid", "opens", "closes"],
+    # Rows behind a unique id column, so no line repeats.
+    "ids": ["valid", "valid", "mixed", "opens", "closes"],
 }
 
 
 @st.composite
 def csv_bytes(draw):
     """CSV bytes: clean files, files whose rows hold bad tokens, files with
-    malformed rows, stray and undecodable bytes, or files with records that
-    span several lines."""
+    malformed rows, stray and undecodable bytes, files with records that
+    span several lines, or files whose every line differs."""
     kind = draw(st.sampled_from(list(ROW_KINDS)))
     header = draw(HEADERS) if kind == "malformed" else "y,s,d,g"
     lines = [header]
@@ -334,6 +379,8 @@ def csv_bytes(draw):
             lines.append(draw(VALID_ROWS) + ',a"')
         else:
             lines.append(",".join(draw(st.lists(FIELDS, max_size=5))))
+    if kind == "ids":
+        lines = [f"id,{header}", *(f"{i},{line}" for i, line in enumerate(lines[1:]))]
     newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     data = (newline.join(lines) + draw(st.sampled_from(["", newline, newline * 2]))).encode("utf-8")
     if draw(st.booleans()):
@@ -363,14 +410,26 @@ def test_main_on_arbitrary_csv_fails_cleanly(tmp_path, data, stratified):
         assert len(lines) == 1 and lines[0].startswith("pocbounds: ")
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=csv_bytes(), stratified=st.booleans())
-def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
+def assert_matches_per_row_reference(tmp_path, data, stratified):
     """The same table, or the same error class and message (row number included)."""
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
     mapping = STRATUM_MAPPING if stratified else MAPPING
     assert load_outcome(load_csv, path, mapping) == load_outcome(reference_load_csv, path, mapping)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes(), stratified=st.booleans())
+def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
+    assert_matches_per_row_reference(tmp_path, data, stratified)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes(), stratified=st.booleans())
+def test_load_csv_matches_per_row_reference_in_chunks_of_two(tmp_path, monkeypatch, data, stratified):
+    """Repeated lines, blank lines and records of several lines straddle the first pass's chunks."""
+    monkeypatch.setattr(cli, "_CHUNK", 2)
+    assert_matches_per_row_reference(tmp_path, data, stratified)
 
 
 class TestRunConfig:
