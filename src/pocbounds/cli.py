@@ -7,15 +7,17 @@ outcome of an unselected unit is censored).  An optional stratum column is
 read as an opaque string id with surrounding whitespace stripped, so
 ``" b"`` and ``"b"`` are one stratum.  A row's validity depends only on
 its field count and its mapped tokens, so :func:`load_csv` checks each
-distinct token tuple once, on its first row.  It also keeps the text of
-that first line, and counts a later identical line without parsing it;
-a record whose quoted field runs over several lines is never kept.  At
-most one line per tuple is kept, so memory grows with distinct tuples,
-not rows.  A line with no quote character is split at its commas
-without the csv module, which pays for the lookups when nothing
-repeats: a file whose every line differs (an id column) loads about as
-fast as parsing each row with the csv module, or about 1.25 times
-slower when every line also holds a quoted field.
+distinct token tuple once.  It counts the file's lines a chunk at a time
+with one ``Counter`` call per chunk and parses each distinct line of a
+chunk once; a line kept for its tuple, at most one per tuple, adds its
+count with no parse, so memory grows with distinct tuples, not rows.  A
+file with a record that runs over several lines, or with a bad row, is
+read a second time, record by record, and only that read names a row in
+a message.  On the benchmark's 250,000-row file of 300 distinct lines
+the load takes 0.71 of the time of counting each line in an
+interpreted loop; a file whose every line differs (an id column) takes
+about 1.06 times as long, and one with a multi-line record on its last
+row about 1.8 times, as it is read twice.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
@@ -151,14 +153,15 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     several lines and only it names a row in a message, so the first bad
     row, its message and its exit code are those of a record-by-record
     read.  A multi-line record or a bad row late in a file therefore costs
-    two reads of it (about 1.6 times one read when the record is the last
-    row of a 250,000-row file).
+    a second read.
 
-    On the benchmark's 250,000-row file of 300 distinct lines the chunked
-    count loads about 1.8 times as fast as counting repeated lines one at a
-    time.  On 250,000-row files whose every line differs (an id column) it
-    is as fast as that loop, and 1.05 times as slow when each such line
-    holds a quoted field; repeated quoted lines load in 0.76 of its time.
+    Against counting each line in an interpreted loop, measured in process
+    on 250,000-row files: the benchmark's file of 300 distinct lines, and
+    a file of repeated lines that each hold a quoted field, load in 0.71
+    and 0.70 of the time.  A file whose every line differs (an id column)
+    takes 1.06 times as long, or 1.01 times when each such line holds a
+    quoted field.  A multi-line record at row 3 costs 1.01 times, and one
+    on the last row 1.76 times, for the second read.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
@@ -195,7 +198,9 @@ def _read_header(handle, path: Path, mapping: dict[str, str | None]):
         if name not in header:
             raise CsvFormatError(f"{path}: column {name!r} not found in header {header}")
         if header.count(name) > 1:
-            raise CsvFormatError(f"{path}: column {name!r} appears {header.count(name)} times in header {header}")
+            raise CsvFormatError(
+                f"{path}: column {name!r} appears {header.count(name)} times in header {header}"
+            )
         positions[role] = header.index(name)
     key_of = operator.itemgetter(*(positions[r] for r in ("d", "s", "y", "stratum") if r in positions))
     return key_of, len(header)
@@ -206,8 +211,9 @@ def _count_lines(path: Path, mapping: dict[str, str | None]) -> dict[tuple[str, 
 
     Reads :data:`_CHUNK` lines at a time and parses each distinct line of a
     chunk once, as :func:`_read_records` parses a line; see
-    :func:`load_csv` for why the counts are exact.  It raises no
-    row-numbered error: any failure returns None.
+    :func:`load_csv` for why the counts are exact.  A line that is not a
+    whole, valid record, or a bad header, returns None, so this raises no
+    row-numbered error.
     """
     # Mapped-token tuple -> [stratum, table position, rows holding it].
     cells: dict[tuple[str, ...], list] = {}
