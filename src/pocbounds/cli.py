@@ -7,24 +7,21 @@ outcome of an unselected unit is censored).  An optional stratum column is
 read as an opaque string id with surrounding whitespace stripped, so
 ``" b"`` and ``"b"`` are one stratum.  A row's validity depends only on
 its field count and its mapped tokens, so :func:`load_csv` checks each
-distinct token tuple once.  It counts the file's lines a chunk at a time
-with one ``Counter`` call per chunk and parses each distinct line of a
-chunk once; a line kept for its tuple, at most one per tuple, adds its
-count with no parse, so memory grows with distinct tuples, not rows.  A
-file with a record that runs over several lines, or with a bad row, is
-read a second time, record by record, and only that read names a row in
-a message.  On the benchmark's 250,000-row file of 300 distinct lines
-the load takes 0.71 of the time of counting each line in an
-interpreted loop; a file whose every line differs (an id column) takes
-about 1.06 times as long, and one with a multi-line record on its last
-row about 1.8 times, as it is read twice.
+distinct token tuple once.  It opens the file once and counts its lines
+a chunk at a time with one ``Counter`` call per chunk, parsing each
+distinct line of a chunk once; a line kept for its tuple, at most one per
+tuple, adds its count with no parse, so memory grows with distinct tuples
+and one chunk, not rows.  A chunk that holds a record running over
+several lines, or a bad row, adds nothing from its count and is read
+line by line in order instead; only that walk names a row in a message.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
 field versions the layout, so identical inputs and configuration produce
 byte-identical output.  Model-restriction violations are reported as
 warnings, never as process failures; exit codes are 0 for success, 1 for
-a fatal runtime error, and 2 for configuration or parse errors.
+a fatal runtime error (an unreadable input or unwritable output path among
+them), and 2 for configuration or parse errors.
 """
 
 from __future__ import annotations
@@ -49,10 +46,11 @@ from .estimation import EMPTY_CELLS, Dataset, cell_counts, estimate_moments, est
 from .inference import DIRECTION_NOTE, UNSTABLE, EndpointIntervals, bootstrap_bounds, test_restrictions
 
 
-# Lines per chunk of load_csv's first pass.  One chunk's Counter is all the
-# pass holds that grows with lines, so this stays small: 4096 was measured,
-# and above about 5,000 a 40,000-line file of distinct lines peaks at over
-# 1.5 times the memory of a 10,000-line one.
+# Lines per chunk of load_csv.  A chunk's line list and its Counter are all
+# the loader holds that grows with lines, so this stays small: 4096 was
+# measured.  Up to 5,000 lines per chunk, a 40,000-line file of distinct
+# lines peaks at the traced memory of a 10,000-line one (0.86 MB at 4096);
+# at 8,192 it peaks at 1.7 times that.
 _CHUNK = 4096
 
 
@@ -132,44 +130,119 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
 
     A row's validity depends only on its field count and its mapped (d, s,
     y[, stratum]) tokens, so each distinct token tuple is checked once, on
-    the first line that holds it.  :func:`_count_lines` reads the file
-    :data:`_CHUNK` lines at a time, counts each chunk's lines with one
-    ``Counter`` call, and parses each *distinct* line of a chunk once.  A
-    line whose text was kept for its tuple adds its count with no parse;
-    any other line is parsed: split at its commas when it holds no quote
+    the first line that holds it.  The file is opened once and read
+    :data:`_CHUNK` lines at a time.  Each chunk's lines are counted with
+    one ``Counter`` call, and each *distinct* line of a chunk is parsed
+    once.  A line whose text was kept for its tuple adds its count with no
+    parse; any other line is split at its commas when it holds no quote
     character, otherwise read by the csv module.  At most one line is kept
-    per tuple and a ``Counter`` holds one chunk, so memory grows with
-    distinct tuples, not rows.
+    per tuple, so memory grows with distinct tuples and one chunk, not rows.
 
-    That pass is exact when it finishes.  It finishes only if every
-    distinct line, read from the start of a record, is a complete and valid
-    one-line record.  The header ends at a line end, so the first data line
-    starts a record; if a line starts a record and is a whole record, the
-    next line starts one too.  By induction every line is a record of its
-    own, and the table is the sum of the line counts.  If any line opens a
-    record that runs on past it, fails UTF-8, has the wrong width or holds a
-    bad token, the pass gives up, and :func:`_read_records` reads the file
-    again from the top, record by record.  Only that loader reads records of
-    several lines and only it names a row in a message, so the first bad
+    A chunk's counts are added only if every distinct line in it, read from
+    the start of a record, is a complete and valid one-line record.  The
+    header ends at a line end, so the first data line starts a record; if a
+    line starts a record and is a whole record, the next line starts one
+    too.  By induction every line of such a chunk is a record of its own,
+    and the chunk adds the sum of its line counts.  If any line opens a
+    record that runs on past it, fails UTF-8, has the wrong width or holds
+    a bad token, the chunk adds nothing and is walked in order instead:
+    each line is counted as a chunk of one, and a record that runs on is
+    read by the csv module from that line through the lines that finish
+    it, from the chunk or past it, and never kept.  Row numbers count
+    records, and only the walk names a row in a message, so the first bad
     row, its message and its exit code are those of a record-by-record
-    read.  A multi-line record or a bad row late in a file therefore costs
-    a second read.
+    read.  A cell made before the count gave up is that of a line whose
+    first copy comes ahead of the first bad line, so that line is a record
+    and the walk counts it; no stratum is left with no rows.  The next chunk is counted whole again.
 
-    Against counting each line in an interpreted loop, measured in process
-    on 250,000-row files: the benchmark's file of 300 distinct lines, and
-    a file of repeated lines that each hold a quoted field, load in 0.71
-    and 0.70 of the time.  A file whose every line differs (an id column)
-    takes 1.06 times as long, or 1.01 times when each such line holds a
-    quoted field.  A multi-line record at row 3 costs 1.01 times, and one
-    on the last row 1.76 times, for the second read.
+    Against the loader that read such a file a second time from the top,
+    as the median of 61 interleaved in-process rounds on 250,000-row files
+    on a 2-CPU machine: the benchmark's file of 300 distinct lines loads in
+    1.04 of the time and a file whose every line differs (an id column) in
+    1.02, both within the machine's noise; a multi-line record at row 3
+    loads in 0.75 of the time and one on the last row in 0.45.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
         raise ConfigError(f"duplicate column mapping: {named}")
     path = Path(path)
-    cells = _count_lines(path, mapping)
-    if cells is None:
-        cells = _read_records(path, mapping)
+    # Mapped-token tuple -> [stratum, table position, rows holding it].
+    cells: dict[tuple[str, ...], list] = {}
+    # Text of the first line of each tuple -> that tuple's cell.
+    known_lines: dict[str, list] = {}
+    # The cell of a blank line; it is in neither dict, so its rows are never tallied.
+    blank = [None, 0, 0]
+    row_number = 1
+    try:
+        with _open(path) as handle:
+            key_of, width = _read_header(handle, path, mapping)
+            # A line with no quote character is a whole record, which the csv
+            # module would split at its commas, so it is split here; a line
+            # long enough to hold a field over the csv module's limit still
+            # goes to the csv module, which raises that error.  ``parse``
+            # reads one line at a time and raises IndexError when a quoted
+            # field runs on past the line.
+            pending: list[str] = []
+            parse = csv.reader(iter(pending.pop, None))
+            longest = csv.field_size_limit()
+
+            def count(chunk, rest=None):
+                """The cell of each distinct line of ``chunk``, in order; raise if one is not a valid record.
+
+                With ``rest``, the lines after the chunk's one line, a record
+                that runs on past its line is read to its end; without it,
+                that raises IndexError.
+                """
+                found = []
+                for line in chunk:
+                    cell = known_lines.get(line)
+                    if cell is None:
+                        if not line.isascii():  # an all-ASCII line needs no call
+                            _check_utf8(line)
+                        if '"' not in line and len(line) <= longest:
+                            fields = line.rstrip("\r\n")
+                            row = fields.split(",") if fields else []
+                        else:
+                            pending.append(line)
+                            try:
+                                row = next(parse)
+                            except IndexError:  # the record runs on past the line
+                                if rest is None:
+                                    raise
+                                row = next(csv.reader(_checked_lines(itertools.chain((line,), rest, handle))))
+                                line = None  # a record of several lines is never kept
+                        if not row:  # a blank line
+                            cell = blank
+                        elif len(row) != width:
+                            raise CsvFormatError(f"{path}: row {row_number} has {len(row)} fields, header has {width}")
+                        else:
+                            key = key_of(row)
+                            cell = cells.get(key)
+                            if cell is None:
+                                cell = cells[key] = [*_cell(key, mapping, row_number, path), 0]
+                                if line is not None:
+                                    known_lines[line] = cell
+                    found.append(cell)
+                return found
+
+            while lines := list(itertools.islice(handle, _CHUNK)):
+                chunk = collections.Counter(lines)
+                try:
+                    # A message raised here is never shown, so its row number does not matter.
+                    found = count(chunk)
+                except (IndexError, UnicodeError, csv.Error, CsvFormatError):
+                    rest = iter(lines)
+                    for line in rest:
+                        row_number += 1
+                        count((line,), rest)[0][2] += 1
+                    continue
+                row_number += len(lines)
+                for cell, rows in zip(found, chunk.values()):
+                    cell[2] += rows
+    except UnicodeError:
+        raise CsvFormatError(f"{path}: row {row_number} is not valid UTF-8") from None
+    except csv.Error as err:
+        raise CsvFormatError(f"{path}: row {row_number}: {err}") from None
     if not cells:
         raise CsvFormatError(f"{path}: no data rows")
     tally: dict[str | None, list[int]] = {}
@@ -206,119 +279,6 @@ def _read_header(handle, path: Path, mapping: dict[str, str | None]):
     return key_of, len(header)
 
 
-def _count_lines(path: Path, mapping: dict[str, str | None]) -> dict[tuple[str, ...], list] | None:
-    """The cells of a file whose every line is a whole, valid record, else None.
-
-    Reads :data:`_CHUNK` lines at a time and parses each distinct line of a
-    chunk once, as :func:`_read_records` parses a line; see
-    :func:`load_csv` for why the counts are exact.  A line that is not a
-    whole, valid record, or a bad header, returns None, so this raises no
-    row-numbered error.
-    """
-    # Mapped-token tuple -> [stratum, table position, rows holding it].
-    cells: dict[tuple[str, ...], list] = {}
-    # Text of the first line of each tuple -> that tuple's cell.
-    known_lines: dict[str, list] = {}
-    try:
-        with _open(path) as handle:
-            key_of, width = _read_header(handle, path, mapping)
-            pending: list[str] = []
-            parse = csv.reader(iter(pending.pop, None))
-            longest = csv.field_size_limit()
-            while chunk := collections.Counter(itertools.islice(handle, _CHUNK)):
-                for line, rows in chunk.items():
-                    cell = known_lines.get(line)
-                    if cell is not None:
-                        cell[2] += rows
-                        continue
-                    if not line.isascii():  # an all-ASCII line needs no call
-                        _check_utf8(line)
-                    if '"' not in line and len(line) <= longest:
-                        fields = line.rstrip("\r\n")
-                        row = fields.split(",") if fields else []
-                    else:
-                        pending.append(line)
-                        try:
-                            row = next(parse)
-                        except IndexError:  # the record runs on past the line
-                            return None
-                    if not row:  # a blank line
-                        continue
-                    if len(row) != width:
-                        return None
-                    key = key_of(row)
-                    cell = cells.get(key)
-                    if cell is None:
-                        # A bad token ends the pass, so no row number is shown.
-                        cell = cells[key] = [*_cell(key, mapping, 0, path), 0]
-                        known_lines[line] = cell
-                    cell[2] += rows
-    except (UnicodeError, csv.Error, CsvFormatError):
-        return None
-    return cells
-
-
-def _read_records(path: Path, mapping: dict[str, str | None]) -> dict[tuple[str, ...], list]:
-    """The cells of the file, read record by record; the first bad row raises, named by its number.
-
-    Each line is parsed as in :func:`_count_lines`, except that a line
-    whose text was kept for its tuple is counted on its own with no parse,
-    and a line whose quoted field runs on past its end is read again, with
-    the lines that finish its record, and never kept; so a continuation
-    line that equals a kept line still counts as part of its record.
-    """
-    cells: dict[tuple[str, ...], list] = {}
-    known_lines: dict[str, list] = {}
-    row_number = 1
-    try:
-        with _open(path) as handle:
-            key_of, width = _read_header(handle, path, mapping)
-
-            # A line with no quote character is a whole record, which the csv
-            # module would split at its commas, so it is split here; a line
-            # long enough to hold a field over the csv module's limit still
-            # goes to the csv module, which raises that error.  ``parse``
-            # reads one line at a time and raises IndexError when a quoted
-            # field runs on past the line.  A record's continuation lines are
-            # read off ``handle`` directly, so ``enumerate`` counts records.
-            pending: list[str] = []
-            parse = csv.reader(iter(pending.pop, None))
-            longest = csv.field_size_limit()
-            for row_number, line in enumerate(handle, start=2):
-                cell = known_lines.get(line)
-                if cell is not None:
-                    cell[2] += 1
-                    continue
-                if not line.isascii():  # an all-ASCII line needs no call
-                    _check_utf8(line)
-                if '"' not in line and len(line) <= longest:
-                    fields = line.rstrip("\r\n")
-                    row = fields.split(",") if fields else []
-                else:
-                    pending.append(line)
-                    try:
-                        row = next(parse)
-                    except IndexError:
-                        row = next(csv.reader(itertools.chain((line,), _checked_lines(handle))))
-                        line = None  # a record of several lines is never kept
-                if not row:  # a blank line
-                    continue
-                if len(row) != width:
-                    raise CsvFormatError(f"{path}: row {row_number} has {len(row)} fields, header has {width}")
-                key = key_of(row)
-                cell = cells.get(key)
-                if cell is None:
-                    cell = cells[key] = [*_cell(key, mapping, row_number, path), 0]
-                    if line is not None:
-                        known_lines[line] = cell
-                cell[2] += 1
-    except UnicodeError:
-        raise CsvFormatError(f"{path}: row {row_number} is not valid UTF-8") from None
-    except csv.Error as err:
-        raise CsvFormatError(f"{path}: row {row_number}: {err}") from None
-    return cells
-
-
 def _cell(
     key: tuple[str, ...], mapping: dict[str, str | None], row_number: int, path: Path
 ) -> tuple[str | None, int]:
@@ -344,8 +304,7 @@ def _cell(
 
 
 def _check_utf8(line: str) -> None:
-    if not line.isascii():
-        line.encode("utf-8")  # raises UnicodeEncodeError on an escaped byte
+    line.encode("utf-8")  # raises UnicodeEncodeError on an escaped byte
 
 
 def _checked_lines(handle):

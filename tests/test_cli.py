@@ -55,6 +55,60 @@ def load_outcome(load, path, mapping):
     return table.labels, table.counts.tolist()
 
 
+SEVERAL_LINES = [
+    # Line 4 equals row 2's line but sits inside row 3's quoted stratum;
+    # row 4 starts with row 3's first line, which is not a whole record.
+    (
+        b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n"\n0,1,0,"b\n1,1,1,a\n"\n1,1,1,a\n',
+        (("a", "b\n1,1,1,a"), [[[0, 0, 0], [2, 0, 0]], [[0, 2, 0], [0, 0, 0]]]),
+    ),
+    # Row 2 spans lines 2-3, so the one-field line 5 is row 4.
+    (b'y,s,d,g\n1,1,1,"a\nb"\n1,1,1,a\nb"\n', "row 4 has 1 fields, header has 4"),
+    (b'y,s,d,g\n1,1,1,a\n1,1,1,"b\n\xff"\n1,1,1,a\n', "row 3 is not valid UTF-8"),
+    # An unterminated quote runs to the end of the file.
+    (
+        b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n',
+        (("a", "b\n1,1,1,a"), [[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+    ),
+    (
+        b'y,s,d,g\r1,1,1,a\r0,1,0,"a\rb"\r1,1,1,a\r',
+        (("a", "a\rb"), [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+    ),
+    # Rows 2-3 keep their lines; row 4 repeats row 2's kept line in the chunk
+    # whose row 5 opens a record that ends with that same line.  The chunk
+    # that holds them adds none of its counts before it is read in order,
+    # so the kept line counts twice, not once more for its copy in row 5.
+    (
+        b'y,s,d,g\n1,1,1,a\n0,1,1,a\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n"\n',
+        (("a", "b\n1,1,1,a"), [[[0, 0, 0], [2, 1, 0]], [[0, 1, 0], [0, 0, 0]]]),
+    ),
+    # Stratum z appears only on a continuation line, so it is no stratum:
+    # no row of zero counts is left for it.
+    (
+        b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,z\n"\n1,1,1,a\n',
+        (("a", "b\n1,1,1,z"), [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
+    ),
+]
+SEVERAL_LINES_IDS = [
+    "continuation-equals-kept-line",
+    "rows-count-records",
+    "bad-utf8-continuation",
+    "open-quote-at-eof",
+    "cr-only",
+    "continuation-equals-line-of-earlier-chunk",
+    "stratum-only-in-continuation",
+]
+
+
+def assert_several_lines(tmp_path, data, expected):
+    path = tmp_path / "data.csv"
+    path.write_bytes(data)
+    if isinstance(expected, str):
+        expected = (CsvFormatError, f"{path}: {expected}")
+    assert load_outcome(load_csv, path, STRATUM_MAPPING) == expected
+    assert load_outcome(reference_load_csv, path, STRATUM_MAPPING) == expected
+
+
 class TestLoadCsv:
     def test_three_row_file(self, tmp_path):
         path = write(tmp_path, "y,s,d\n1,1,1\n,0,1\n0,1,0\n")
@@ -222,47 +276,25 @@ class TestLoadCsv:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
 
-    @pytest.mark.parametrize(
-        "data, expected",
-        [
-            # Line 4 equals row 2's line but sits inside row 3's quoted stratum;
-            # row 4 starts with row 3's first line, which is not a whole record.
-            (
-                b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n"\n0,1,0,"b\n1,1,1,a\n"\n1,1,1,a\n',
-                (("a", "b\n1,1,1,a"), [[[0, 0, 0], [2, 0, 0]], [[0, 2, 0], [0, 0, 0]]]),
-            ),
-            # Row 2 spans lines 2-3, so the one-field line 5 is row 4.
-            (b'y,s,d,g\n1,1,1,"a\nb"\n1,1,1,a\nb"\n', "row 4 has 1 fields, header has 4"),
-            (b'y,s,d,g\n1,1,1,a\n1,1,1,"b\n\xff"\n1,1,1,a\n', "row 3 is not valid UTF-8"),
-            # An unterminated quote runs to the end of the file.
-            (
-                b'y,s,d,g\n1,1,1,a\n0,1,0,"b\n1,1,1,a\n',
-                (("a", "b\n1,1,1,a"), [[[0, 0, 0], [1, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
-            ),
-            (
-                b'y,s,d,g\r1,1,1,a\r0,1,0,"a\rb"\r1,1,1,a\r',
-                (("a", "a\rb"), [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]]),
-            ),
-        ],
-        ids=["continuation-equals-kept-line", "rows-count-records", "bad-utf8-continuation", "open-quote-at-eof", "cr-only"],
-    )
+    @pytest.mark.parametrize("data, expected", SEVERAL_LINES, ids=SEVERAL_LINES_IDS)
     def test_records_of_several_lines(self, tmp_path, data, expected):
-        path = tmp_path / "data.csv"
-        path.write_bytes(data)
-        if isinstance(expected, str):
-            expected = (CsvFormatError, f"{path}: {expected}")
-        assert load_outcome(load_csv, path, STRATUM_MAPPING) == expected
-        assert load_outcome(reference_load_csv, path, STRATUM_MAPPING) == expected
+        assert_several_lines(tmp_path, data, expected)
+
+    @pytest.mark.parametrize("data, expected", SEVERAL_LINES, ids=SEVERAL_LINES_IDS)
+    def test_records_of_several_lines_in_chunks_of_two(self, tmp_path, monkeypatch, data, expected):
+        """Records of several lines straddle chunks, and continuation lines are read past the chunk."""
+        monkeypatch.setattr(cli, "_CHUNK", 2)
+        assert_several_lines(tmp_path, data, expected)
 
 
-class TestWhichPassRuns:
-    """The record-by-record loader runs only when some line is not a whole, valid record."""
+class TestOneRead:
+    """``load_csv`` opens its input once, whether or not every line is a whole, valid record."""
 
     @pytest.fixture
-    def reads(self, monkeypatch):
+    def opens(self, monkeypatch):
         calls = []
-        read_records = cli._read_records
-        monkeypatch.setattr(cli, "_read_records", lambda *args: calls.append(args) or read_records(*args))
+        open_input = cli._open
+        monkeypatch.setattr(cli, "_open", lambda path: calls.append(path) or open_input(path))
         return calls
 
     @pytest.mark.parametrize(
@@ -275,27 +307,27 @@ class TestWhichPassRuns:
         ],
         ids=["clean", "crlf", "blank-lines", "quoted-one-line"],
     )
-    def test_one_line_records_are_counted_in_one_pass(self, tmp_path, reads, text):
+    def test_one_line_records_are_read_once(self, tmp_path, opens, text):
         path = write(tmp_path, text)
         assert load_outcome(load_csv, path, STRATUM_MAPPING) == load_outcome(
             reference_load_csv, path, STRATUM_MAPPING
         )
-        assert reads == []
+        assert opens == [path]
 
-    def test_record_of_several_lines_is_read_again(self, tmp_path, reads):
+    def test_record_of_several_lines_is_read_once(self, tmp_path, opens):
         path = write(tmp_path, 'y,s,d,g\n1,1,1,a\n0,1,0,"b\nc"\n1,1,1,a\n')
         assert load_outcome(load_csv, path, STRATUM_MAPPING) == (
             ("a", "b\nc"),
             [[[0, 0, 0], [2, 0, 0]], [[0, 1, 0], [0, 0, 0]]],
         )
-        assert len(reads) == 1
+        assert opens == [path]
 
-    def test_bad_last_row_is_named(self, tmp_path, reads):
+    def test_bad_last_row_is_named(self, tmp_path, opens):
         path = write(tmp_path, "y,s,d,g\n" + "1,1,1,a\n,0,1,b\n" * 3 + "1,1,2,a\n")
         with pytest.raises(CsvFormatError) as raised:
             load_csv(path, STRATUM_MAPPING)
         assert str(raised.value) == f"{path}: non-binary value '2' in column 'd' at row 8"
-        assert len(reads) == 1
+        assert opens == [path]
 
 
 ROWS = st.lists(
@@ -698,6 +730,14 @@ class TestMainExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("pocbounds: ") and "row 2 is not valid UTF-8" in err
+
+    @pytest.mark.parametrize("name", ["missing.csv", "."], ids=["missing-file", "directory"])
+    def test_unreadable_input_is_1(self, tmp_path, capsys, name):
+        code = main(["--input", str(tmp_path / name), "--y-col", "y", "--s-col", "s", "--d-col", "d"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pocbounds: fatal: ")
+        assert "Traceback" not in err and err.count("\n") == 1
 
     def test_unwritable_output_is_1(self, fixture_csv, tmp_path, capsys):
         code = main([
