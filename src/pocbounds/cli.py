@@ -145,22 +145,28 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     too.  By induction every line of such a chunk is a record of its own,
     and the chunk adds the sum of its line counts.  If any line opens a
     record that runs on past it, fails UTF-8, has the wrong width or holds
-    a bad token, the chunk adds nothing and is walked in order instead:
-    each line is counted as a chunk of one, and a record that runs on is
-    read by the csv module from that line through the lines that finish
-    it, from the chunk or past it, and never kept.  Row numbers count
-    records, and only the walk names a row in a message, so the first bad
-    row, its message and its exit code are those of a record-by-record
-    read.  A cell made before the count gave up is that of a line whose
-    first copy comes ahead of the first bad line, so that line is a record
-    and the walk counts it; no stratum is left with no rows.  The next chunk is counted whole again.
+    a bad token, the chunk adds nothing and is walked in order instead: a
+    line kept for its tuple adds one row with no parse, any other line is
+    counted as a chunk of one, and a record that runs on is read by the csv
+    module from that line through the lines that finish it, from the chunk
+    or past it, and never kept.  Row numbers count records, and only the
+    walk names a row in a message, so the first bad row, its message and
+    its exit code are those of a record-by-record read.  A cell made before
+    the count gave up is that of a line whose first copy comes ahead of the
+    first bad line, so that line is a record and the walk counts it; no
+    stratum is left with no rows.  The next chunk is counted whole again.
 
-    Against the loader that read such a file a second time from the top,
-    as the median of 61 interleaved in-process rounds on 250,000-row files
-    on a 2-CPU machine: the benchmark's file of 300 distinct lines loads in
-    1.04 of the time and a file whose every line differs (an id column) in
-    1.02, both within the machine's noise; a multi-line record at row 3
-    loads in 0.75 of the time and one on the last row in 0.45.
+    Against the loader that read a file with a multi-line record or a bad
+    row a second time from the top, as the median of 31 interleaved
+    in-process rounds on 250,000-row files on a 2-CPU machine: a multi-line
+    record at row 3 loads in 0.77 of the time and one on the last row in
+    0.46.  A file with a multi-line record every 2,000 rows, so that every
+    chunk is walked, takes 1.29 times as long, and one whose every record
+    spans two lines 1.20 times, as each walked chunk was first counted
+    whole in vain.  On the benchmark's file of 300 distinct lines and on a
+    file whose every line differs (an id column) the two loaders are within
+    the in-process noise, while the benchmark's ``bulk_pooled`` operation,
+    which the load dominates, reads about 5% slower.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
@@ -234,7 +240,8 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
                     rest = iter(lines)
                     for line in rest:
                         row_number += 1
-                        count((line,), rest)[0][2] += 1
+                        cell = known_lines.get(line) or count((line,), rest)[0]
+                        cell[2] += 1
                     continue
                 row_number += len(lines)
                 for cell, rows in zip(found, chunk.values()):
