@@ -18,7 +18,9 @@ Assumption bundles ``A1_3`` (A1 to A3), ``A1_4`` (plus A4) and ``A1_5``
 (plus A5) give nested sharp intervals; see :mod:`pocbounds.bounds` for the
 closed forms, :mod:`pocbounds.latent` for the latent model, attainment
 constructions and the brute-force envelope oracle, and
-:mod:`pocbounds.cli` for the command-line pipeline.
+:mod:`pocbounds.cli` for the command-line pipeline.  Importing the
+package loads numpy only; SciPy loads on the oracle's first linear
+program.
 """
 
 __version__ = "0.1.0"
@@ -45,33 +47,18 @@ from .inference import (
     test_restrictions,
 )
 
-# The latent API needs scipy.optimize, which the command line never calls:
-# its names load with pocbounds.latent on first access (PEP 562).
-_LATENT_NAMES = frozenset({
-    "CELL_ORDER",
-    "AssumptionReport",
-    "LatentJoint",
-    "Side",
-    "check_assumptions",
-    "construct_bound_distribution",
-    "construct_interior_distribution",
-    "observed_from_latent",
-    "sharp_envelope_oracle",
-    "theta_oo",
-})
-
-
-def __getattr__(name: str):
-    if name in _LATENT_NAMES:
-        from . import latent
-
-        return getattr(latent, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _LATENT_NAMES)
-
+from .latent import (
+    CELL_ORDER,
+    AssumptionReport,
+    LatentJoint,
+    Side,
+    check_assumptions,
+    construct_bound_distribution,
+    construct_interior_distribution,
+    observed_from_latent,
+    sharp_envelope_oracle,
+    theta_oo,
+)
 
 __all__ = [
     "ASSUMPTION_ORDER",

@@ -28,8 +28,10 @@ restriction ``P[S=1|D=1] >= P[S=1|D=0]``; under A4 the outcome restriction
 ``P[Y=1|D=1] >= P[Y=1|D=0]`` holds for raw success rates, which count an
 unselected unit as ``Y = 0``.  Equality is consistent with the model.
 :func:`restriction_violations` is the one encoding of both: the CLI's
-in-sample warnings, the attaining constructions in :mod:`pocbounds.latent`
-and ``BoundsInterval.restriction_violated`` all call it.
+in-sample warnings and the attaining constructions in
+:mod:`pocbounds.latent` call it.  ``BoundsInterval.restriction_violated``
+does not: :func:`bound_fields` sets it from the selection restriction
+alone, with the same exact comparison.
 
 The formulas are written once, elementwise, in :func:`bound_fields`, so
 one call bounds a whole stack of moment vectors; :func:`compute_bounds`
@@ -189,11 +191,6 @@ def require_q0(m: ObservedMoments) -> float:
             "so the data do not exclude an empty target subpopulation"
         )
     return q0
-
-
-def clip_unit(x: float) -> float:
-    """``x`` clipped into [0, 1]."""
-    return min(max(x, 0.0), 1.0)
 
 
 def trimmed_success_floor(p1, alpha):

@@ -155,18 +155,6 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     the count gave up is that of a line whose first copy comes ahead of the
     first bad line, so that line is a record and the walk counts it; no
     stratum is left with no rows.  The next chunk is counted whole again.
-
-    Against the loader that read a file with a multi-line record or a bad
-    row a second time from the top, as the median of 31 interleaved
-    in-process rounds on 250,000-row files on a 2-CPU machine: a multi-line
-    record at row 3 loads in 0.77 of the time and one on the last row in
-    0.46.  A file with a multi-line record every 2,000 rows, so that every
-    chunk is walked, takes 1.29 times as long, and one whose every record
-    spans two lines 1.20 times, as each walked chunk was first counted
-    whole in vain.  On the benchmark's file of 300 distinct lines and on a
-    file whose every line differs (an id column) the two loaders are within
-    the in-process noise, while the benchmark's ``bulk_pooled`` operation,
-    which the load dominates, reads about 5% slower.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):

@@ -24,7 +24,8 @@ the forward map to observed moments, explicit mass assignments attaining
 each closed-form bound endpoint (and any interior point), and a
 brute-force envelope oracle that recovers the identified set by linear
 programming over the cell simplex.  All functions are pure and
-deterministic.
+deterministic.  The module needs numpy only until the oracle's first
+solve, which imports :mod:`scipy.optimize` through :func:`linprog`.
 """
 
 from __future__ import annotations
@@ -34,12 +35,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .bounds import (
     AssumptionSet,
     ObservedMoments,
-    clip_unit,
     require_q0,
     restriction_violations,
     trim_ratio,
@@ -132,10 +131,6 @@ class LatentJoint:
             raise ValueError(f"cell masses sum to {total!r}, not 1 within {_MASS_TOL}")
         if not 0.0 < self.p_d1 < 1.0:
             raise ValueError(f"p_d1 = {self.p_d1!r} must lie strictly in (0, 1)")
-
-    @classmethod
-    def from_dict(cls, pi: dict[tuple[int, int, int, int], float], p_d1: float) -> "LatentJoint":
-        return cls(cells=tuple(pi.get(cell, 0.0) for cell in CELL_ORDER), p_d1=p_d1)
 
     def mass(self, y0: int, y1: int, s0: int, s1: int) -> float:
         return self.cells[cell_index(y0, y1, s0, s1)]
@@ -304,8 +299,8 @@ def _checked_rates(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float, 
 
 def _conditional_tables(
     p1: float, q0: float, alpha: float, a: AssumptionSet, side: Side
-) -> tuple[dict[tuple[int, int], float], dict[tuple[int, int], float]]:
-    """Conditional (y0, y1) tables for the OO and NO strata.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional tables for the OO and NO strata, as 2x2 arrays indexed ``[y0, y1]``.
 
     These are the explicit assignments that attain the interval endpoints
     while reproducing the observed moments.  Both follow from ``rate``,
@@ -336,33 +331,16 @@ def _conditional_tables(
         oo10 = 0.0
     no01 = (p1 - rate * alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
 
-    oo = {
-        (0, 1): clip_unit(oo01),
-        (1, 1): clip_unit(oo11),
-        (0, 0): clip_unit(q0 - oo01),
-        (1, 0): clip_unit(oo10),
-    }
-    no01 = clip_unit(no01)
-    no = {(0, 1): no01, (1, 1): 0.0, (0, 0): 1.0 - no01, (1, 0): 0.0}
+    oo, no = np.array([[[q0 - oo01, oo01], [oo10, oo11]], [[1.0 - no01, no01], [0.0, 0.0]]]).clip(0.0, 1.0)
     return oo, no
 
 
-def _assemble_joint(
-    m: ObservedMoments,
-    oo: dict[tuple[int, int], float],
-    no: dict[tuple[int, int], float],
-) -> LatentJoint:
-    mass_oo = m.p_s1_d0
-    mass_no = m.p_s1_d1 - m.p_s1_d0
-    mass_nn = 1.0 - m.p_s1_d1
-    pi: dict[tuple[int, int, int, int], float] = {}
-    for y0 in (0, 1):
-        for y1 in (0, 1):
-            pi[(y0, y1, 1, 1)] = oo[(y0, y1)] * mass_oo
-            pi[(y0, y1, 0, 1)] = no[(y0, y1)] * mass_no
-            pi[(y0, y1, 1, 0)] = 0.0
-            pi[(y0, y1, 0, 0)] = 0.25 * mass_nn
-    return LatentJoint.from_dict(pi, p_d1=m.p_d1)
+def _assemble_joint(m: ObservedMoments, oo: np.ndarray, no: np.ndarray) -> LatentJoint:
+    joint = np.zeros((2, 2, 2, 2))  # [y0, y1, s0, s1]: ravels in canonical cell order
+    joint[:, :, 1, 1] = oo * m.p_s1_d0
+    joint[:, :, 0, 1] = no * (m.p_s1_d1 - m.p_s1_d0)
+    joint[:, :, 0, 0] = 0.25 * (1.0 - m.p_s1_d1)
+    return LatentJoint(cells=tuple(joint.ravel().tolist()), p_d1=m.p_d1)
 
 
 def construct_bound_distribution(m: ObservedMoments, a: AssumptionSet, side: Side) -> LatentJoint:
@@ -397,14 +375,21 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
     p1, q0, alpha = _checked_rates(m, a)
     oo_lo, no_lo = _conditional_tables(p1, q0, alpha, a, Side.LOWER)
     oo_hi, no_hi = _conditional_tables(p1, q0, alpha, a, Side.UPPER)
-    oo = {k: omega * oo_lo[k] + (1.0 - omega) * oo_hi[k] for k in oo_lo}
-    no = {k: omega * no_lo[k] + (1.0 - omega) * no_hi[k] for k in no_lo}
+    oo = omega * oo_lo + (1.0 - omega) * oo_hi
+    no = omega * no_lo + (1.0 - omega) * no_hi
     return _assemble_joint(m, oo, no)
 
 
 # ---------------------------------------------------------------------------
 # Brute-force envelope oracle
 # ---------------------------------------------------------------------------
+
+def linprog(*args, **kwargs):
+    """:func:`scipy.optimize.linprog`, which loads SciPy on the first solve."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
+
 
 def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
     """One linear program over two independent copies of the 16 cell masses.

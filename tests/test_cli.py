@@ -837,9 +837,12 @@ import pocbounds.cli as cli
 after_import = scipy_modules()
 code = cli.main(sys.argv[1:])
 after_main = scipy_modules()
-import pocbounds.latent as latent
+import pocbounds.latent as latent, pocbounds.simulate
+after_latent = scipy_modules()
+latent.sharp_envelope_oracle(latent.ObservedMoments(0.6, 0.7, 0.8, 0.5), latent.AssumptionSet.A1_5)
 print(json.dumps({"after_import": after_import, "exit": code, "after_main": after_main,
-                  "linprog": "linprog" in vars(latent)}))
+                  "after_latent": after_latent, "linprog": "linprog" in vars(latent),
+                  "solve_loads_optimize": "scipy.optimize" in sys.modules}))
 """
 
 
@@ -856,7 +859,10 @@ def test_cli_loads_no_scipy(fixture_csv, tmp_path):
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"after_import": [], "exit": 0, "after_main": [], "linprog": True}
+    assert json.loads(proc.stdout) == {
+        "after_import": [], "exit": 0, "after_main": [], "after_latent": [], "linprog": True,
+        "solve_loads_optimize": True,
+    }
 
 
 def test_committed_csv_fixture_matches_its_generator(fixture_csv):

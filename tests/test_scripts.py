@@ -49,3 +49,13 @@ def test_run_demo_matches_the_command_line(monkeypatch, tmp_path, capsys):
     assert main(argv) == 0
     for name in ("report.json", "bounds.svg", "bounds.svg.json"):
         assert (tmp_path / "demo" / name).read_bytes() == (cli_dir / name).read_bytes(), name
+
+
+def test_latent_fixture_generator_reproduces_the_committed_file(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script prepends tests/
+    generator = load_script("make_latent_fixtures")
+    monkeypatch.setattr(generator, "OUT_PATH", tmp_path / "latent_fixtures.txt")
+    generator.main()
+    assert capsys.readouterr().out == f"wrote 6 records to {generator.OUT_PATH}\n"
+    committed = REPO / "tests" / "data" / "latent_fixtures.txt"
+    assert generator.OUT_PATH.read_bytes() == committed.read_bytes()
