@@ -20,8 +20,9 @@ exact decimal form, no timestamps are embedded, and a ``schema_version``
 field versions the layout, so identical inputs and configuration produce
 byte-identical output.  Model-restriction violations are reported as
 warnings, never as process failures; exit codes are 0 for success, 1 for
-a fatal runtime error (an unreadable input or unwritable output path among
-them), and 2 for configuration or parse errors.
+a fatal runtime error (an unreadable input, an input that is not a regular
+file or an unwritable output path among them), and 2 for configuration or
+parse errors.
 """
 
 from __future__ import annotations
@@ -390,8 +391,13 @@ def run_analysis(cfg: RunConfig) -> Report:
     the aggregate of the one-stratum table, so one fit and one bootstrap
     per group serve every set.
     """
-    data = load_csv(cfg.input_path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
-    digest = _sha256(cfg.input_path)
+    path = Path(cfg.input_path)
+    # The input is read twice, to count it and to hash it, so a pipe would
+    # hash as empty.  A missing path or a directory fails in load_csv.
+    if path.exists() and not (path.is_file() or path.is_dir()):
+        raise OSError(f"{cfg.input_path}: not a regular file; the input is read twice, to count it and to hash it")
+    data = load_csv(path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
+    digest = _sha256(path)
 
     moments = estimate_moments(data)
     requested = tuple(a for a in ASSUMPTION_ORDER if a in cfg.assumption_sets)

@@ -16,8 +16,7 @@ Cells are indexed canonically as ``index = 8*y0 + 4*y1 + 2*s0 + s1``
 uses that order.  Two module-level maps hold the rest of the cell
 structure: ``OBSERVE`` says which count-table column arm ``d`` shows each
 cell in, and ``forbidden_cells`` which cells an assumption set rules out.
-The forward map, the LP oracle, the assumption checks and the simulator
-all read them.
+The forward map, the LP oracle, the A3 check and the simulator read them.
 
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
@@ -185,38 +184,40 @@ class AssumptionReport:
         return base and self.holds_a4 and self.holds_a5
 
 
+def _theta_terms(L: LatentJoint) -> tuple[float, float]:
+    """Numerator and denominator of :func:`theta_oo`: the masses of cell (0, 1, 1, 1) and of OO with ``y0 = 0``."""
+    target = L.mass(0, 1, 1, 1)
+    return target, L.mass(0, 0, 1, 1) + target
+
+
 def check_assumptions(L: LatentJoint) -> AssumptionReport:
     """Check assumptions A1 through A5 on a latent joint, reporting detail.
 
-    A2 requires a treated share inside (0, 1) and positive mass of
-    always-selected units with untreated outcome zero.  A3 requires zero
-    mass on the ON stratum.  A4 requires zero mass on cells with
-    ``(y0, y1) = (1, 0)`` in every stratum except NN; never-selected units
-    reveal no outcome under either arm, so the monotone-response
-    restriction carries no content there (positive NN mass on such cells
-    is noted in ``details``).  A5 compares the treated-outcome rate of the
-    OO stratum against the NO stratum and is vacuously true when either
-    stratum has zero mass, again noted in ``details``.
+    A2 requires positive mass of always-selected units with untreated
+    outcome zero; the treated share lies inside (0, 1) by construction of
+    :class:`LatentJoint`.  A3 requires zero mass on the cells
+    ``forbidden_cells(A1_3)`` masks, the ON stratum.  A4 requires zero mass
+    on cells with ``(y0, y1) = (1, 0)`` in every stratum except NN;
+    never-selected units reveal no outcome under either arm, so the
+    monotone-response restriction carries no content there (positive NN
+    mass on such cells is noted in ``details``).  A5 compares the
+    treated-outcome rate of the OO stratum against the NO stratum and is
+    vacuously true when either stratum has zero mass, again noted in
+    ``details``.
     """
     details: list[str] = []
 
-    holds_a2 = 0.0 < L.p_d1 < 1.0 and (L.mass(0, 0, 1, 1) + L.mass(0, 1, 1, 1)) > 0.0
+    holds_a2 = _theta_terms(L)[1] > 0.0
     if not holds_a2:
         details.append("A2: no mass on always-selected cells with y0=0")
 
-    a3_forbidden = np.flatnonzero(forbidden_cells(AssumptionSet.A1_3))
-    on_cells = [CELL_ORDER[i][:2] for i in a3_forbidden if L.cells[i] > 0.0]
+    on_cells = [CELL_ORDER[i][:2] for i in np.flatnonzero(forbidden_cells(AssumptionSet.A1_3)) if L.cells[i] > 0.0]
     holds_a3 = not on_cells
     if on_cells:
         details.append(f"A3: positive mass on ON cells {on_cells}")
 
-    # The (1, 0) cells A1_4 forbids, in the order the message lists them: OO, NO, ON.
-    a4_forbidden = forbidden_cells(AssumptionSet.A1_4)
-    a4_cells = [
-        (s0, s1)
-        for (s0, s1) in ((1, 1), (0, 1), (1, 0))
-        if a4_forbidden[cell_index(1, 0, s0, s1)] and L.mass(1, 0, s0, s1) > 0.0
-    ]
+    # The strata whose (1, 0) cell A4 forbids, in the order the message lists them.
+    a4_cells = [(s0, s1) for (s0, s1) in ((1, 1), (0, 1), (1, 0)) if L.mass(1, 0, s0, s1) > 0.0]
     holds_a4 = not a4_cells
     if a4_cells:
         details.append(f"A4: positive mass on (y0,y1)=(1,0) cells in strata {a4_cells}")
@@ -251,8 +252,7 @@ def theta_oo(L: LatentJoint) -> float:
     always-selected units whose untreated outcome is zero, the share whose
     treated outcome is one.
     """
-    num = L.mass(0, 1, 1, 1)
-    den = L.mass(0, 0, 1, 1) + L.mass(0, 1, 1, 1)
+    num, den = _theta_terms(L)
     if den <= 0.0:
         raise ValueError(
             "positive-mass assumption (A2) violated: no always-selected units with y0=0"
@@ -391,18 +391,30 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
-    """One linear program over two independent copies of the 16 cell masses.
+def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
+    """Identified range of the probability of causation by direct optimization.
 
-    Moment matching is imposed after clearing denominators, e.g.
+    Optimizes the target functional over every latent joint that satisfies
+    assumption set ``a`` and reproduces the four identified probabilities
+    of ``m``.  Moment matching is imposed after clearing denominators, e.g.
     ``P[Y1=1, S1=1] = p1 * P[S1=1]``, which keeps every constraint linear
-    in the cell masses.  Under monotone selection the stratum masses of
-    OO and NO are pinned by the selection moments, so the dominance
+    in the cell masses.  Under monotone selection the stratum masses of OO
+    and NO are pinned by the selection moments, so the dominance
     restriction also becomes linear with constant coefficients.  The
-    first copy minimizes the target cell and the second maximizes it;
-    the constraints are block-diagonal, so each copy is optimal on its
-    own and one solve gives both endpoints.
+    functional is a ratio of linear functions of the cell masses whose
+    denominator is pinned at ``q0 * P[S=1|D=0]`` by the matching
+    constraints, so linear programming over the constrained simplex solves
+    it (the fractional-program normalization is a constant here).  One
+    program holds two independent copies of the 16 cell masses: the first
+    minimizes the target cell and the second maximizes it.  The
+    constraints are block-diagonal, so each copy is optimal on its own and
+    one solve gives both endpoints.
+
+    Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
+    the selection restriction, or when the constraint system is
+    infeasible, i.e. the moments are inconsistent with the assumption set.
     """
+    _checked_rates(m, AssumptionSet.A1_3)
     selected0 = ~_shown(0, 0, None)
     y1_s1 = _shown(1, 1, 1)
     a_eq = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0)])
@@ -434,23 +446,3 @@ def _lp_envelope(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: {res.message}")
     denominator = m.p_y0_s1d0 * m.p_s1_d0
     return res.x[target] / denominator, res.x[16 + target] / denominator
-
-
-def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
-    """Identified range of the probability of causation by direct optimization.
-
-    Optimizes the target functional over every latent joint that satisfies
-    assumption set ``a`` and reproduces the four identified probabilities
-    of ``m``.  The functional is a ratio of linear functions of the cell
-    masses whose denominator is pinned at ``q0 * P[S=1|D=0]`` by the
-    matching constraints, so linear programming over the constrained
-    simplex solves it (the fractional-program normalization is a constant
-    here): one program whose two independent copies of the cells give the
-    minimum and the maximum.
-
-    Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
-    the selection restriction, or when the constraint system is
-    infeasible, i.e. the moments are inconsistent with the assumption set.
-    """
-    _checked_rates(m, AssumptionSet.A1_3)
-    return _lp_envelope(m, a)

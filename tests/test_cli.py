@@ -739,6 +739,24 @@ class TestMainExitCodes:
         assert err.startswith("pocbounds: fatal: ")
         assert "Traceback" not in err and err.count("\n") == 1
 
+    def test_piped_input_is_1(self, fixture_csv):
+        # The report hashes the input after counting it, and a pipe is empty
+        # by then, so a fresh interpreter reading the fixture on stdin must
+        # refuse it rather than report the hash of nothing.
+        src = str(REPO / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "pocbounds", "--input", "/dev/stdin",
+                "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "4",
+            ],
+            input=fixture_csv.read_bytes(), capture_output=True, env=env, timeout=120,
+        )
+        err = proc.stderr.decode()
+        assert proc.returncode == 1, err
+        assert proc.stdout == b""
+        assert err.startswith("pocbounds: fatal: /dev/stdin: ") and err.count("\n") == 1
+
     def test_unwritable_output_is_1(self, fixture_csv, tmp_path, capsys):
         code = main([
             "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d",

@@ -1,5 +1,6 @@
 """Latent model: checks, target functional, forward map, attainment recipes."""
 
+import hashlib
 import itertools
 import math
 from pathlib import Path
@@ -155,6 +156,31 @@ class TestCheckAssumptions:
         cells[cell_index(0, 1, 0, 1)] = 0.5
         report = check_assumptions(LatentJoint(cells=tuple(cells), p_d1=0.5))
         assert not report.holds_a5
+
+    def test_reports_and_theta_are_pinned(self):
+        # Every field and note of the report, and theta_oo's exact value or
+        # error, over joints that reach each branch: the point masses, sparse
+        # joints (empty strata, empty target cells, A5 failures) and draws
+        # from every assumption set.
+        rng = np.random.default_rng(2024)
+        joints = [point_mass_joint(*cell) for cell in CELL_ORDER]
+        for _ in range(3000):
+            support = rng.choice(16, size=rng.integers(1, 7), replace=False)
+            cells = np.zeros(16)
+            cells[support] = rng.dirichlet(np.ones(len(support)))
+            joints.append(LatentJoint(cells=tuple(cells.tolist()), p_d1=float(rng.uniform(0.05, 0.95))))
+        for a in ASSUMPTION_ORDER:
+            joints += [draw_latent_joint(a, rng) for _ in range(200)]
+        digest = hashlib.sha256()
+        for joint in joints:
+            report = check_assumptions(joint)
+            try:
+                theta = theta_oo(joint).hex()
+            except ValueError as err:
+                theta = str(err)
+            fields = (report.holds_a2, report.holds_a3, report.holds_a4, report.holds_a5, report.details, theta)
+            digest.update(f"{fields!r}\n".encode())
+        assert digest.hexdigest() == "a13d6be2b381de46ed9c17f63e56efc96cfd977523cf1c4ac01a824ee61c5e29"
 
 
 class TestThetaOO:
