@@ -13,7 +13,8 @@ distinct line of a chunk once; a line kept for its tuple, at most one per
 tuple, adds its count with no parse, so memory grows with distinct tuples
 and one chunk, not rows.  A chunk that holds a record running over
 several lines, or a bad row, adds nothing from its count and is read
-line by line in order instead; only that walk names a row in a message.
+record by record by the csv module instead, through the record that
+holds its last line; only that read names a row in a message.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
@@ -141,21 +142,18 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
 
     A chunk's counts are added only if every distinct line in it, read from
     the start of a record, is a complete and valid one-line record.  The
-    header ends at a line end, so the first data line starts a record; if a
-    line starts a record and is a whole record, the next line starts one
-    too.  By induction every line of such a chunk is a record of its own,
-    and the chunk adds the sum of its line counts.  If any line opens a
-    record that runs on past it, fails UTF-8, has the wrong width or holds
-    a bad token, the chunk adds nothing and is walked in order instead: a
-    line kept for its tuple adds one row with no parse, any other line is
-    counted as a chunk of one, and a record that runs on is read by the csv
-    module from that line through the lines that finish it, from the chunk
-    or past it, and never kept.  Row numbers count records, and only the
-    walk names a row in a message, so the first bad row, its message and
-    its exit code are those of a record-by-record read.  A cell made before
-    the count gave up is that of a line whose first copy comes ahead of the
-    first bad line, so that line is a record and the walk counts it; no
-    stratum is left with no rows.  The next chunk is counted whole again.
+    header ends at a line end, so the first data line starts a record, and
+    by induction every line of such a chunk is a record of its own.  If any
+    line opens a record that runs on past it, fails UTF-8, has the wrong
+    width or holds a bad token, the chunk adds nothing from its count.  The
+    csv module then reads it record by record, through the record that
+    holds its last line, and a record of one line keeps its line for a new
+    tuple as the count does.  Only this read names a row in a message, so
+    the first bad row, its message and its exit code are those of a
+    record-by-record read; the next chunk is counted whole again.  A cell
+    made before the count failed belongs to a line whose first copy comes
+    before the failing line, so that line is a whole record and the csv
+    read counts it; no stratum is left with no rows.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
@@ -167,10 +165,12 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     known_lines: dict[str, list] = {}
     # The cell of a blank line; it is in neither dict, so its rows are never tallied.
     blank = [None, 0, 0]
-    row_number = 1
+    # Records read so far; the record being read, or the one in an error, is row_number + 1.
+    row_number = 0
     try:
         with _open(path) as handle:
             key_of, width = _read_header(handle, path, mapping)
+            row_number = 1
             # A line with no quote character is a whole record, which the csv
             # module would split at its commas, so it is split here; a line
             # long enough to hold a field over the csv module's limit still
@@ -181,64 +181,60 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
             parse = csv.reader(iter(pending.pop, None))
             longest = csv.field_size_limit()
 
-            def count(chunk, rest=None):
-                """The cell of each distinct line of ``chunk``, in order; raise if one is not a valid record.
-
-                With ``rest``, the lines after the chunk's one line, a record
-                that runs on past its line is read to its end; without it,
-                that raises IndexError.
-                """
-                found = []
-                for line in chunk:
-                    cell = known_lines.get(line)
-                    if cell is None:
-                        if not line.isascii():  # an all-ASCII line needs no call
-                            _check_utf8(line)
-                        if '"' not in line and len(line) <= longest:
-                            fields = line.rstrip("\r\n")
-                            row = fields.split(",") if fields else []
-                        else:
-                            pending.append(line)
-                            try:
-                                row = next(parse)
-                            except IndexError:  # the record runs on past the line
-                                if rest is None:
-                                    raise
-                                row = next(csv.reader(_checked_lines(itertools.chain((line,), rest, handle))))
-                                line = None  # a record of several lines is never kept
-                        if not row:  # a blank line
-                            cell = blank
-                        elif len(row) != width:
-                            raise CsvFormatError(f"{path}: row {row_number} has {len(row)} fields, header has {width}")
-                        else:
-                            key = key_of(row)
-                            cell = cells.get(key)
-                            if cell is None:
-                                cell = cells[key] = [*_cell(key, mapping, row_number, path), 0]
-                                if line is not None:
-                                    known_lines[line] = cell
-                    found.append(cell)
-                return found
+            def cell_of(row, number, line):
+                """The cell of ``row``, record ``number``; a new tuple keeps ``line``, the record's one line or None."""
+                if not row:  # a blank line
+                    return blank
+                if len(row) != width:
+                    raise CsvFormatError(f"{path}: row {number} has {len(row)} fields, header has {width}")
+                key = key_of(row)
+                cell = cells.get(key)
+                if cell is None:
+                    cell = cells[key] = [*_cell(key, mapping, number, path), 0]
+                    if line is not None:
+                        known_lines[line] = cell
+                return cell
 
             while lines := list(itertools.islice(handle, _CHUNK)):
                 chunk = collections.Counter(lines)
                 try:
                     # A message raised here is never shown, so its row number does not matter.
-                    found = count(chunk)
+                    found = []
+                    for line in chunk:
+                        cell = known_lines.get(line)
+                        if cell is None:
+                            if not line.isascii():  # an all-ASCII line needs no call
+                                _check_utf8(line)
+                            if '"' not in line and len(line) <= longest:
+                                fields = line.rstrip("\r\n")
+                                row = fields.split(",") if fields else []
+                            else:
+                                pending.append(line)
+                                row = next(parse)
+                            cell = cells.get(key_of(row)) if len(row) == width else None
+                            if cell is None:  # a blank line, a bad width or a new tuple
+                                cell = cell_of(row, row_number, line)
+                        found.append(cell)
                 except (IndexError, UnicodeError, csv.Error, CsvFormatError):
-                    rest = iter(lines)
-                    for line in rest:
+                    # Read the chunk record by record, through the record that holds
+                    # its last line; ``start`` lines of it come before the record read.
+                    reader = csv.reader(_checked_lines(itertools.chain(lines, handle)))
+                    start = 0
+                    for row in reader:
                         row_number += 1
-                        cell = known_lines.get(line) or count((line,), rest)[0]
-                        cell[2] += 1
+                        one_line = lines[start] if reader.line_num == start + 1 else None
+                        cell_of(row, row_number, one_line)[2] += 1
+                        start = reader.line_num
+                        if start >= len(lines):
+                            break
                     continue
                 row_number += len(lines)
                 for cell, rows in zip(found, chunk.values()):
                     cell[2] += rows
     except UnicodeError:
-        raise CsvFormatError(f"{path}: row {row_number} is not valid UTF-8") from None
+        raise CsvFormatError(f"{path}: row {row_number + 1} is not valid UTF-8") from None
     except csv.Error as err:
-        raise CsvFormatError(f"{path}: row {row_number}: {err}") from None
+        raise CsvFormatError(f"{path}: row {row_number + 1}: {err}") from None
     if not cells:
         raise CsvFormatError(f"{path}: no data rows")
     tally: dict[str | None, list[int]] = {}

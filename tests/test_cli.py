@@ -55,6 +55,31 @@ def load_outcome(load, path, mapping):
     return table.labels, table.counts.tolist()
 
 
+@pytest.fixture
+def parsed(monkeypatch):
+    """Every row the csv module yields to ``load_csv``, in order."""
+    rows = []
+    make_reader = csv.reader
+
+    class CountingReader:
+        def __init__(self, *args):
+            self.reader = make_reader(*args)
+
+        def __getattr__(self, name):
+            return getattr(self.reader, name)
+
+        def __iter__(self):
+            return self
+
+        def __next__(self):
+            row = next(self.reader)
+            rows.append(row)
+            return row
+
+    monkeypatch.setattr(cli.csv, "reader", CountingReader)
+    return rows
+
+
 SEVERAL_LINES = [
     # Line 4 equals row 2's line but sits inside row 3's quoted stratum;
     # row 4 starts with row 3's first line, which is not a whole record.
@@ -231,26 +256,12 @@ class TestLoadCsv:
 
     # A non-ASCII stratum, so every line read past the cache goes through _check_utf8.
     @pytest.mark.parametrize("stratum", ["é", '"é"'], ids=["plain", "quoted"])
-    def test_each_distinct_line_parsed_once(self, tmp_path, monkeypatch, stratum):
+    def test_each_distinct_line_parsed_once(self, tmp_path, monkeypatch, parsed, stratum):
         lines = [f"{line},{stratum}" for line in VALID_LINES]
         path = write(tmp_path, "y,s,d,g\n" + "\n".join(lines * 500) + "\n")
-        checked, parsed = [], []
-        check_utf8, make_reader = cli._check_utf8, csv.reader
-
-        class CountingReader:
-            def __init__(self, *args):
-                self.reader = make_reader(*args)
-
-            def __iter__(self):
-                return self
-
-            def __next__(self):
-                row = next(self.reader)
-                parsed.append(row)
-                return row
-
+        checked = []
+        check_utf8 = cli._check_utf8
         monkeypatch.setattr(cli, "_check_utf8", lambda line: checked.append(line) or check_utf8(line))
-        monkeypatch.setattr(cli.csv, "reader", CountingReader)
         data = load_csv(path, STRATUM_MAPPING)
         assert data.counts.tolist() == [[[500, 500, 500], [500, 500, 500]]]
         # The header, then each of the 6 distinct lines once, not each of the 3,000 rows.
@@ -258,6 +269,23 @@ class TestLoadCsv:
         # Only the lines that hold a quote reach the csv module.
         rows = [[*line.split(","), "é"] for line in VALID_LINES] if '"' in stratum else []
         assert parsed == [["y", "s", "d", "g"], *rows]
+
+    def test_csv_read_stops_after_the_failing_chunk(self, tmp_path, parsed):
+        # Row 2 spans two lines, and so does the record that opens on the first
+        # chunk's last line.  The quoted one-line record goes to the csv module
+        # in each chunk that does not find its line kept.
+        several = '0,1,0,"b\nc"\n'
+        one_line = '1,1,1,"a"\n'
+        tail = 2 * cli._CHUNK
+        text = "y,s,d,g\n" + several + one_line * (cli._CHUNK - 3) + several + one_line * tail
+        path = write(tmp_path, text)
+        assert load_outcome(load_csv, path, STRATUM_MAPPING) == (
+            ("a", "b\nc"),
+            [[[0, 0, 0], [cli._CHUNK - 3 + tail, 0, 0]], [[0, 2, 0], [0, 0, 0]]],
+        )
+        # The header and the first chunk's records, the last of which runs past
+        # it; the lines after that record are counted a chunk at a time, not parsed.
+        assert len(parsed) <= 1 + (cli._CHUNK - 1)
 
     def test_memory_grows_with_tuples_not_lines(self, tmp_path):
         peaks = []

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from pocbounds.cli import build_parser
 from pocbounds.inference import BootstrapResult
 
 REPO = Path(__file__).resolve().parents[1]
@@ -51,13 +52,30 @@ def test_checker_flags_a_dead_import():
     assert unused_imports("import os.path\nos.sep\n__all__ = ['json']\nimport json\n") == []
 
 
+def load_benchmark_module(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", REPO / "perfbench" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracer_names_exist():
     # Tier-1 does not run the benchmark, whose tracer fails to install when a
     # name it patches is gone; its module imports the standard library only.
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", REPO / "perfbench" / "tracer.py")
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
+    tracer = load_benchmark_module("tracer")
     names = [(owner, attr) for owner, attr, _ in tracer.SPANNED + tracer.COUNTED]
     assert [f"{owner}.{attr}" for owner, attr in names if not hasattr(tracer._resolve(owner), attr)] == []
     # Its replicate counters read these fields off every bootstrap result.
     assert {"replications", "failed_replicates"} <= {f.name for f in dataclasses.fields(BootstrapResult)}
+
+
+def test_benchmark_cli_flags_parse(tmp_path):
+    # A flag the benchmark's command-line workloads pass that the parser no
+    # longer knows would fail every one of their runs.
+    workloads = load_benchmark_module("workloads")
+    expected = {"path": str(tmp_path / "bulk.csv"), "rows": 0}
+    for workload in (
+        workloads.FixtureCli(REPO, tmp_path, seed=0, reps=2),
+        workloads.BulkPooled(tmp_path, seed=0, expected=expected, reps=2),
+    ):
+        build_parser().parse_args(workload.argv)

@@ -92,25 +92,19 @@ LATENT_EXPORTS = (
 
 
 class TestLazyExports:
+    """The package binds every public name at import, the latent module's among them."""
+
     def test_star_import_binds_every_public_name(self):
         namespace = {}
         exec("from pocbounds import *", namespace)
         for name in pocbounds.__all__:
             assert namespace[name] is getattr(pocbounds, name)
+        assert set(pocbounds.__all__) <= set(dir(pocbounds))
 
     @pytest.mark.parametrize("name", LATENT_EXPORTS)
     def test_latent_names_are_the_latent_objects(self, name):
         assert name in pocbounds.__all__
         assert getattr(pocbounds, name) is getattr(latent, name)
-
-    def test_dir_lists_the_public_names(self):
-        listed = dir(pocbounds)
-        assert "__all__" in listed
-        assert set(pocbounds.__all__) <= set(listed)
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(AttributeError, match=r"^module 'pocbounds' has no attribute 'no_such_name'$"):
-            pocbounds.no_such_name
 
 
 class TestCheckAssumptions:
