@@ -121,7 +121,8 @@ class Report:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The fields by name, holding the report's own values, not copies."""
+        return dict(vars(self))
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
@@ -301,7 +302,8 @@ def _check_utf8(line: str) -> None:
 
 def _checked_lines(handle):
     for line in handle:
-        _check_utf8(line)
+        if not line.isascii():  # an all-ASCII line needs no call
+            _check_utf8(line)
         yield line
 
 

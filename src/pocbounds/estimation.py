@@ -133,14 +133,23 @@ EMPTY_CELLS = (
 _MomentArrays = namedtuple("_MomentArrays", "p_y1_s1d1 p_y0_s1d0 p_s1_d1 p_s1_d0 p_d1")
 
 
-def _proportions(counts: np.ndarray) -> tuple[np.ndarray, _MomentArrays]:
-    """Empty-cell mask ``[..., 5]`` (``EMPTY_CELLS`` order) and moments (inf or NaN over an empty cell)."""
-    n1, n0 = counts[..., 1, :].sum(axis=-1), counts[..., 0, :].sum(axis=-1)
-    s1d1, s1d0 = counts[..., 1, :2].sum(axis=-1), counts[..., 0, :2].sum(axis=-1)
-    empty = np.stack([n1, n0, s1d1, s1d0, counts[..., 0, 1]], axis=-1) == 0
+def _proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _MomentArrays]:
+    """Each table's first empty conditioning cell, its size, and its moments.
+
+    The first is the cell's :data:`EMPTY_CELLS` index, -1 if none is empty;
+    the moments are inf or NaN over an empty cell.  Every sum adds two or
+    three integer cells, so each moment is an exact count ratio ``k / n``.
+    """
+    s1d1, s1d0 = counts[..., 1, 0] + counts[..., 1, 1], counts[..., 0, 0] + counts[..., 0, 1]
+    n1, n0 = s1d1 + counts[..., 1, 2], s1d0 + counts[..., 0, 2]
+    n = n0 + n1
+    empty = np.full(n.shape, -1)
+    # Marked last cell first, so a table keeps its first empty cell's index.
+    for i, cell in reversed(list(enumerate((n1, n0, s1d1, s1d0, counts[..., 0, 1])))):
+        empty[cell == 0] = i
     with np.errstate(divide="ignore", invalid="ignore"):
         p1, q0 = counts[..., 1, 0] / s1d1, counts[..., 0, 1] / s1d0
-        return empty, _MomentArrays(p1, q0, s1d1 / n1, s1d0 / n0, n1 / (n0 + n1))
+        return empty, n, _MomentArrays(p1, q0, s1d1 / n1, s1d0 / n0, n1 / n)
 
 
 def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
@@ -148,9 +157,9 @@ def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
 
     Raises ``ValueError`` naming the first empty conditioning cell.
     """
-    empty, moments = _proportions(np.asarray(counts, dtype=np.int64))
-    if empty.any():
-        raise ValueError(EMPTY_CELLS[int(empty.argmax())])
+    empty, _, moments = _proportions(np.asarray(counts, dtype=np.int64))
+    if empty >= 0:
+        raise ValueError(EMPTY_CELLS[int(empty)])
     return ObservedMoments(*(float(p) for p in moments))
 
 
@@ -160,6 +169,10 @@ def estimate_moments(data: Dataset) -> ObservedMoments:
 
 
 StratifiedFields = namedtuple("StratifiedFields", "empty weight strata aggregate")
+
+# The bound_fields fields an aggregate adds with the strata's weights, and those it ORs.
+_ENDPOINTS = ("lb", "ub", "lb_raw", "ub_raw")
+_FLAGS = ("lb_clipped", "ub_clipped", "restriction_violated")
 
 
 def stratified_fields(counts: np.ndarray, sets: Iterable[AssumptionSet]) -> StratifiedFields:
@@ -174,22 +187,29 @@ def stratified_fields(counts: np.ndarray, sets: Iterable[AssumptionSet]) -> Stra
     ``[...]``, adding endpoints in table order from 0 as Python's ``sum``
     does, with each flag the disjunction over the retained strata.
     """
-    empty, moments = _proportions(counts)
-    dropped = empty.any(axis=-1)
-    n = np.where(dropped, 0, counts.sum(axis=(-2, -1)))
+    empty, n, moments = _proportions(counts)
+    dropped = empty >= 0
+    n = np.where(dropped, 0, n)
     with np.errstate(divide="ignore", invalid="ignore"):
         strata = {a: bound_fields(moments, a) for a in sets}
         weight = np.where(dropped, 0.0, n / n.sum(axis=-1, keepdims=True))
-    aggregate = {}
-    for a, fields in strata.items():
-        totals = aggregate[a] = {
-            name: sum(np.moveaxis(weight * np.where(dropped, 0.0, fields[name]), -1, 0))
-            for name in ("lb", "ub", "lb_raw", "ub_raw")
-        }
-        for name in ("lb_clipped", "ub_clipped", "restriction_violated"):
-            totals[name] = (fields[name] & ~dropped).any(axis=-1)
-        totals["crossed"] = totals["lb"] > totals["ub"]
-    return StratifiedFields(np.where(dropped, empty.argmax(axis=-1), -1), weight, strata, aggregate)
+    # [set, field, ..., strata] stacks, reduced one stratum at a time: a
+    # loop of whole-array adds and ORs beats a reduction over the short
+    # strata axis, and each total adds the strata in order from 0.
+    terms = np.array([[fields[name] for name in _ENDPOINTS] for fields in strata.values()])
+    np.copyto(terms, 0.0, where=dropped)
+    terms *= weight
+    flags = np.array([[fields[name] for name in _FLAGS] for fields in strata.values()])
+    flags &= ~dropped
+    totals, anys = np.zeros(terms.shape[:-1]), np.zeros(flags.shape[:-1], dtype=bool)
+    for k in range(terms.shape[-1]):
+        totals += terms[..., k]
+        anys |= flags[..., k]
+    aggregate = {
+        a: {**dict(zip(_ENDPOINTS, total)), **dict(zip(_FLAGS, flag)), "crossed": total[0] > total[1]}
+        for a, total, flag in zip(strata, totals, anys)
+    }
+    return StratifiedFields(empty, weight, strata, aggregate)
 
 
 def estimate_stratified(data: Dataset, sets: Iterable[AssumptionSet]) -> StratifiedFields:

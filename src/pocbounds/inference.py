@@ -27,7 +27,12 @@ of the stratified draw.  Resampling is realized by multinomial draws over
 the cell counts, which is the exact distribution of record resampling
 aggregated to the sufficient statistics the estimators consume.  One call
 of the point estimator's own array code scores the stacked draws under
-every set, on moments, drops and weights computed once.
+every set, on moments, drops and weights computed once.  Every interval of
+a group then comes from one sort: each set, endpoint and estimate (the
+aggregate or a stratum) is one row of replicates, a replicate that skips
+the estimate is ``+inf`` there, and each row's percentiles are read off
+its kept values with the arithmetic of NumPy's linear quantile (type 7 of
+Hyndman and Fan 1996), so they equal ``np.quantile`` bit for bit.
 """
 
 from __future__ import annotations
@@ -228,8 +233,11 @@ def bootstrap_bounds(
     Replicates that drop every stratum on an empty cell are excluded and
     counted in ``failed_replicates``; resampling until success would bias
     the replicate distribution, so failures surface instead, and more than
-    ``reps // 2`` raise ``ValueError``.  Identical inputs (including
-    ``seed``) give bit-identical output.
+    ``reps // 2`` raise ``ValueError``.  A stratum's intervals leave out the
+    replicates that drop it, and are ``None`` past ``reps // 2`` of them.
+    All intervals come from one sort of the stacked replicate rows and are
+    NumPy's linear percentiles of the kept replicates, bit for bit.
+    Identical inputs (including ``seed``) give bit-identical output.
     """
     if reps < 2:
         raise ValueError(f"reps = {reps} must be at least 2")
@@ -247,21 +255,48 @@ def bootstrap_bounds(
     failed = dropped.all(axis=1)
     if failed.sum() > reps // 2:
         raise ValueError(UNSTABLE)
+    # One row of replicates per set, endpoint and estimate (the aggregate,
+    # then each stratum).  A skipped replicate is +inf, so one sort puts each
+    # row's kept values first, in order.
+    skip = np.vstack([failed, dropped.T])
+    rows = np.array([
+        [[total[name], *fit.strata[a][name].T] for name in ("lb", "ub")] for a, total in fit.aggregate.items()
+    ])
+    rows[:, :, skip] = np.inf
+    rows.sort(axis=-1)
+    skipped = skip.sum(axis=1)
+    scored = skipped <= reps // 2
     tail = (1.0 - level) / 2.0
-
-    def percentile(fields: dict[str, np.ndarray], skip: np.ndarray, at=np.s_[:]) -> EndpointIntervals | None:
-        if skip[at].sum() > reps // 2:
-            return None
-        values = np.stack([fields["lb"][at], fields["ub"][at]], axis=1)[~skip[at]]
-        lo, hi = np.quantile(values, [tail, 1.0 - tail], axis=0)
-        return EndpointIntervals(ci_lb=(float(lo[0]), float(hi[0])), ci_ub=(float(lo[1]), float(hi[1])))
-
+    ci = np.full(rows.shape[:-1] + (2,), np.nan)
+    ci[:, :, scored] = _sorted_quantiles(rows[:, :, scored], reps - skipped[scored], np.array([tail, 1.0 - tail]))
+    intervals = [
+        [EndpointIntervals(ci_lb=tuple(lb), ci_ub=tuple(ub)) if ok else None for lb, ub, ok in zip(*by_set, scored)]
+        for by_set in ci.tolist()
+    ]
     return BootstrapResult(
-        aggregate={a: percentile(fields, failed) for a, fields in fit.aggregate.items()},
-        per_stratum={
-            a: {label: percentile(fields, dropped, np.s_[:, k]) for k, label in enumerate(data.labels)}
-            for a, fields in fit.strata.items()
-        },
+        aggregate={a: by_set[0] for a, by_set in zip(fit.aggregate, intervals)},
+        per_stratum={a: dict(zip(data.labels, by_set[1:])) for a, by_set in zip(fit.aggregate, intervals)},
         replications=reps,
         failed_replicates=int(failed.sum()),
     )
+
+
+def _sorted_quantiles(rows: np.ndarray, n: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Linear (type 7) quantiles at levels ``q`` of the first ``n`` entries of each ascending row.
+
+    ``rows`` is ``[..., k, width]`` with ``n`` (``[k]``, each at least 1)
+    kept entries per row; the result is ``[..., k, len(q)]``.  The
+    arithmetic is NumPy's own for ``np.quantile(method="linear")``: the
+    virtual index ``(n - 1) q``, its fractional part ``gamma``, and its
+    ``_lerp``, so each value equals ``np.quantile`` of the row's kept
+    entries bit for bit.
+    """
+    virtual = (n[:, None] - 1) * q
+    below = np.floor(virtual)
+    gamma = virtual - below
+    top = n[:, None] - 1
+    shape = rows.shape[:-1] + q.shape
+    a = np.take_along_axis(rows, np.broadcast_to(np.minimum(below, top).astype(np.intp), shape), axis=-1)
+    b = np.take_along_axis(rows, np.broadcast_to(np.minimum(below + 1, top).astype(np.intp), shape), axis=-1)
+    diff = b - a
+    return np.where(gamma >= 0.5, b - diff * (1 - gamma), a + diff * gamma)

@@ -3,8 +3,9 @@
 Everything in here is deliberately kept independent of the code paths it
 checks: the moment inversion solves the bound equations by hand-derived
 algebra, the moment/joint samplers use only the model's permitted-cell
-patterns, and the reference CSV loader checks and counts every row on its
-own.
+patterns, the reference CSV loader checks and counts every row on its
+own, and the reference bootstrap reads each percentile interval with its
+own ``np.quantile`` call.
 """
 
 from __future__ import annotations
@@ -16,7 +17,8 @@ import numpy as np
 
 from pocbounds import AssumptionSet, ObservedMoments
 from pocbounds.cli import ConfigError, CsvFormatError
-from pocbounds.estimation import Dataset, table_position
+from pocbounds.estimation import Dataset, stratified_fields, table_position
+from pocbounds.inference import UNSTABLE, BootstrapResult, EndpointIntervals
 
 #: Published point bounds the fixture moments must reproduce.
 TABLE_UB1 = 0.609
@@ -170,6 +172,48 @@ def build_stratified_fixture(seed: int, n_strata: int = 10):
         )
         truth[a] = (lb, ub)
     return joints, weights, truth
+
+
+def reference_bootstrap_bounds(
+    data: Dataset, sets, reps: int, level: float, seed: int
+) -> BootstrapResult:
+    """Column-at-a-time bootstrap the stacked ``bootstrap_bounds`` must match bit for bit.
+
+    The same draw and the same kernel's per-stratum fields; each aggregate
+    replicate is Python's ``sum`` over the strata in table order, and each
+    interval is one ``np.quantile`` call on the kept replicates of one set
+    and one estimate.
+    """
+    sizes = data.counts.sum(axis=(1, 2))
+    probs = data.counts.reshape(len(sizes), 6) / sizes[:, None]
+    draws = np.random.default_rng(seed).multinomial(sizes, probs, size=(reps, len(sizes)))
+    fit = stratified_fields(draws.reshape(reps, len(sizes), 2, 3), sets)
+    dropped = fit.empty >= 0
+    failed = dropped.all(axis=1)
+    if failed.sum() > reps // 2:
+        raise ValueError(UNSTABLE)
+    tail = (1.0 - level) / 2.0
+
+    def percentile(lb: np.ndarray, ub: np.ndarray, skip: np.ndarray) -> EndpointIntervals | None:
+        if skip.sum() > reps // 2:
+            return None
+        values = np.stack([lb, ub], axis=1)[~skip]
+        lo, hi = np.quantile(values, [tail, 1.0 - tail], axis=0)
+        return EndpointIntervals(ci_lb=(float(lo[0]), float(hi[0])), ci_ub=(float(lo[1]), float(hi[1])))
+
+    def aggregate(values: np.ndarray) -> np.ndarray:
+        return sum(np.moveaxis(fit.weight * np.where(dropped, 0.0, values), -1, 0))
+
+    strata = {a: (fields["lb"], fields["ub"]) for a, fields in fit.strata.items()}
+    return BootstrapResult(
+        aggregate={a: percentile(aggregate(lb), aggregate(ub), failed) for a, (lb, ub) in strata.items()},
+        per_stratum={
+            a: {label: percentile(lb[:, k], ub[:, k], dropped[:, k]) for k, label in enumerate(data.labels)}
+            for a, (lb, ub) in strata.items()
+        },
+        replications=reps,
+        failed_replicates=int(failed.sum()),
+    )
 
 
 def reference_load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:

@@ -8,11 +8,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 from scipy.stats import norm
 
 import pocbounds.inference as inference
-from _oracles import build_stratified_fixture
+from _oracles import build_stratified_fixture, reference_bootstrap_bounds
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
@@ -26,7 +28,13 @@ from pocbounds import (
     test_restrictions as run_restriction_tests,
 )
 from pocbounds.estimation import moments_from_counts
-from pocbounds.inference import _ndtr, one_sided_nonnegative_test, restriction_tests_from_counts
+from pocbounds.inference import (
+    UNSTABLE,
+    _ndtr,
+    _sorted_quantiles,
+    one_sided_nonnegative_test,
+    restriction_tests_from_counts,
+)
 from pocbounds.latent import LatentJoint, cell_index, construct_interior_distribution
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
 
@@ -310,6 +318,90 @@ class TestBootstrapBounds:
             covered_ub += boot.ci_ub[0] <= truth.ub <= boot.ci_ub[1]
         assert covered_lb / trials >= 0.8
         assert covered_ub / trials >= 0.8
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    """Equal float64 arrays bit for bit: -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestSortedQuantiles:
+    LEVELS = np.array([0.5, 0.9, 0.99, 0.05, 0.95, float(np.random.default_rng(31).uniform())])
+
+    def quantiles(self, kept: list[np.ndarray], width: int) -> np.ndarray:
+        """``_sorted_quantiles`` of ``kept`` sorted into ``+inf``-padded rows of ``width``."""
+        rows = np.full((len(kept), width), np.inf)
+        for row, values in zip(rows, kept):
+            row[: len(values)] = np.sort(values)
+        return _sorted_quantiles(rows, np.array([len(values) for values in kept]), self.LEVELS)
+
+    @pytest.mark.parametrize(
+        "values",
+        [[0.25], [0.75, 0.25], [0.5] * 7, [0.0, 1.0, 0.0, 1.0, 1.0], [0.1, 0.7, 0.3]],
+        ids=["n=1", "n=2", "tied", "two-values", "n=3"],
+    )
+    @pytest.mark.parametrize("padding", [0, 1, 40])
+    def test_row_matches_np_quantile(self, values, padding):
+        got = self.quantiles([np.array(values)], len(values) + padding)
+        assert same_bits(got[0], np.quantile(values, self.LEVELS))
+
+    def test_random_rows_match_np_quantile(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(300):
+            width = int(rng.integers(1, 1200))
+            kept = []
+            for n in rng.integers(1, width + 1, size=int(rng.integers(1, 5))):
+                kind = rng.integers(3)
+                if kind == 0:
+                    kept.append(rng.normal(size=n))
+                elif kind == 1:  # many ties
+                    kept.append(rng.integers(0, 4, size=n) / 3.0)
+                else:
+                    kept.append(np.full(n, rng.uniform()))
+            got = self.quantiles(kept, width)
+            assert same_bits(got, [np.quantile(values, self.LEVELS) for values in kept])
+
+
+@st.composite
+def sparse_datasets(draw):
+    """Small strata whose replicates often lose a conditioning cell, with or without a large stable stratum."""
+    cells = st.lists(st.integers(0, 3), min_size=6, max_size=6).filter(any)
+    tables = [np.reshape(table, (2, 3)) for table in draw(st.lists(cells, min_size=1, max_size=4))]
+    if draw(st.booleans()):
+        tables.append(np.array([[30, 25, 20], [40, 20, 15]]))
+    return Dataset(labels=tuple(f"s{k}" for k in range(len(tables))), counts=tables)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    sparse_datasets(),
+    st.integers(2, 120),
+    st.sampled_from([0.5, 0.8, 0.9, 0.95, 0.99, 0.37]),
+    st.integers(0, 2**32 - 1),
+)
+def test_property_stacked_percentiles_match_column_reference(data, reps, level, seed):
+    try:
+        want = reference_bootstrap_bounds(data, ASSUMPTION_ORDER, reps, level, seed)
+    except ValueError as err:
+        assert str(err) == UNSTABLE
+        with pytest.raises(ValueError, match=UNSTABLE):
+            bootstrap_bounds(data, ASSUMPTION_ORDER, reps=reps, level=level, seed=seed)
+        return
+    # repr prints every float exactly and tells -0.0 from 0.0.
+    assert repr(bootstrap_bounds(data, ASSUMPTION_ORDER, reps=reps, level=level, seed=seed)) == repr(want)
+
+
+def test_dropped_strata_and_skipped_intervals_match_column_reference():
+    # The tiny stratum is dropped by most replicates, past reps // 2, and the
+    # aggregate loses some replicates outright.
+    tables = [[[1, 1, 0], [1, 0, 1]], [[2, 2, 1], [2, 1, 1]], [[0, 1, 0], [1, 0, 0]]]
+    data = Dataset(labels=("a", "b", "tiny"), counts=tables)
+    got = bootstrap_bounds(data, ASSUMPTION_ORDER, reps=300, level=0.9, seed=4)
+    assert 0 < got.failed_replicates <= 150
+    assert all(got.per_stratum[a]["tiny"] is None for a in ASSUMPTION_ORDER)
+    assert all(got.per_stratum[a]["b"] is not None for a in ASSUMPTION_ORDER)
+    assert repr(got) == repr(reference_bootstrap_bounds(data, ASSUMPTION_ORDER, 300, 0.9, 4))
 
 
 def test_coverage_study_script_runs():
