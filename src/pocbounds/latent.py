@@ -24,14 +24,18 @@ each closed-form bound endpoint (and any interior point), and a
 brute-force envelope oracle that recovers the identified set by linear
 programming over the cell simplex.  All functions are pure and
 deterministic.  The module needs numpy only until the oracle's first
-solve, which imports :mod:`scipy.optimize` through :func:`linprog`.
+solve: :func:`linprog` then imports :mod:`scipy.optimize` and hands the
+program to HiGHS through ``milp``, and the oracle builds its fixed rows,
+a :mod:`scipy.sparse` matrix, once.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -47,6 +51,9 @@ from .estimation import table_position
 
 # Unused here: perfbench/tracer.py looks this name up in this module.
 from .bounds import compute_bounds  # noqa: F401
+
+if TYPE_CHECKING:
+    from scipy.sparse import csc_array
 
 #: All 16 cells in canonical order.
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -384,11 +391,68 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
 # Brute-force envelope oracle
 # ---------------------------------------------------------------------------
 
-def linprog(*args, **kwargs):
-    """:func:`scipy.optimize.linprog`, which loads SciPy on the first solve."""
-    from scipy.optimize import linprog as solve
+def linprog(c, a, lower, upper, ub):
+    """Minimize ``c @ x`` subject to ``lower <= a @ x <= upper`` and ``0 <= x <= ub``.
 
-    return solve(*args, **kwargs)
+    The package's one solve: HiGHS through :func:`scipy.optimize.milp`
+    with no integer variables, which loads SciPy on the first call.
+    Returns SciPy's ``OptimizeResult``.
+    """
+    from scipy.optimize import milp
+
+    return milp(c, bounds=(0.0, ub), constraints=(a, lower, upper))
+
+
+class _Program(NamedTuple):
+    """The parts of the oracle's program that no moment changes, on both copies.
+
+    ``dominated`` is ``equality`` with the two A5 dominance rows under it,
+    holding ones where the coefficients go; ``oo_slots`` and ``no_slots``
+    index its ``data`` at the OO and NO coefficients.  Every array is
+    read-only.
+    """
+
+    equality: csc_array
+    dominated: csc_array
+    oo_slots: np.ndarray
+    no_slots: np.ndarray
+    objective: np.ndarray
+
+
+@functools.cache
+def _program() -> _Program:
+    from scipy.sparse import csc_array
+
+    selected0 = ~_shown(0, 0, None)
+    y1_s1 = _shown(1, 1, 1)
+    rows = np.kron(np.eye(2), np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0)]))
+    dominated = csc_array(np.vstack([rows, np.kron(np.eye(2), y1_s1)]))
+    # The dominance rows come last, so each holds the last entry of its column.
+    last = dominated.indptr[1:] - 1
+    target = cell_index(0, 1, 1, 1)
+    objective = np.zeros(32)
+    objective[[target, 16 + target]] = 1.0, -1.0
+    program = _Program(
+        equality=csc_array(rows),
+        dominated=dominated,
+        oo_slots=last[np.tile(y1_s1 & selected0, 2)],
+        no_slots=last[np.tile(y1_s1 & ~selected0, 2)],
+        objective=objective,
+    )
+    arrays = [program.oo_slots, program.no_slots, objective]
+    for matrix in (program.equality, dominated):
+        arrays += [matrix.data, matrix.indices, matrix.indptr]
+    for array in arrays:
+        array.flags.writeable = False
+    return program
+
+
+@functools.cache
+def _upper_bounds(a: AssumptionSet) -> np.ndarray:
+    """Upper bound of each variable of the two copies under ``a``: 0 on the cells it forbids, else 1.  Read-only."""
+    ub = np.tile(np.where(forbidden_cells(a), 0.0, 1.0), 2)
+    ub.flags.writeable = False
+    return ub
 
 
 def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
@@ -410,39 +474,32 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     constraints are block-diagonal, so each copy is optimal on its own and
     one solve gives both endpoints.
 
+    HiGHS solves the program through :func:`scipy.optimize.milp` with no
+    integer variables (see :func:`linprog`).  The equality rows of both
+    copies, the objective and each set's variable bounds are built once,
+    on the first solve, and kept read-only; a call adds the moments they
+    match and, under A1_5 with ``P[NO] > 0``, the dominance coefficients.
+
     Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
     the selection restriction, or when the constraint system is
     infeasible, i.e. the moments are inconsistent with the assumption set.
     """
     _checked_rates(m, AssumptionSet.A1_3)
-    selected0 = ~_shown(0, 0, None)
-    y1_s1 = _shown(1, 1, 1)
-    a_eq = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0)])
-    b_eq = np.array([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0])
-    a_ub = b_ub = None
+    program = _program()
+    b_eq = np.tile([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0], 2)
+    rows, lower, upper = program.equality, b_eq, b_eq
     mass_no = m.p_s1_d1 - m.p_s1_d0
     if a is AssumptionSet.A1_5 and mass_no > 0.0:
         # P[Y1=1, OO] / P[OO] >= P[Y1=1, NO] / P[NO] with both stratum
         # masses fixed by the selection moments.
-        dominance = np.where(y1_s1, np.where(selected0, mass_no, -m.p_s1_d0), 0.0)
-        a_ub = np.kron(np.eye(2), -dominance)
-        b_ub = np.zeros(2)
-    var_bounds = [(0.0, 0.0) if zero else (0.0, 1.0) for zero in forbidden_cells(a)] * 2
-
-    target = cell_index(0, 1, 1, 1)
-    objective = np.zeros(32)
-    objective[target] = 1.0
-    objective[16 + target] = -1.0
-    res = linprog(
-        objective,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=np.kron(np.eye(2), a_eq),
-        b_eq=np.tile(b_eq, 2),
-        bounds=var_bounds,
-        method="highs",
-    )
+        rows = program.dominated.copy()
+        rows.data[program.oo_slots] = mass_no
+        rows.data[program.no_slots] = -m.p_s1_d0
+        lower = np.concatenate([b_eq, np.zeros(2)])
+        upper = np.concatenate([b_eq, np.full(2, np.inf)])
+    res = linprog(program.objective, rows, lower, upper, _upper_bounds(a))
     if not res.success:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: {res.message}")
+    target = cell_index(0, 1, 1, 1)
     denominator = m.p_y0_s1d0 * m.p_s1_d0
     return res.x[target] / denominator, res.x[16 + target] / denominator

@@ -119,18 +119,44 @@ class TestLpMode:
             sharp_envelope_oracle(m, AssumptionSet.A1_3)
 
 
+def expected_rows(m, a):
+    """The oracle's constraint rows on both copies, built from the cell bits.
+
+    Five moment rows per copy, then under A1_5 with P[NO] > 0 one dominance
+    row per copy: ``P[NO] * P[Y1=1, OO] - P[OO] * P[Y1=1, NO] >= 0``.
+    """
+    y0, y1, s0, s1 = np.array(latent.CELL_ORDER).T
+    rows = [np.kron(np.eye(2), np.vstack([np.ones(16), s1, s0, y1 * s1, (1 - y0) * s0]))]
+    mass_no = m.p_s1_d1 - m.p_s1_d0
+    if a is AssumptionSet.A1_5 and mass_no > 0.0:
+        rows.append(np.kron(np.eye(2), y1 * s1 * np.where(s0 == 1, mass_no, -m.p_s1_d0)))
+    return np.vstack(rows)
+
+
 class TestOneSolvePerCall:
     @pytest.fixture
     def solves(self, monkeypatch):
         calls = []
         solve = latent.linprog
 
-        def counting(*args, **kwargs):
-            calls.append(kwargs)
-            return solve(*args, **kwargs)
+        def counting(c, a, lower, upper, ub):
+            calls.append((c, a, lower, upper, ub))
+            return solve(c, a, lower, upper, ub)
 
         monkeypatch.setattr(latent, "linprog", counting)
         return calls
+
+    @staticmethod
+    def assert_program(solve, m, a):
+        _, rows, lower, upper, ub = solve
+        expected = expected_rows(m, a)
+        assert rows.shape == expected.shape
+        assert np.array_equal(rows.toarray(), expected)
+        b_eq = np.tile([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0], 2)
+        dominance = len(expected) - 10
+        assert np.array_equal(lower, np.concatenate([b_eq, np.zeros(dominance)]))
+        assert np.array_equal(upper, np.concatenate([b_eq, np.full(dominance, np.inf)]))
+        assert np.array_equal(ub, np.tile(~latent.forbidden_cells(a), 2))
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
     def test_one_solve_gives_both_endpoints(self, solves, a):
@@ -139,16 +165,14 @@ class TestOneSolvePerCall:
         assert_matches_closed_forms(m, a)
         assert len(solves) == 1
         # The A5 dominance row is present on both copies only when P[NO] > 0.
-        inequality = solves[0]["A_ub"]
-        if a is AssumptionSet.A1_5:
-            assert inequality.shape == (2, 32)
-        else:
-            assert inequality is None
+        assert solves[0][1].shape == ((12, 32) if a is AssumptionSet.A1_5 else (10, 32))
+        self.assert_program(solves[0], m, a)
 
     def test_one_solve_with_empty_no_stratum(self, solves):
         m = ObservedMoments(p_y1_s1d1=0.6, p_y0_s1d0=0.7, p_s1_d1=0.5, p_s1_d0=0.5)
         assert_matches_closed_forms(m, AssumptionSet.A1_5)
-        assert len(solves) == 1 and solves[0]["A_ub"] is None
+        assert len(solves) == 1 and solves[0][1].shape == (10, 32)
+        self.assert_program(solves[0], m, AssumptionSet.A1_5)
 
     @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
     def test_infeasible_after_one_solve(self, solves, a):
@@ -156,3 +180,25 @@ class TestOneSolvePerCall:
         with pytest.raises(ValueError, match="inconsistent"):
             sharp_envelope_oracle(m, a)
         assert len(solves) == 1
+
+    def test_cached_rows_do_not_leak_between_calls(self, solves):
+        # Each call builds its program from the cached rows; none writes into them.
+        rng = np.random.default_rng(106)
+        calls = [(draw_restricted_moments(rng), a) for a in (*ASSUMPTION_ORDER[::-1], *ASSUMPTION_ORDER)]
+        for m, a in calls:
+            assert_matches_closed_forms(m, a)
+        assert [solve[1].shape[0] for solve in solves] == [12, 10, 10, 10, 10, 12]
+        for solve, (m, a) in zip(solves, calls):
+            self.assert_program(solve, m, a)
+
+    def test_cached_arrays_are_read_only(self, solves):
+        sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
+        program = latent._program()
+        arrays = [program.oo_slots, program.no_slots, program.objective, solves[0][0], solves[0][4]]
+        for matrix in (program.equality, program.dominated, solves[0][1]):
+            arrays += [matrix.data, matrix.indices, matrix.indptr]
+        arrays += [latent._upper_bounds(a) for a in ASSUMPTION_ORDER]
+        for array in arrays:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
