@@ -192,12 +192,16 @@ class TestOneSolvePerCall:
             self.assert_program(solve, m, a)
 
     def test_cached_arrays_are_read_only(self, solves):
+        # The solve gets the cached objective, rows and bounds themselves.
         sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
         program = latent._program()
-        arrays = [program.oo_slots, program.no_slots, program.objective, solves[0][0], solves[0][4]]
-        for matrix in (program.equality, program.dominated, solves[0][1]):
-            arrays += [matrix.data, matrix.indices, matrix.indptr]
+        c, rows, _, _, ub = solves[0]
+        assert c is program.objective and rows is program.equality
+        assert ub is latent._upper_bounds(AssumptionSet.A1_3)
+        arrays = [program.oo_slots, program.no_slots, program.objective]
         arrays += [latent._upper_bounds(a) for a in ASSUMPTION_ORDER]
+        for matrix in (program.equality, program.dominated):
+            arrays += [matrix.data, matrix.indices, matrix.indptr]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
