@@ -7,31 +7,34 @@ outcome of an unselected unit is censored).  An optional stratum column is
 read as an opaque string id with surrounding whitespace stripped, so
 ``" b"`` and ``"b"`` are one stratum.  A row's validity depends only on
 its field count and its mapped tokens, so :func:`load_csv` checks each
-distinct token tuple once.  It opens the file once and counts its lines
-a chunk at a time with one ``Counter`` call per chunk, parsing each
-distinct line of a chunk once; a line kept for its tuple, at most one per
-tuple, adds its count with no parse, so memory grows with distinct tuples
-and one chunk, not rows.  A chunk that holds a record running over
-several lines, or a bad row, adds nothing from its count and is read
-record by record by the csv module instead, through the record that
-holds its last line; only that read names a row in a message.
+distinct token tuple once.  It reads the input once, hashing its raw
+bytes as it decodes them, so a pipe such as ``/dev/stdin`` is an input
+too.  It counts the lines a chunk at a time with one ``Counter`` call per
+chunk, parsing each distinct line of a chunk once; a line kept for its
+tuple, at most one per tuple, adds its count with no parse, so memory
+grows with distinct tuples and one chunk, not rows.  A chunk that holds a
+record running over several lines, or a bad row, adds nothing from its
+count and is read record by record by the csv module instead, through the
+record that holds its last line; only that read names a row in a message.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
 field versions the layout, so identical inputs and configuration produce
 byte-identical output.  Model-restriction violations are reported as
 warnings, never as process failures; exit codes are 0 for success, 1 for
-a fatal runtime error (an unreadable input, an input that is not a regular
-file or an unwritable output path among them), and 2 for configuration or
-parse errors.
+a fatal runtime error (an unreadable input or an unwritable output path
+among them), and 2 for configuration or parse errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import collections
+import contextlib
 import csv
 import hashlib
+import io
 import itertools
 import json
 import operator
@@ -54,6 +57,8 @@ from .inference import DIRECTION_NOTE, UNSTABLE, EndpointIntervals, bootstrap_bo
 # lines peaks at the traced memory of a 10,000-line one (0.86 MB at 4096);
 # at 8,192 it peaks at 1.7 times that.
 _CHUNK = 4096
+# Bytes per read of the input; each block is hashed and decoded as it comes.
+_BLOCK = 1 << 16
 
 
 class ConfigError(Exception):
@@ -82,6 +87,8 @@ class RunConfig:
     plot_out: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.input_path:
+            raise ConfigError("--input is empty; it must name a CSV file")
         if not 0.0 < self.level < 1.0:
             raise ConfigError(f"level = {self.level!r} must lie strictly in (0, 1)")
         if self.reps < 2:
@@ -128,18 +135,23 @@ class Report:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
+def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> Dataset:
     """Count the microdata records into a table; row numbers count the header as row 1.
+
+    ``digest``, a :mod:`hashlib` object, receives every byte read, the
+    byte-order mark included; by default the bytes go to a hasher nobody
+    reads.  A load that succeeds has read, and so hashed, the whole input.
 
     A row's validity depends only on its field count and its mapped (d, s,
     y[, stratum]) tokens, so each distinct token tuple is checked once, on
-    the first line that holds it.  The file is opened once and read
-    :data:`_CHUNK` lines at a time.  Each chunk's lines are counted with
-    one ``Counter`` call, and each *distinct* line of a chunk is parsed
-    once.  A line whose text was kept for its tuple adds its count with no
-    parse; any other line is split at its commas when it holds no quote
-    character, otherwise read by the csv module.  At most one line is kept
-    per tuple, so memory grows with distinct tuples and one chunk, not rows.
+    the first line that holds it.  The file is opened and read once, and
+    its lines are taken :data:`_CHUNK` at a time.  Each chunk's lines are
+    counted with one ``Counter`` call, and each *distinct* line of a chunk
+    is parsed once.  A line whose text was kept for its tuple adds its
+    count with no parse; any other line is split at its commas when it
+    holds no quote character, otherwise read by the csv module.  At most
+    one line is kept per tuple, so memory grows with distinct tuples and
+    one chunk, not rows.
 
     A chunk's counts are added only if every distinct line in it, read from
     the start of a record, is a complete and valid one-line record.  The
@@ -169,7 +181,7 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     # Records read so far; the record being read, or the one in an error, is row_number + 1.
     row_number = 0
     try:
-        with _open(path) as handle:
+        with _open(path, digest or hashlib.sha256()) as handle:
             key_of, width = _read_header(handle, path, mapping)
             row_number = 1
             # A line with no quote character is a whole record, which the csv
@@ -244,10 +256,37 @@ def load_csv(path: str | Path, mapping: dict[str, str | None]) -> Dataset:
     return Dataset(labels=tuple(tally), counts=list(tally.values()))
 
 
-def _open(path: Path):
-    # Undecodable bytes become lone surrogates, which _check_utf8 rejects
-    # line by line, so an error can name the row that holds them.
-    return path.open(newline="", encoding="utf-8-sig", errors="surrogateescape")
+@contextlib.contextmanager
+def _open(path: Path, digest):
+    """The input's lines, as ``open(path, newline="", encoding="utf-8-sig")`` yields them.
+
+    The raw bytes are read :data:`_BLOCK` at a time, and each block goes to
+    ``digest`` before it is decoded.  Undecodable bytes become lone
+    surrogates, which _check_utf8 rejects line by line, so an error can name
+    the row that holds them.
+    """
+    with open(path, "rb", buffering=0) as raw:
+        yield itertools.chain.from_iterable(_decoded_blocks(raw, digest))
+
+
+def _decoded_blocks(raw, digest):
+    """One text file per run of whole lines in ``raw``; a line cut by a block's end goes to the next."""
+    decode = codecs.getincrementaldecoder("utf-8-sig")(errors="surrogateescape").decode
+    # Text read past the last cut, kept as parts so that a long line is joined once.
+    rest: list[str] = []
+    while block := raw.read(_BLOCK):
+        digest.update(block)
+        text = decode(block)
+        # Cut after the last line end; a final "\r" may be the start of "\r\n".
+        cut = max(text.rfind("\n"), text.rfind("\r", 0, -1)) + 1
+        if cut:
+            rest.append(text[:cut])
+            yield io.StringIO("".join(rest), newline="")
+            rest = [text[cut:]]
+        else:
+            rest.append(text)
+    rest.append(decode(b"", final=True))
+    yield io.StringIO("".join(rest), newline="")
 
 
 def _read_header(handle, path: Path, mapping: dict[str, str | None]):
@@ -316,15 +355,6 @@ def _parse_binary(token: str, column: str, row_number: int, path: Path) -> int:
     raise CsvFormatError(f"{path}: non-binary value {token!r} in column {column!r} at row {row_number}")
 
 
-def _sha256(path: str | Path) -> str:
-    """Hex digest of the file, read 1 MiB at a time so it never sits in memory whole."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while chunk := handle.read(1 << 20):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _finite_or_none(value: float) -> float | None:
     return float(value) if np.isfinite(value) else None
 
@@ -389,13 +419,9 @@ def run_analysis(cfg: RunConfig) -> Report:
     the aggregate of the one-stratum table, so one fit and one bootstrap
     per group serve every set.
     """
-    path = Path(cfg.input_path)
-    # The input is read twice, to count it and to hash it, so a pipe would
-    # hash as empty.  A missing path or a directory fails in load_csv.
-    if path.exists() and not (path.is_file() or path.is_dir()):
-        raise OSError(f"{cfg.input_path}: not a regular file; the input is read twice, to count it and to hash it")
-    data = load_csv(path, {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col})
-    digest = _sha256(path)
+    digest = hashlib.sha256()
+    mapping = {"y": cfg.y_col, "s": cfg.s_col, "d": cfg.d_col, "stratum": cfg.stratum_col}
+    data = load_csv(cfg.input_path, mapping, digest)
 
     moments = estimate_moments(data)
     requested = tuple(a for a in ASSUMPTION_ORDER if a in cfg.assumption_sets)
@@ -430,7 +456,7 @@ def run_analysis(cfg: RunConfig) -> Report:
         "tool": "pocbounds",
         "tool_version": __version__,
         "input_path": str(cfg.input_path),
-        "input_sha256": digest,
+        "input_sha256": digest.hexdigest(),
         "n_records": data.n,
         "seed": cfg.seed,
         "reps": cfg.reps,
@@ -557,14 +583,18 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     rendered = report.to_json() if cfg.output_format == "json" else _format_text(report)
+    # An input path that is not valid UTF-8 holds lone surrogates; they go
+    # out as the path's own bytes, whatever the locale's encoding.
+    rendered = rendered.encode("utf-8", errors="surrogateescape")
     if args.output is not None:
         try:
-            Path(args.output).write_text(rendered, encoding="utf-8")
+            Path(args.output).write_bytes(rendered)
         except OSError as err:
             print(f"pocbounds: fatal: cannot write report: {err}", file=sys.stderr)
             return 1
     else:
-        sys.stdout.write(rendered)
+        sys.stdout.flush()
+        sys.stdout.buffer.write(rendered)
     if cfg.plot_out is not None:
         try:
             emit_plot_data(report, cfg.plot_out)

@@ -40,6 +40,16 @@ MAPPING = {"y": "y", "s": "s", "d": "d", "stratum": None}
 STRATUM_MAPPING = {**MAPPING, "stratum": "g"}
 
 
+def run_module(argv, input=None, env_overrides=None):
+    """``python -m pocbounds argv`` in a fresh interpreter that imports this checkout's package."""
+    src = str(REPO / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "pocbounds", *argv],
+        input=input, capture_output=True, env={**env, **(env_overrides or {})}, timeout=120,
+    )
+
+
 def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -243,6 +253,13 @@ class TestLoadCsv:
         with pytest.raises(CsvFormatError, match="row 3 is not valid UTF-8"):
             load_csv(path, STRATUM_MAPPING)
 
+    def test_truncated_last_character_names_its_row(self, tmp_path):
+        # The file ends inside a two-byte character, which only the decoder's last call sees.
+        path = tmp_path / "cut.csv"
+        path.write_bytes(b"y,s,d,g\n1,1,1,a\n0,1,0,\xc3")
+        with pytest.raises(CsvFormatError, match="row 3 is not valid UTF-8"):
+            load_csv(path, STRATUM_MAPPING)
+
     def test_each_token_tuple_checked_once(self, tmp_path, monkeypatch):
         tuples = ["1,1,1", "0,1,1", ",0,1", "1,1,0", "0,1,0", ",0,0"]
         path = write(tmp_path, "y,s,d\n" + "\n".join(tuples * 500) + "\n")
@@ -317,13 +334,13 @@ class TestLoadCsv:
 
 
 class TestOneRead:
-    """``load_csv`` opens its input once, whether or not every line is a whole, valid record."""
+    """``load_csv`` and ``run_analysis`` open their input once, whether or not every line is a whole, valid record."""
 
     @pytest.fixture
     def opens(self, monkeypatch):
         calls = []
         open_input = cli._open
-        monkeypatch.setattr(cli, "_open", lambda path: calls.append(path) or open_input(path))
+        monkeypatch.setattr(cli, "_open", lambda path, digest: calls.append(path) or open_input(path, digest))
         return calls
 
     @pytest.mark.parametrize(
@@ -357,6 +374,24 @@ class TestOneRead:
             load_csv(path, STRATUM_MAPPING)
         assert str(raised.value) == f"{path}: non-binary value '2' in column 'd' at row 8"
         assert opens == [path]
+
+    def test_run_analysis_opens_its_input_once(self, tmp_path, fixture_csv, opens, monkeypatch):
+        path = tmp_path / "copy.csv"
+        path.write_bytes(fixture_csv.read_bytes())
+        # Every open of the input by name, through ``open`` or ``Path.open``.
+        named = []
+        builtin_open = io.open
+
+        def counting_open(file, *args, **kwargs):
+            if os.fspath(file) == str(path):
+                named.append(file)
+            return builtin_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        report = run_analysis(RunConfig(input_path=str(path), y_col="y", s_col="s", d_col="d", reps=4))
+        assert opens == [path] and len(named) == 1
+        assert report.provenance["input_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 ROWS = st.lists(
@@ -472,11 +507,18 @@ def test_main_on_arbitrary_csv_fails_cleanly(tmp_path, data, stratified):
 
 
 def assert_matches_per_row_reference(tmp_path, data, stratified):
-    """The same table, or the same error class and message (row number included)."""
+    """The same table, or the same error class and message (row number included).
+
+    A load that succeeds has hashed every byte of the input, the byte-order mark included.
+    """
     path = tmp_path / "fuzz.csv"
     path.write_bytes(data)
     mapping = STRATUM_MAPPING if stratified else MAPPING
-    assert load_outcome(load_csv, path, mapping) == load_outcome(reference_load_csv, path, mapping)
+    digest = hashlib.sha256()
+    outcome = load_outcome(lambda path, mapping: load_csv(path, mapping, digest), path, mapping)
+    assert outcome == load_outcome(reference_load_csv, path, mapping)
+    if not isinstance(outcome[0], type):  # the load succeeded
+        assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -490,6 +532,18 @@ def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
 def test_load_csv_matches_per_row_reference_in_chunks_of_two(tmp_path, monkeypatch, data, stratified):
     """Repeated lines, blank lines and records of several lines straddle the first pass's chunks."""
     monkeypatch.setattr(cli, "_CHUNK", 2)
+    assert_matches_per_row_reference(tmp_path, data, stratified)
+
+
+@pytest.mark.parametrize("chunk", [2, cli._CHUNK], ids=["chunks-of-two", "default-chunks"])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=csv_bytes(), stratified=st.booleans(), block=st.integers(1, 7))
+def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(
+    tmp_path, monkeypatch, chunk, data, stratified, block
+):
+    """A CRLF line end, a multibyte character and the byte-order mark are cut across the reads of the raw bytes."""
+    monkeypatch.setattr(cli, "_CHUNK", chunk)
+    monkeypatch.setattr(cli, "_BLOCK", block)
     assert_matches_per_row_reference(tmp_path, data, stratified)
 
 
@@ -511,6 +565,14 @@ class TestRunConfig:
         assert cfg.use_strata is True
         with pytest.raises(ConfigError, match="without a stratum column"):
             RunConfig(input_path="x", y_col="y", s_col="s", d_col="d", stratified=True)
+
+    def test_empty_input_path_rejected(self, capsys):
+        # ``Path("")`` is the working directory, so an empty path must not reach the loader.
+        with pytest.raises(ConfigError, match="--input"):
+            RunConfig(input_path="", y_col="y", s_col="s", d_col="d")
+        assert main(["--input", "", "--y-col", "y", "--s-col", "s", "--d-col", "d"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("pocbounds: --input ") and err.count("\n") == 1
 
 
 @pytest.fixture(scope="module")
@@ -567,7 +629,7 @@ class TestRunAnalysis:
         changed_path = tmp_path / "changed.csv"
         changed_path.write_bytes(original.replace(b"c1", b"c9", 1))
         base = dict(y_col="y", s_col="s", d_col="d", stratum_col="course", reps=10, seed=0)
-        # Trailing blank lines are skipped, so only the digest sees them; the file spans two 1 MiB chunks.
+        # Trailing blank lines are skipped, so only the digest sees them; the file spans 18 of the loader's 64 KiB blocks.
         padded = original + b"\n" * 1_100_000
         padded_path = tmp_path / "padded.csv"
         padded_path.write_bytes(padded)
@@ -768,23 +830,40 @@ class TestMainExitCodes:
         assert err.startswith("pocbounds: fatal: ")
         assert "Traceback" not in err and err.count("\n") == 1
 
-    def test_piped_input_is_1(self, fixture_csv):
-        # The report hashes the input after counting it, and a pipe is empty
-        # by then, so a fresh interpreter reading the fixture on stdin must
-        # refuse it rather than report the hash of nothing.
-        src = str(REPO / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "pocbounds", "--input", "/dev/stdin",
-                "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "4",
-            ],
-            input=fixture_csv.read_bytes(), capture_output=True, env=env, timeout=120,
+    def test_piped_input_matches_the_file_run(self, fixture_csv):
+        # A fresh interpreter reads the fixture on stdin, which is a pipe, in one pass.
+        flags = ["--y-col", "y", "--s-col", "s", "--d-col", "d", "--stratum-col", "course", "--reps", "20"]
+        piped = run_module(["--input", "/dev/stdin", *flags], input=fixture_csv.read_bytes())
+        from_file = run_module(["--input", str(fixture_csv), *flags])
+        assert piped.returncode == from_file.returncode == 0, piped.stderr.decode()
+        assert piped.stderr == b""
+        piped_report, file_report = json.loads(piped.stdout), json.loads(from_file.stdout)
+        assert piped_report["provenance"].pop("input_path") == "/dev/stdin"
+        assert file_report["provenance"].pop("input_path") == str(fixture_csv)
+        assert piped_report == file_report
+        assert piped_report["provenance"]["input_sha256"] == hashlib.sha256(fixture_csv.read_bytes()).hexdigest()
+
+    def test_undecodable_input_path_in_text_report_file(self, fixture_csv, tmp_path):
+        path = tmp_path / os.fsdecode(b"bad\xff.csv")
+        path.write_bytes(fixture_csv.read_bytes())
+        out = tmp_path / "r.txt"
+        code = main([
+            "--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d",
+            "--reps", "4", "--format", "text", "--output", str(out),
+        ])
+        assert code == 0
+        assert b"input: " + os.fsencode(path) + b" (n=1769)\n" in out.read_bytes()
+
+    def test_undecodable_input_path_in_text_report_on_stdout(self, fixture_csv, tmp_path):
+        path = tmp_path / os.fsdecode(b"bad\xff.csv")
+        path.write_bytes(fixture_csv.read_bytes())
+        proc = run_module(
+            ["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "4", "--format", "text"],
+            env_overrides={"PYTHONIOENCODING": "utf-8"},
         )
-        err = proc.stderr.decode()
-        assert proc.returncode == 1, err
-        assert proc.stdout == b""
-        assert err.startswith("pocbounds: fatal: /dev/stdin: ") and err.count("\n") == 1
+        assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+        assert proc.stderr == b""
+        assert b"input: " + os.fsencode(path) + b" (n=1769)\n" in proc.stdout
 
     def test_unwritable_output_is_1(self, fixture_csv, tmp_path, capsys):
         code = main([
