@@ -22,8 +22,9 @@ exact decimal form, no timestamps are embedded, and a ``schema_version``
 field versions the layout, so identical inputs and configuration produce
 byte-identical output.  Model-restriction violations are reported as
 warnings, never as process failures; exit codes are 0 for success, 1 for
-a fatal runtime error (an unreadable input or an unwritable output path
-among them), and 2 for configuration or parse errors.
+a fatal runtime error (an unreadable input, an unwritable output path,
+or data the estimator cannot use, such as an empty arm, among them), and
+2 for configuration or parse errors.
 """
 
 from __future__ import annotations

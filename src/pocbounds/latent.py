@@ -25,8 +25,9 @@ brute-force envelope oracle that recovers the identified set by linear
 programming over the cell simplex.  All functions are pure and
 deterministic.  The module needs numpy only until the oracle's first
 solve: :func:`linprog` then imports :mod:`scipy.optimize` and hands the
-program to HiGHS through ``milp``, and the oracle builds its fixed rows,
-a :mod:`scipy.sparse` matrix, once.
+program to HiGHS through ``milp``, and the oracle builds its one
+constraint matrix, a :mod:`scipy.sparse` array that every set and every
+call shares, once.
 """
 
 from __future__ import annotations
@@ -404,18 +405,13 @@ def linprog(c, a, lower, upper, ub):
 
 
 class _Program(NamedTuple):
-    """The parts of the oracle's program that no moment changes, on both copies.
+    """The oracle's program apart from its row bounds, on both copies; read-only.
 
-    ``dominated`` is ``equality`` with the two A5 dominance rows under it,
-    holding ones where the coefficients go; ``oo_slots`` and ``no_slots``
-    index its ``data`` at the OO and NO coefficients.  Every array is
-    read-only.
+    Per copy, ``rows`` holds the five moment rows and then the mass of
+    the OO cells with ``y1 = 1``, the row the A5 floor bounds.
     """
 
-    equality: csc_array
-    dominated: csc_array
-    oo_slots: np.ndarray
-    no_slots: np.ndarray
+    rows: csc_array
     objective: np.ndarray
 
 
@@ -425,26 +421,14 @@ def _program() -> _Program:
 
     selected0 = ~_shown(0, 0, None)
     y1_s1 = _shown(1, 1, 1)
-    rows = np.kron(np.eye(2), np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0)]))
-    dominated = csc_array(np.vstack([rows, np.kron(np.eye(2), y1_s1)]))
-    # The dominance rows come last, so each holds the last entry of its column.
-    last = dominated.indptr[1:] - 1
+    copy = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0), y1_s1 & selected0])
+    rows = csc_array(np.kron(np.eye(2), copy))
     target = cell_index(0, 1, 1, 1)
     objective = np.zeros(32)
     objective[[target, 16 + target]] = 1.0, -1.0
-    program = _Program(
-        equality=csc_array(rows),
-        dominated=dominated,
-        oo_slots=last[np.tile(y1_s1 & selected0, 2)],
-        no_slots=last[np.tile(y1_s1 & ~selected0, 2)],
-        objective=objective,
-    )
-    arrays = [program.oo_slots, program.no_slots, objective]
-    for matrix in (program.equality, dominated):
-        arrays += [matrix.data, matrix.indices, matrix.indptr]
-    for array in arrays:
+    for array in (rows.data, rows.indices, rows.indptr, objective):
         array.flags.writeable = False
-    return program
+    return _Program(rows=rows, objective=objective)
 
 
 @functools.cache
@@ -462,9 +446,11 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     assumption set ``a`` and reproduces the four identified probabilities
     of ``m``.  Moment matching is imposed after clearing denominators, e.g.
     ``P[Y1=1, S1=1] = p1 * P[S1=1]``, which keeps every constraint linear
-    in the cell masses.  Under monotone selection the stratum masses of OO
-    and NO are pinned by the selection moments, so the dominance
-    restriction also becomes linear with constant coefficients.  The
+    in the cell masses.  Under monotone selection the stratum masses are
+    pinned, ``P[OO] = P[S=1|D=0]`` and ``P[NO] = P[S=1|D=1] - P[S=1|D=0]``,
+    and the ``y1 = 1`` cells of the two strata share ``p1 * P[S=1|D=1]``,
+    so the dominance restriction A5 is the floor
+    ``P[Y1=1, OO] >= p1 * P[S=1|D=0]`` (Lee's trimming argument).  The
     functional is a ratio of linear functions of the cell masses whose
     denominator is pinned at ``q0 * P[S=1|D=0]`` by the matching
     constraints, so linear programming over the constrained simplex solves
@@ -475,10 +461,13 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     one solve gives both endpoints.
 
     HiGHS solves the program through :func:`scipy.optimize.milp` with no
-    integer variables (see :func:`linprog`).  The equality rows of both
-    copies, the objective and each set's variable bounds are built once,
-    on the first solve, and kept read-only; a call adds the moments they
-    match and, under A1_5 with ``P[NO] > 0``, the dominance coefficients.
+    integer variables (see :func:`linprog`).  The constraint matrix is the
+    same for every set and every call: per copy, the five moment rows and
+    the ``P[Y1=1, OO]`` row, built once, on the first solve, and kept
+    read-only like the objective and each set's variable bounds.  A call
+    builds only the row bounds: the moments, and the A5 floor, which is
+    vacuous outside A1_5.  The sets differ in the cells they forbid and
+    in that floor.
 
     Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
     the selection restriction, or when the constraint system is
@@ -486,20 +475,14 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     """
     _checked_rates(m, AssumptionSet.A1_3)
     program = _program()
-    b_eq = np.tile([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0], 2)
-    rows, lower, upper = program.equality, b_eq, b_eq
-    mass_no = m.p_s1_d1 - m.p_s1_d0
-    if a is AssumptionSet.A1_5 and mass_no > 0.0:
-        # P[Y1=1, OO] / P[OO] >= P[Y1=1, NO] / P[NO] with both stratum
-        # masses fixed by the selection moments.
-        rows = program.dominated.copy()
-        rows.data[program.oo_slots] = mass_no
-        rows.data[program.no_slots] = -m.p_s1_d0
-        lower = np.concatenate([b_eq, np.zeros(2)])
-        upper = np.concatenate([b_eq, np.full(2, np.inf)])
-    res = linprog(program.objective, rows, lower, upper, _upper_bounds(a))
+    moments = [1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0]
+    # A5 with the OO and NO masses pinned by the selection moments.
+    floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
+    lower = np.tile([*moments, floor], 2)
+    upper = np.tile([*moments, np.inf], 2)
+    res = linprog(program.objective, program.rows, lower, upper, _upper_bounds(a))
     if not res.success:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: {res.message}")
     target = cell_index(0, 1, 1, 1)
     denominator = m.p_y0_s1d0 * m.p_s1_d0
-    return res.x[target] / denominator, res.x[16 + target] / denominator
+    return float(res.x[target] / denominator), float(res.x[16 + target] / denominator)

@@ -814,6 +814,20 @@ class TestMainExitCodes:
         assert code == 1
         assert "no control units" in capsys.readouterr().err
 
+    def test_every_stratum_dropped_is_1(self, tmp_path, capsys):
+        # Each stratum holds one arm only, so each drops on an empty cell;
+        # pooled, both arms are there.
+        rows = ["1,1,1,a", "0,1,1,a", ",0,1,a", "0,1,0,b", "1,1,0,b", ",0,0,b"] * 10
+        path = write(tmp_path, "\n".join(["y,s,d,g", *rows]) + "\n")
+        flags = ["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d", "--stratum-col", "g",
+                 "--reps", "50", "--output", str(tmp_path / "r.json")]
+        assert main(flags) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pocbounds: fatal: every stratum was dropped")
+        assert err.count("\n") == 1
+        assert main([*flags, "--no-stratified"]) == 0
+        assert capsys.readouterr().err == ""
+
     def test_undecodable_input_is_2(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_bytes(b"y,s,d\n1,1,\xff\n")

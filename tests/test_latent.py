@@ -448,6 +448,22 @@ class TestInternalIdentities:
             p_y1_oo = (joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1)) / joint.stratum_mass(1, 1)
             assert p_y1_oo >= m.p_y1_s1d1 - 1e-12
 
+    def test_dominance_is_a_floor_on_the_oo_treated_mass(self):
+        # Under A1-A3 the OO and NO masses are pinned by the selection
+        # moments and their y1 = 1 cells share p1 * P[S=1|D=1], so A5 holds
+        # exactly when P[Y1=1, OO] >= p1 * P[S=1|D=0]: the oracle's A5 row.
+        rng = np.random.default_rng(59)
+        verdicts = set()
+        for _ in range(400):
+            joint = draw_latent_joint(AssumptionSet.A1_4, rng)
+            m = observed_from_latent(joint)
+            margin = joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1) - m.p_y1_s1d1 * m.p_s1_d0
+            if abs(margin) <= 1e-9:
+                continue
+            assert check_assumptions(joint).holds_a5 == (margin > 0.0)
+            verdicts.add(margin > 0.0)
+        assert verdicts == {True, False}
+
     def test_boole_frechet_sandwich(self):
         # For any joint with OO mass, the joint event probability sits
         # between the Frechet lower bound and the min of the marginals.

@@ -119,8 +119,28 @@ class TestLpMode:
             sharp_envelope_oracle(m, AssumptionSet.A1_3)
 
 
-def expected_rows(m, a):
+    def test_endpoints_are_python_floats(self):
+        lo, hi = sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(109)), AssumptionSet.A1_5)
+        assert type(lo) is float and type(hi) is float
+
+
+def moment_values(m):
+    """What the five moment rows of a copy match, denominators cleared."""
+    return [1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0]
+
+
+def expected_rows():
     """The oracle's constraint rows on both copies, built from the cell bits.
+
+    Per copy, five moment rows and then ``P[Y1=1, OO]``, the row A5 bounds
+    below.  No moment and no assumption set changes them.
+    """
+    y0, y1, s0, s1 = np.array(latent.CELL_ORDER).T
+    return np.kron(np.eye(2), np.vstack([np.ones(16), s1, s0, y1 * s1, (1 - y0) * s0, y1 * s1 * s0]))
+
+
+def dominance_rows(m, a):
+    """The constraint rows of the earlier oracle, which wrote A5 as coefficients.
 
     Five moment rows per copy, then under A1_5 with P[NO] > 0 one dominance
     row per copy: ``P[NO] * P[Y1=1, OO] - P[OO] * P[Y1=1, NO] >= 0``.
@@ -131,6 +151,50 @@ def expected_rows(m, a):
     if a is AssumptionSet.A1_5 and mass_no > 0.0:
         rows.append(np.kron(np.eye(2), y1 * s1 * np.where(s0 == 1, mass_no, -m.p_s1_d0)))
     return np.vstack(rows)
+
+
+def dominance_envelope(m, a):
+    """Both endpoints from the earlier program, solved through ``latent.linprog``."""
+    rows = dominance_rows(m, a)
+    b_eq = np.tile(moment_values(m), 2)
+    dominance = len(rows) - 10
+    lower = np.concatenate([b_eq, np.zeros(dominance)])
+    upper = np.concatenate([b_eq, np.full(dominance, np.inf)])
+    target = latent.cell_index(0, 1, 1, 1)
+    objective = np.zeros(32)
+    objective[[target, 16 + target]] = 1.0, -1.0
+    res = latent.linprog(objective, rows, lower, upper, np.tile(~latent.forbidden_cells(a), 2).astype(float))
+    assert res.success, res.message
+    denominator = m.p_y0_s1d0 * m.p_s1_d0
+    return res.x[target] / denominator, res.x[16 + target] / denominator
+
+
+class TestDominanceAsFloor:
+    """A5 as a floor on ``P[Y1=1, OO]`` solves to the dominance-row program's endpoints."""
+
+    @staticmethod
+    def assert_matches_dominance_rows(m, a):
+        assert sharp_envelope_oracle(m, a) == pytest.approx(dominance_envelope(m, a), abs=1e-12, rel=0)
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_on_simulated_joints(self, a):
+        rng = np.random.default_rng(108)
+        for _ in range(300):
+            self.assert_matches_dominance_rows(observed_from_latent(draw_latent_joint(a, rng)), a)
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_at_alpha_one(self, a):
+        rng = np.random.default_rng(103)
+        for u in np.linspace(0.0, 1.0, 30):
+            q0 = rng.uniform(0.05, 0.95)
+            self.assert_matches_dominance_rows(moments(1.0 - q0 + u * q0, q0, 1.0, rng.uniform(0.2, 0.95)), a)
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_at_equal_raw_success_rates(self, a):
+        rng = np.random.default_rng(102)
+        for _ in range(30):
+            q0, alpha = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.98)
+            self.assert_matches_dominance_rows(moments((1.0 - q0) * alpha, q0, alpha, rng.uniform(0.2, 0.95)), a)
 
 
 class TestOneSolvePerCall:
@@ -148,14 +212,15 @@ class TestOneSolvePerCall:
 
     @staticmethod
     def assert_program(solve, m, a):
+        # One constant matrix for every set and every call; the moments and
+        # the A5 floor, vacuous outside A1_5, are row bounds.
         _, rows, lower, upper, ub = solve
-        expected = expected_rows(m, a)
-        assert rows.shape == expected.shape
-        assert np.array_equal(rows.toarray(), expected)
-        b_eq = np.tile([1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0], 2)
-        dominance = len(expected) - 10
-        assert np.array_equal(lower, np.concatenate([b_eq, np.zeros(dominance)]))
-        assert np.array_equal(upper, np.concatenate([b_eq, np.full(dominance, np.inf)]))
+        assert rows is latent._program().rows
+        assert rows.shape == (12, 32)
+        assert np.array_equal(rows.toarray(), expected_rows())
+        floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
+        assert np.array_equal(lower, np.tile([*moment_values(m), floor], 2))
+        assert np.array_equal(upper, np.tile([*moment_values(m), np.inf], 2))
         assert np.array_equal(ub, np.tile(~latent.forbidden_cells(a), 2))
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
@@ -164,14 +229,13 @@ class TestOneSolvePerCall:
         assert m.p_s1_d1 > m.p_s1_d0
         assert_matches_closed_forms(m, a)
         assert len(solves) == 1
-        # The A5 dominance row is present on both copies only when P[NO] > 0.
-        assert solves[0][1].shape == ((12, 32) if a is AssumptionSet.A1_5 else (10, 32))
         self.assert_program(solves[0], m, a)
 
     def test_one_solve_with_empty_no_stratum(self, solves):
+        # P[NO] = 0: the A5 floor equals P[Y1=1, OO], which the moment rows pin.
         m = ObservedMoments(p_y1_s1d1=0.6, p_y0_s1d0=0.7, p_s1_d1=0.5, p_s1_d0=0.5)
         assert_matches_closed_forms(m, AssumptionSet.A1_5)
-        assert len(solves) == 1 and solves[0][1].shape == (10, 32)
+        assert len(solves) == 1
         self.assert_program(solves[0], m, AssumptionSet.A1_5)
 
     @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
@@ -182,12 +246,12 @@ class TestOneSolvePerCall:
         assert len(solves) == 1
 
     def test_cached_rows_do_not_leak_between_calls(self, solves):
-        # Each call builds its program from the cached rows; none writes into them.
+        # Every call passes the cached rows themselves; none writes into them.
         rng = np.random.default_rng(106)
         calls = [(draw_restricted_moments(rng), a) for a in (*ASSUMPTION_ORDER[::-1], *ASSUMPTION_ORDER)]
         for m, a in calls:
             assert_matches_closed_forms(m, a)
-        assert [solve[1].shape[0] for solve in solves] == [12, 10, 10, 10, 10, 12]
+        assert len(solves) == len(calls)
         for solve, (m, a) in zip(solves, calls):
             self.assert_program(solve, m, a)
 
@@ -196,12 +260,10 @@ class TestOneSolvePerCall:
         sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
         program = latent._program()
         c, rows, _, _, ub = solves[0]
-        assert c is program.objective and rows is program.equality
+        assert c is program.objective and rows is program.rows
         assert ub is latent._upper_bounds(AssumptionSet.A1_3)
-        arrays = [program.oo_slots, program.no_slots, program.objective]
+        arrays = [program.objective, program.rows.data, program.rows.indices, program.rows.indptr]
         arrays += [latent._upper_bounds(a) for a in ASSUMPTION_ORDER]
-        for matrix in (program.equality, program.dominated):
-            arrays += [matrix.data, matrix.indices, matrix.indptr]
         for array in arrays:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

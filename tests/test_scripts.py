@@ -1,7 +1,9 @@
-"""The experiment scripts under ``scripts/`` run end to end on small inputs."""
+"""The experiment scripts under ``scripts/`` and the README's quick start run end to end."""
 
 import importlib.util
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -33,3 +35,16 @@ def test_latent_fixture_generator_reproduces_the_committed_file(monkeypatch, tmp
     assert capsys.readouterr().out == f"wrote 6 records to {generator.OUT_PATH}\n"
     committed = REPO / "tests" / "data" / "latent_fixtures.txt"
     assert generator.OUT_PATH.read_bytes() == committed.read_bytes()
+
+
+def test_readme_quick_start_runs():
+    # The README's one ``python`` block, run as a script from the repo root.
+    block = re.search(r"^```python\n(.*?)^```$", (REPO / "README.md").read_text(), re.S | re.M)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", block.group(1)], cwd=REPO, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    # The last line, the oracle's endpoints, prints as a pair of Python floats.
+    assert re.fullmatch(r"\(0\.\d+, 0\.\d+\)", proc.stdout.splitlines()[-1])
