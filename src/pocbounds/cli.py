@@ -25,6 +25,11 @@ warnings, never as process failures; exit codes are 0 for success, 1 for
 a fatal runtime error (an unreadable input, an unwritable output path,
 or data the estimator cannot use, such as an empty arm, among them), and
 2 for configuration or parse errors.
+
+:class:`RunConfig` holds what :func:`run_analysis` reads and nothing else.
+Where the results go, ``--format``, ``--output`` and ``--plot-out``, is
+decided by :func:`main` alone, which reads those flags off the parsed
+arguments; argparse's ``choices`` is the one check of ``--format``.
 """
 
 from __future__ import annotations
@@ -72,7 +77,11 @@ class CsvFormatError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything one analysis run depends on."""
+    """Everything :func:`run_analysis` reads, checked once on construction.
+
+    How the report is written out (``--format``, ``--output``,
+    ``--plot-out``) is not part of it: :func:`main` reads those flags.
+    """
 
     input_path: str
     y_col: str
@@ -84,8 +93,6 @@ class RunConfig:
     level: float = 0.90
     seed: int = 0
     stratified: bool | None = None
-    output_format: str = "json"
-    plot_out: str | None = None
 
     def __post_init__(self) -> None:
         if not self.input_path:
@@ -105,8 +112,6 @@ class RunConfig:
             raise ConfigError(f"duplicate column mapping: {mapped}")
         if self.stratified is True and self.stratum_col is None:
             raise ConfigError("stratified analysis requested without a stratum column")
-        if self.output_format not in ("json", "text"):
-            raise ConfigError(f"unknown output format {self.output_format!r}")
 
     @property
     def use_strata(self) -> bool:
@@ -477,8 +482,11 @@ def run_analysis(cfg: RunConfig) -> Report:
     )
 
 
-def plot_bars_from_report(report: Report) -> list[dict]:
-    """Bars for the chart, in canonical set order, one per group and set."""
+def emit_plot_data(report: Report, path: str | Path) -> tuple[Path, Path]:
+    """Write the SVG chart and its sidecar JSON for ``report``.
+
+    One bar per group and set, in canonical set order.
+    """
     bars = []
     order = [a.value for a in ASSUMPTION_ORDER if a.value in report.unconditional]
     for name in order:
@@ -492,14 +500,6 @@ def plot_bars_from_report(report: Report) -> list[dict]:
             bars.append(
                 {"assumption_set": name, "group": "stratified", "lb": aggregate["lb"], "ub": aggregate["ub"]}
             )
-    return bars
-
-
-def emit_plot_data(report: Report, path: str | Path) -> tuple[Path, Path]:
-    """Write the SVG chart and its sidecar JSON for ``report``."""
-    bars = plot_bars_from_report(report)
-    if not bars:
-        raise ValueError("report contains no assumption sets to plot")
     return write_plot(bars, path)
 
 
@@ -570,8 +570,6 @@ def main(argv: list[str] | None = None) -> int:
                 level=args.level,
                 seed=args.seed,
                 stratified=args.stratified,
-                output_format=args.format,
-                plot_out=args.plot_out,
             )
         except ValueError as err:
             raise ConfigError(str(err))
@@ -583,7 +581,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pocbounds: fatal: {err}", file=sys.stderr)
         return 1
 
-    rendered = report.to_json() if cfg.output_format == "json" else _format_text(report)
+    rendered = report.to_json() if args.format == "json" else _format_text(report)
     # An input path that is not valid UTF-8 holds lone surrogates; they go
     # out as the path's own bytes, whatever the locale's encoding.
     rendered = rendered.encode("utf-8", errors="surrogateescape")
@@ -596,14 +594,10 @@ def main(argv: list[str] | None = None) -> int:
     else:
         sys.stdout.flush()
         sys.stdout.buffer.write(rendered)
-    if cfg.plot_out is not None:
+    if args.plot_out is not None:
         try:
-            emit_plot_data(report, cfg.plot_out)
+            emit_plot_data(report, args.plot_out)
         except OSError as err:
             print(f"pocbounds: fatal: cannot write plot: {err}", file=sys.stderr)
             return 1
     return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

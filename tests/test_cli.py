@@ -788,6 +788,45 @@ class TestMainExitCodes:
         assert code == 0
         assert "A1_5" in (tmp_path / "r.txt").read_text()
 
+    def test_text_report_lists_strata_and_warnings(self, tmp_path):
+        # Per stratum, 5 of 10 treated and 7 of 10 control units are selected,
+        # so the selection restriction fails; the outcome restriction holds.
+        treated = ["1,1,1"] * 4 + ["0,1,1"] + [",0,1"] * 5
+        control = ["1,1,0"] * 2 + ["0,1,0"] * 5 + [",0,0"] * 3
+        rows = [f"{row},{g}" for g in "ab" for row in treated + control]
+        path = write(tmp_path, "\n".join(["y,s,d,g", *rows]) + "\n")
+        out = tmp_path / "r.txt"
+        code = main([
+            "--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d", "--stratum-col", "g",
+            "--reps", "20", "--format", "text", "--output", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        block = lines.index("stratified aggregate over 2 strata:")
+        assert [line.split(":")[0] for line in lines[block + 1 : block + 4]] == ["  A1_3", "  A1_4", "  A1_5"]
+        assert [line for line in lines if line.startswith("warning: ")] == [
+            "warning: restriction violated in-sample: P[S=1|D=1] < P[S=1|D=0] (selection restriction);"
+            " bounds reported anyway"
+        ]
+
+    @pytest.mark.parametrize(
+        ("flags", "code", "message"),
+        [
+            (["--plot-out", "{tmp}/missing/plot.svg"], 1, "pocbounds: fatal: cannot write plot: "),
+            (["--seed", "-1"], 2, "pocbounds: seed = -1 must be non-negative\n"),
+            (["--assumptions", ","], 2, "pocbounds: at least one assumption set must be requested\n"),
+        ],
+        ids=["plot-out-missing-dir", "negative-seed", "no-assumption-set"],
+    )
+    def test_flag_exit_paths(self, fixture_csv, tmp_path, capsys, flags, code, message):
+        assert main([
+            "--input", str(fixture_csv), "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "4",
+            "--output", str(tmp_path / "r.json"), *(flag.format(tmp=tmp_path) for flag in flags),
+        ]) == code
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_parse_error_is_2(self, tmp_path, capsys):
         path = write(tmp_path, "y,s,d\n2,1,0\n")
         code = main(["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d"])

@@ -1,4 +1,6 @@
-"""Every import in the package is used, re-exported in ``__all__``, or marked ``# noqa: F401``.
+"""Every import in the package, in ``scripts/`` and in ``tests/`` is used.
+
+Used means referenced, re-exported in ``__all__``, or marked ``# noqa: F401``.
 
 The benchmark's tracer looks names up in the package, so they are checked here too.
 """
@@ -15,6 +17,8 @@ from pocbounds.inference import BootstrapResult
 
 REPO = Path(__file__).resolve().parents[1]
 SOURCES = sorted((REPO / "src" / "pocbounds").glob("*.py"))
+# Package modules keep their bare file names as test ids; the rest are named by their directory.
+SCRIPTS_AND_TESTS = sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "tests").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -41,7 +45,11 @@ def unused_imports(source: str) -> list[str]:
     return unused
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=[path.name for path in SOURCES])
+@pytest.mark.parametrize(
+    "path",
+    SOURCES + SCRIPTS_AND_TESTS,
+    ids=[path.name for path in SOURCES] + [f"{path.parent.name}/{path.name}" for path in SCRIPTS_AND_TESTS],
+)
 def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

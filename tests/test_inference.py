@@ -35,7 +35,7 @@ from pocbounds.inference import (
     one_sided_nonnegative_test,
     restriction_tests_from_counts,
 )
-from pocbounds.latent import LatentJoint, cell_index, construct_interior_distribution
+from pocbounds.latent import LatentJoint, cell_index
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
 
 REPO = Path(__file__).resolve().parents[1]

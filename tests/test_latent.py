@@ -91,7 +91,7 @@ LATENT_EXPORTS = (
 )
 
 
-class TestLazyExports:
+class TestPublicNames:
     """The package binds every public name at import, the latent module's among them."""
 
     def test_star_import_binds_every_public_name(self):

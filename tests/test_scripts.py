@@ -48,3 +48,6 @@ def test_readme_quick_start_runs():
     assert proc.stderr == ""
     # The last line, the oracle's endpoints, prints as a pair of Python floats.
     assert re.fullmatch(r"\(0\.\d+, 0\.\d+\)", proc.stdout.splitlines()[-1])
+    # Every printed value is a plain Python one, as compute_bounds' are.
+    assert "np.float64(" not in proc.stdout
+    assert "np.False_" not in proc.stdout
