@@ -23,24 +23,23 @@ the forward map to observed moments, explicit mass assignments attaining
 each closed-form bound endpoint (and any interior point), and a
 brute-force envelope oracle that recovers the identified set by linear
 programming over the cell simplex.  All functions are pure and
-deterministic.  The module needs numpy only until the oracle's first
-solve: :func:`linprog` then imports :mod:`scipy.optimize` and hands the
-program to HiGHS through ``milp``, and the oracle builds its one
-constraint matrix, a :mod:`scipy.sparse` array that every set and every
-call shares, once.
+deterministic, and the module needs numpy only: the oracle enumerates
+the vertices of its one program per assumption set, once, and a call is
+one matrix product over them.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .bounds import (
+    _RATE_TOL,
     AssumptionSet,
     ObservedMoments,
     require_q0,
@@ -52,9 +51,6 @@ from .estimation import table_position
 
 # Unused here: perfbench/tracer.py looks this name up in this module.
 from .bounds import compute_bounds  # noqa: F401
-
-if TYPE_CHECKING:
-    from scipy.sparse import csc_array
 
 #: All 16 cells in canonical order.
 CELL_ORDER: tuple[tuple[int, int, int, int], ...] = tuple(
@@ -392,51 +388,48 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
 # Brute-force envelope oracle
 # ---------------------------------------------------------------------------
 
-def linprog(c, a, lower, upper, ub):
-    """Minimize ``c @ x`` subject to ``lower <= a @ x <= upper`` and ``0 <= x <= ub``.
+def linprog(vertices: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Every basic solution of the oracle's program at right-hand side ``b``: ``vertices @ b``.
 
-    The package's one solve: HiGHS through :func:`scipy.optimize.milp`
-    with no integer variables, which loads SciPy on the first call.
-    Returns SciPy's ``OptimizeResult``.
+    The package's one solve.  ``vertices`` is :func:`_vertices` of a set;
+    row ``k`` of the result is basis ``k``'s solution over the 16 cells
+    (and, under A1_5, the slack of the A5 floor), zero off the basis.
     """
-    from scipy.optimize import milp
-
-    return milp(c, bounds=(0.0, ub), constraints=(a, lower, upper))
-
-
-class _Program(NamedTuple):
-    """The oracle's program apart from its row bounds, on both copies; read-only.
-
-    Per copy, ``rows`` holds the five moment rows and then the mass of
-    the OO cells with ``y1 = 1``, the row the A5 floor bounds.
-    """
-
-    rows: csc_array
-    objective: np.ndarray
+    return vertices @ b
 
 
 @functools.cache
-def _program() -> _Program:
-    from scipy.sparse import csc_array
+def _vertices(a: AssumptionSet) -> np.ndarray:
+    """The maps from the right-hand side to every basic solution of the oracle's program under ``a``; read-only.
 
+    The program's columns are the cells ``a`` allows and, under A1_5, one
+    slack column; its rows are the five moment rows and, under A1_5, the
+    mass of the OO cells with ``y1 = 1`` less that slack, which the A5
+    floor sets.  Every nonsingular choice of as many columns as rows is a
+    basis.  Each basis matrix has determinant +-1, so its inverse is an
+    integer matrix, stored exactly.  Entry ``[k, i, r]`` maps row ``r`` of
+    the right-hand side to cell ``i`` (the slack last) of basis ``k``'s
+    solution, zero off the basis.
+    """
     selected0 = ~_shown(0, 0, None)
     y1_s1 = _shown(1, 1, 1)
-    copy = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0), y1_s1 & selected0])
-    rows = csc_array(np.kron(np.eye(2), copy))
-    target = cell_index(0, 1, 1, 1)
-    objective = np.zeros(32)
-    objective[[target, 16 + target]] = 1.0, -1.0
-    for array in (rows.data, rows.indices, rows.indptr, objective):
-        array.flags.writeable = False
-    return _Program(rows=rows, objective=objective)
-
-
-@functools.cache
-def _upper_bounds(a: AssumptionSet) -> np.ndarray:
-    """Upper bound of each variable of the two copies under ``a``: 0 on the cells it forbids, else 1.  Read-only."""
-    ub = np.tile(np.where(forbidden_cells(a), 0.0, 1.0), 2)
-    ub.flags.writeable = False
-    return ub
+    rows = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0), y1_s1 & selected0])
+    columns = np.flatnonzero(~forbidden_cells(a))
+    if a is AssumptionSet.A1_5:
+        rows = np.hstack([rows, -np.eye(6)[:, 5:]])
+        columns = np.append(columns, 16)
+    else:
+        rows = rows[:5]
+    n_rows, n_columns = rows.shape
+    bases = np.array(list(itertools.combinations(columns, n_rows)))
+    matrices = np.swapaxes(rows[:, bases], 0, 1)
+    # The determinants are integers, so 0.5 separates the singular bases.
+    nonsingular = np.abs(np.linalg.det(matrices)) > 0.5
+    bases = bases[nonsingular]
+    vertices = np.zeros((len(bases), n_columns, n_rows))
+    vertices[np.arange(len(bases))[:, None], bases] = np.rint(np.linalg.inv(matrices[nonsingular]))
+    vertices.flags.writeable = False
+    return vertices
 
 
 def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float]:
@@ -454,35 +447,34 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     functional is a ratio of linear functions of the cell masses whose
     denominator is pinned at ``q0 * P[S=1|D=0]`` by the matching
     constraints, so linear programming over the constrained simplex solves
-    it (the fractional-program normalization is a constant here).  One
-    program holds two independent copies of the 16 cell masses: the first
-    minimizes the target cell and the second maximizes it.  The
-    constraints are block-diagonal, so each copy is optimal on its own and
-    one solve gives both endpoints.
+    it (the fractional-program normalization is a constant here).
 
-    HiGHS solves the program through :func:`scipy.optimize.milp` with no
-    integer variables (see :func:`linprog`).  The constraint matrix is the
-    same for every set and every call: per copy, the five moment rows and
-    the ``P[Y1=1, OO]`` row, built once, on the first solve, and kept
-    read-only like the objective and each set's variable bounds.  A call
-    builds only the row bounds: the moments, and the A5 floor, which is
-    vacuous outside A1_5.  The sets differ in the cells they forbid and
-    in that floor.
+    A bounded linear program attains its optimum at a basic feasible
+    solution, so one set of vertices gives both endpoints exactly.  The
+    program's matrix is the same for every call: the five moment rows
+    and, under A1_5, the ``P[Y1=1, OO]`` row with a slack column for its
+    floor, over the cells the set allows.  :func:`_vertices` inverts each
+    of its bases once per set and keeps the integer inverses read-only.
+    A call builds only the right-hand side, the moments and, under A1_5,
+    the floor, and makes one call to :func:`linprog`, a matrix product
+    that gives every basic solution.  The endpoints are the least and the
+    greatest target cell over the solutions that are nonnegative within
+    the 1e-12 that :func:`~pocbounds.bounds.restriction_violations` allows
+    a raw success-rate gap, so the oracle refuses exactly the moments that
+    predicate flags.
 
     Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
-    the selection restriction, or when the constraint system is
-    infeasible, i.e. the moments are inconsistent with the assumption set.
+    the selection restriction, or when no basic solution is feasible, i.e.
+    the moments are inconsistent with the assumption set.
     """
     _checked_rates(m, AssumptionSet.A1_3)
-    program = _program()
-    moments = [1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0]
-    # A5 with the OO and NO masses pinned by the selection moments.
-    floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
-    lower = np.tile([*moments, floor], 2)
-    upper = np.tile([*moments, np.inf], 2)
-    res = linprog(program.objective, program.rows, lower, upper, _upper_bounds(a))
-    if not res.success:
-        raise ValueError(f"moments inconsistent with assumption set {a.value}: {res.message}")
-    target = cell_index(0, 1, 1, 1)
+    b = [1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0]
+    if a is AssumptionSet.A1_5:
+        # A5 with the OO and NO masses pinned by the selection moments.
+        b.append(m.p_y1_s1d1 * m.p_s1_d0)
+    solutions = linprog(_vertices(a), np.array(b))
+    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), cell_index(0, 1, 1, 1)]
+    if not target.size:
+        raise ValueError(f"moments inconsistent with assumption set {a.value}: no basic solution is feasible")
     denominator = m.p_y0_s1d0 * m.p_s1_d0
-    return float(res.x[target] / denominator), float(res.x[16 + target] / denominator)
+    return float(target.min() / denominator), float(target.max() / denominator)

@@ -1040,7 +1040,7 @@ def test_cli_loads_no_scipy(fixture_csv, tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
         "after_import": [], "exit": 0, "after_main": [], "after_latent": [], "linprog": True,
-        "solve_loads_optimize": True,
+        "solve_loads_optimize": False,
     }
 
 

@@ -54,6 +54,31 @@ def test_no_dead_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement names, at any depth of the file."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+    return modules
+
+
+def test_package_imports_no_scipy():
+    # SciPy is a test dependency only: no file under src/ imports it, at any depth.
+    assert imported_modules("import scipy.sparse\ndef f():\n    from scipy.optimize import milp\n") == {
+        "scipy.sparse", "scipy.optimize",
+    }
+    found = {
+        str(path.relative_to(REPO)): sorted(
+            m for m in imported_modules(path.read_text(encoding="utf-8")) if m.partition(".")[0] == "scipy"
+        )
+        for path in (REPO / "src").rglob("*.py")
+    }
+    assert {name: modules for name, modules in found.items() if modules} == {}
+
+
 def test_checker_flags_a_dead_import():
     source = "from typing import NamedTuple, Sequence\nfrom x import y  # noqa: F401\n\nclass T(NamedTuple):\n    a: int\n"
     assert unused_imports(source) == ["line 1: Sequence"]

@@ -1,7 +1,10 @@
-"""Brute-force envelope oracle against the closed-form intervals."""
+"""Brute-force envelope oracle against the closed-form intervals and HiGHS references."""
+
+import itertools
 
 import numpy as np
 import pytest
+from scipy.optimize import milp
 
 from _oracles import draw_restricted_moments
 from pocbounds import (
@@ -10,6 +13,7 @@ from pocbounds import (
     ObservedMoments,
     compute_bounds,
     observed_from_latent,
+    restriction_violations,
     sharp_envelope_oracle,
     theta_oo,
 )
@@ -118,10 +122,26 @@ class TestLpMode:
         with pytest.raises(ValueError, match="selection restriction"):
             sharp_envelope_oracle(m, AssumptionSet.A1_3)
 
-
     def test_endpoints_are_python_floats(self):
         lo, hi = sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(109)), AssumptionSet.A1_5)
         assert type(lo) is float and type(hi) is float
+
+    @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
+    def test_refuses_exactly_what_restriction_violations_flags(self, a):
+        # p1 shifted off the outcome-restriction boundary
+        # p1 * P[S=1|D=1] = (1 - q0) * P[S=1|D=0]: the oracle solves within
+        # the 1e-12 gap that restriction_violations allows and refuses past it.
+        rng = np.random.default_rng(110)
+        for _ in range(60):
+            q0, alpha, p_s1_d1 = rng.uniform(0.05, 0.95), rng.uniform(0.05, 1.0), rng.uniform(0.2, 0.95)
+            for shift in (0.0, 1e-12, -1e-12, -1e-10, -1e-8, -1e-6):
+                m = moments((1.0 - q0) * alpha + shift, q0, alpha, p_s1_d1)
+                if restriction_violations(m, a):
+                    with pytest.raises(ValueError, match="inconsistent"):
+                        sharp_envelope_oracle(m, a)
+                else:
+                    lo, hi = sharp_envelope_oracle(m, a)
+                    assert lo <= hi
 
 
 def moment_values(m):
@@ -130,13 +150,36 @@ def moment_values(m):
 
 
 def expected_rows():
-    """The oracle's constraint rows on both copies, built from the cell bits.
+    """The constant program's rows on both copies, built from the cell bits.
 
     Per copy, five moment rows and then ``P[Y1=1, OO]``, the row A5 bounds
     below.  No moment and no assumption set changes them.
     """
     y0, y1, s0, s1 = np.array(latent.CELL_ORDER).T
     return np.kron(np.eye(2), np.vstack([np.ones(16), s1, s0, y1 * s1, (1 - y0) * s0, y1 * s1 * s0]))
+
+
+def highs_envelope(m, a, rows, lower, upper):
+    """Both endpoints of a two-copy program, the first copy minimizing the target cell and the second maximizing it.
+
+    HiGHS solves it through ``scipy.optimize.milp`` with no integer variables.
+    """
+    target = latent.cell_index(0, 1, 1, 1)
+    objective = np.zeros(32)
+    objective[[target, 16 + target]] = 1.0, -1.0
+    ub = np.tile(~latent.forbidden_cells(a), 2).astype(float)
+    res = milp(objective, bounds=(0.0, ub), constraints=(rows, lower, upper))
+    assert res.success, res.message
+    denominator = m.p_y0_s1d0 * m.p_s1_d0
+    return res.x[target] / denominator, res.x[16 + target] / denominator
+
+
+def constant_envelope(m, a):
+    """Both endpoints from the constant program: the moments, and the A5 floor as a row bound."""
+    floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
+    lower = np.tile([*moment_values(m), floor], 2)
+    upper = np.tile([*moment_values(m), np.inf], 2)
+    return highs_envelope(m, a, expected_rows(), lower, upper)
 
 
 def dominance_rows(m, a):
@@ -154,47 +197,66 @@ def dominance_rows(m, a):
 
 
 def dominance_envelope(m, a):
-    """Both endpoints from the earlier program, solved through ``latent.linprog``."""
+    """Both endpoints from the earlier program, with A5 as dominance rows."""
     rows = dominance_rows(m, a)
     b_eq = np.tile(moment_values(m), 2)
     dominance = len(rows) - 10
     lower = np.concatenate([b_eq, np.zeros(dominance)])
     upper = np.concatenate([b_eq, np.full(dominance, np.inf)])
-    target = latent.cell_index(0, 1, 1, 1)
-    objective = np.zeros(32)
-    objective[[target, 16 + target]] = 1.0, -1.0
-    res = latent.linprog(objective, rows, lower, upper, np.tile(~latent.forbidden_cells(a), 2).astype(float))
-    assert res.success, res.message
-    denominator = m.p_y0_s1d0 * m.p_s1_d0
-    return res.x[target] / denominator, res.x[16 + target] / denominator
+    return highs_envelope(m, a, rows, lower, upper)
 
 
-class TestDominanceAsFloor:
-    """A5 as a floor on ``P[Y1=1, OO]`` solves to the dominance-row program's endpoints."""
+class MatchesReference:
+    """The oracle gives ``reference``'s endpoints to 1e-12 on three corpora."""
 
-    @staticmethod
-    def assert_matches_dominance_rows(m, a):
-        assert sharp_envelope_oracle(m, a) == pytest.approx(dominance_envelope(m, a), abs=1e-12, rel=0)
+    reference = None
+
+    def assert_matches_reference(self, m, a):
+        assert sharp_envelope_oracle(m, a) == pytest.approx(self.reference(m, a), abs=1e-12, rel=0)
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
     def test_on_simulated_joints(self, a):
         rng = np.random.default_rng(108)
         for _ in range(300):
-            self.assert_matches_dominance_rows(observed_from_latent(draw_latent_joint(a, rng)), a)
+            self.assert_matches_reference(observed_from_latent(draw_latent_joint(a, rng)), a)
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
     def test_at_alpha_one(self, a):
         rng = np.random.default_rng(103)
         for u in np.linspace(0.0, 1.0, 30):
             q0 = rng.uniform(0.05, 0.95)
-            self.assert_matches_dominance_rows(moments(1.0 - q0 + u * q0, q0, 1.0, rng.uniform(0.2, 0.95)), a)
+            self.assert_matches_reference(moments(1.0 - q0 + u * q0, q0, 1.0, rng.uniform(0.2, 0.95)), a)
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
     def test_at_equal_raw_success_rates(self, a):
         rng = np.random.default_rng(102)
         for _ in range(30):
             q0, alpha = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.98)
-            self.assert_matches_dominance_rows(moments((1.0 - q0) * alpha, q0, alpha, rng.uniform(0.2, 0.95)), a)
+            self.assert_matches_reference(moments((1.0 - q0) * alpha, q0, alpha, rng.uniform(0.2, 0.95)), a)
+
+
+class TestDominanceAsFloor(MatchesReference):
+    """A5 as a floor on ``P[Y1=1, OO]`` solves to the dominance-row program's endpoints."""
+
+    reference = staticmethod(dominance_envelope)
+
+
+class TestConstantProgram(MatchesReference):
+    """The vertices give the endpoints HiGHS finds for the constant program."""
+
+    reference = staticmethod(constant_envelope)
+
+
+def program_columns(a):
+    """The constant program's first copy over the cells ``a`` allows, with the A5 slack column under A1_5.
+
+    Returns the matrix over all 16 cells (and the slack) and the allowed columns.
+    """
+    rows = expected_rows()[:6, :16]
+    allowed = list(np.flatnonzero(~latent.forbidden_cells(a)))
+    if a is AssumptionSet.A1_5:
+        return np.hstack([rows, [[0.0]] * 5 + [[-1.0]]]), allowed + [16]
+    return rows[:5], allowed
 
 
 class TestOneSolvePerCall:
@@ -203,25 +265,41 @@ class TestOneSolvePerCall:
         calls = []
         solve = latent.linprog
 
-        def counting(c, a, lower, upper, ub):
-            calls.append((c, a, lower, upper, ub))
-            return solve(c, a, lower, upper, ub)
+        def counting(vertices, b):
+            calls.append((vertices, b))
+            return solve(vertices, b)
 
         monkeypatch.setattr(latent, "linprog", counting)
         return calls
 
     @staticmethod
     def assert_program(solve, m, a):
-        # One constant matrix for every set and every call; the moments and
-        # the A5 floor, vacuous outside A1_5, are row bounds.
-        _, rows, lower, upper, ub = solve
-        assert rows is latent._program().rows
-        assert rows.shape == (12, 32)
-        assert np.array_equal(rows.toarray(), expected_rows())
-        floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
-        assert np.array_equal(lower, np.tile([*moment_values(m), floor], 2))
-        assert np.array_equal(upper, np.tile([*moment_values(m), np.inf], 2))
-        assert np.array_equal(ub, np.tile(~latent.forbidden_cells(a), 2))
+        # The set's cached vertices; the moments and, under A1_5, the A5
+        # floor are the right-hand side.
+        vertices, b = solve
+        assert vertices is latent._vertices(a)
+        floor = [m.p_y1_s1d1 * m.p_s1_d0] if a is AssumptionSet.A1_5 else []
+        assert np.array_equal(b, [*moment_values(m), *floor])
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_vertices_are_every_basis_of_the_program(self, a):
+        # Each stored map is the exact inverse of one nonsingular basis of
+        # the constant program's first copy, and every such basis is stored.
+        rows, allowed = program_columns(a)
+        n_rows = len(rows)
+        bases = [
+            basis for basis in itertools.combinations(allowed, n_rows)
+            if np.linalg.matrix_rank(rows[:, basis]) == n_rows
+        ]
+        vertices = latent._vertices(a)
+        assert vertices.shape == (len(bases), rows.shape[1], n_rows)
+        assert len(bases) == {AssumptionSet.A1_3: 128, AssumptionSet.A1_4: 28, AssumptionSet.A1_5: 36}[a]
+        stored = []
+        for inverse in vertices:
+            basis = tuple(np.flatnonzero(inverse.any(axis=1)))
+            assert np.array_equal(inverse[list(basis)] @ rows[:, basis], np.eye(n_rows))
+            stored.append(basis)
+        assert sorted(stored) == sorted(bases)
 
     @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
     def test_one_solve_gives_both_endpoints(self, solves, a):
@@ -244,9 +322,10 @@ class TestOneSolvePerCall:
         with pytest.raises(ValueError, match="inconsistent"):
             sharp_envelope_oracle(m, a)
         assert len(solves) == 1
+        self.assert_program(solves[0], m, a)
 
     def test_cached_rows_do_not_leak_between_calls(self, solves):
-        # Every call passes the cached rows themselves; none writes into them.
+        # Every call passes its set's cached vertices themselves; none writes into them.
         rng = np.random.default_rng(106)
         calls = [(draw_restricted_moments(rng), a) for a in (*ASSUMPTION_ORDER[::-1], *ASSUMPTION_ORDER)]
         for m, a in calls:
@@ -256,15 +335,11 @@ class TestOneSolvePerCall:
             self.assert_program(solve, m, a)
 
     def test_cached_arrays_are_read_only(self, solves):
-        # The solve gets the cached objective, rows and bounds themselves.
+        # The solve gets the cached vertices themselves.
         sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
-        program = latent._program()
-        c, rows, _, _, ub = solves[0]
-        assert c is program.objective and rows is program.rows
-        assert ub is latent._upper_bounds(AssumptionSet.A1_3)
-        arrays = [program.objective, program.rows.data, program.rows.indices, program.rows.indptr]
-        arrays += [latent._upper_bounds(a) for a in ASSUMPTION_ORDER]
-        for array in arrays:
+        assert solves[0][0] is latent._vertices(AssumptionSet.A1_3)
+        for a in ASSUMPTION_ORDER:
+            array = latent._vertices(a)
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
