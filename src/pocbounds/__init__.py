@@ -18,9 +18,9 @@ Assumption bundles ``A1_3`` (A1 to A3), ``A1_4`` (plus A4) and ``A1_5``
 (plus A5) give nested sharp intervals; see :mod:`pocbounds.bounds` for the
 closed forms, :mod:`pocbounds.latent` for the latent model, attainment
 constructions and the brute-force envelope oracle, and
-:mod:`pocbounds.cli` for the command-line pipeline.  Importing the
-package loads numpy only; SciPy loads on the oracle's first linear
-program.
+:mod:`pocbounds.cli` for the command-line pipeline.  The package needs
+numpy only: the oracle solves its linear programs at precomputed vertices,
+so no package code loads SciPy.
 """
 
 __version__ = "0.1.0"

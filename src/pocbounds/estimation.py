@@ -75,22 +75,26 @@ class Dataset:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        raw = np.asarray(self.counts)
-        with np.errstate(invalid="ignore"):
-            counts = raw.astype(np.int64)
-        if not np.array_equal(counts, raw):
-            raise ValueError("counts must be whole numbers")
+        counts = np.asarray(self.counts)
+        if counts.dtype != np.int64:
+            raw = counts
+            with np.errstate(invalid="ignore"):
+                counts = raw.astype(np.int64)
+            if not np.array_equal(counts, raw):
+                raise ValueError("counts must be whole numbers")
         counts = counts.reshape(len(labels), 2, 3)
-        if counts.sum() < 1:
+        totals = counts.sum(axis=(1, 2)).tolist()
+        if sum(totals) < 1:
             raise ValueError("dataset must contain at least one record")
         if len(set(labels)) != len(labels):
             raise ValueError(f"stratum labels must be unique, got {labels}")
-        if (counts < 0).any():
+        if counts.min() < 0:
             raise ValueError("counts must be non-negative")
-        if (counts.sum(axis=(1, 2)) == 0).any():
+        if 0 in totals:
             raise ValueError("every stratum must hold at least one record")
         order = sorted(range(len(labels)), key=lambda i: (labels[i] is not None, labels[i] or ""))
-        counts = counts[order]
+        # take copies, so the caller's array is never aliased.
+        counts = counts.take(order, axis=0)
         counts.setflags(write=False)
         object.__setattr__(self, "labels", tuple(labels[i] for i in order))
         object.__setattr__(self, "counts", counts)

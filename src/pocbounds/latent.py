@@ -13,10 +13,15 @@ probability ``p_d1``.  The four selection strata are
 
 Cells are indexed canonically as ``index = 8*y0 + 4*y1 + 2*s0 + s1``
 (``y0`` is the most significant bit).  Every serialization in this package
-uses that order.  Two module-level maps hold the rest of the cell
-structure: ``OBSERVE`` says which count-table column arm ``d`` shows each
-cell in, and ``forbidden_cells`` which cells an assumption set rules out.
-The forward map, the LP oracle, the A3 check and the simulator read them.
+uses that order.  The rest of the cell structure is fixed, so it is
+built once and kept read-only: ``OBSERVE`` says which count-table column
+arm ``d`` shows each cell in, and ``forbidden_cells`` (cached per set)
+which cells an assumption set rules out.  The index tuples derived from
+them at import, ``_ON``, ``_OO`` and ``_NO`` for the strata and
+``_SELECTED_1``, ``_SELECTED_0``, ``_SUCCESS_1`` and ``_FAILURE_0`` for the
+forward map's four sums, let the checks and the forward map add a few
+named cells instead of masking all 16.  The LP oracle and the simulator
+read the same tables.
 
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
@@ -34,6 +39,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,20 +85,44 @@ def _shown(d: int, s: int, y: int | None) -> np.ndarray:
     return OBSERVE.reshape(6, 16)[table_position(d, s, y)]
 
 
+@functools.cache
 def forbidden_cells(a: AssumptionSet) -> np.ndarray:
-    """Boolean mask of the cells that assumption set ``a`` sets to zero.
+    """Boolean mask of the cells that assumption set ``a`` sets to zero; read-only.
 
     A3 forbids the ON stratum.  A4 adds ``(y0, y1) = (1, 0)`` in every
     stratum but NN, whose outcomes no arm reveals.  A5 forbids no cell.
     """
     a4 = a is not AssumptionSet.A1_3
-    return np.array([
+    mask = np.array([
         (s0, s1) == (1, 0) or (a4 and (y0, y1) == (1, 0) and (s0, s1) != (0, 0))
         for y0, y1, s0, s1 in CELL_ORDER
     ])
+    mask.flags.writeable = False
+    return mask
+
+
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
+
+
+def _stratum(s0: int, s1: int) -> tuple[int, ...]:
+    return tuple(i for i, cell in enumerate(CELL_ORDER) if cell[2:] == (s0, s1))
+
+
+#: Cells of the ON, OO and NO strata, in canonical order.
+_ON = _indices(forbidden_cells(AssumptionSet.A1_3))
+_OO = _stratum(1, 1)
+_NO = _stratum(0, 1)
+#: The cells behind the forward map's four sums: selected in arm 1, selected
+#: in arm 0, a success in arm 1, and a failure in arm 0.
+_SELECTED_1 = _indices(~_shown(1, 0, None))
+_SELECTED_0 = _indices(~_shown(0, 0, None))
+_SUCCESS_1 = _indices(_shown(1, 1, 1))
+_FAILURE_0 = _indices(_shown(0, 1, 0))
 
 
 _MASS_TOL = 1e-12
+_ZEROS = (0.0,) * 16
 # Dominance comparisons between strata tolerate float dust from products
 # of conditionals and stratum masses.
 _DOMINANCE_TOL = 1e-12
@@ -124,12 +154,17 @@ class LatentJoint:
     p_d1: float
 
     def __post_init__(self) -> None:
-        if len(self.cells) != 16:
-            raise ValueError(f"expected 16 cell masses, got {len(self.cells)}")
-        for idx, mass in enumerate(self.cells):
-            if math.isnan(mass) or mass < 0.0:
-                raise ValueError(f"cell {CELL_ORDER[idx]} has invalid mass {mass!r}")
-        total = math.fsum(self.cells)
+        cells = self.cells
+        if len(cells) != 16:
+            raise ValueError(f"expected 16 cell masses, got {len(cells)}")
+        # One C-level pass; a NaN fails ``0.0 <= mass`` as a negative does.
+        # operator.le, not (0.0).__le__: the latter returns a truthy
+        # NotImplemented for a mass that is not a float, e.g. np.float32.
+        if not all(map(operator.le, _ZEROS, cells)):
+            for idx, mass in enumerate(cells):
+                if math.isnan(mass) or mass < 0.0:
+                    raise ValueError(f"cell {CELL_ORDER[idx]} has invalid mass {mass!r}")
+        total = math.fsum(cells)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"cell masses sum to {total!r}, not 1 within {_MASS_TOL}")
         if not 0.0 < self.p_d1 < 1.0:
@@ -139,7 +174,7 @@ class LatentJoint:
         return self.cells[cell_index(y0, y1, s0, s1)]
 
     def stratum_mass(self, s0: int, s1: int) -> float:
-        return math.fsum(self.cells[cell_index(y0, y1, s0, s1)] for y0 in (0, 1) for y1 in (0, 1))
+        return _total(self.cells, _stratum(s0, s1))
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.cells, dtype=float)
@@ -188,10 +223,24 @@ class AssumptionReport:
         return base and self.holds_a4 and self.holds_a5
 
 
+def _total(cells: tuple[float, ...], indices: tuple[int, ...]) -> float:
+    """Correctly rounded sum of the masses at ``indices``."""
+    return math.fsum([cells[i] for i in indices])
+
+
+# Canonical positions of the cells the checks and the target read by name.
+_OO_00, _OO_01, _OO_11 = cell_index(0, 0, 1, 1), cell_index(0, 1, 1, 1), cell_index(1, 1, 1, 1)
+_NO_01, _NO_11 = cell_index(0, 1, 0, 1), cell_index(1, 1, 0, 1)
+# The (y0, y1) = (1, 0) cell of OO, NO and ON, in the order A4's message lists
+# the strata, and of NN.
+_A4_CELLS = tuple(((s0, s1), cell_index(1, 0, s0, s1)) for s0, s1 in ((1, 1), (0, 1), (1, 0)))
+_NN_10 = cell_index(1, 0, 0, 0)
+
+
 def _theta_terms(L: LatentJoint) -> tuple[float, float]:
     """Numerator and denominator of :func:`theta_oo`: the masses of cell (0, 1, 1, 1) and of OO with ``y0 = 0``."""
-    target = L.mass(0, 1, 1, 1)
-    return target, L.mass(0, 0, 1, 1) + target
+    target = L.cells[_OO_01]
+    return target, L.cells[_OO_00] + target
 
 
 def check_assumptions(L: LatentJoint) -> AssumptionReport:
@@ -209,33 +258,33 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
     vacuously true when either stratum has zero mass, again noted in
     ``details``.
     """
+    cells = L.cells
     details: list[str] = []
 
     holds_a2 = _theta_terms(L)[1] > 0.0
     if not holds_a2:
         details.append("A2: no mass on always-selected cells with y0=0")
 
-    on_cells = [CELL_ORDER[i][:2] for i in np.flatnonzero(forbidden_cells(AssumptionSet.A1_3)) if L.cells[i] > 0.0]
+    on_cells = [CELL_ORDER[i][:2] for i in _ON if cells[i] > 0.0]
     holds_a3 = not on_cells
     if on_cells:
         details.append(f"A3: positive mass on ON cells {on_cells}")
 
-    # The strata whose (1, 0) cell A4 forbids, in the order the message lists them.
-    a4_cells = [(s0, s1) for (s0, s1) in ((1, 1), (0, 1), (1, 0)) if L.mass(1, 0, s0, s1) > 0.0]
+    a4_cells = [stratum for stratum, i in _A4_CELLS if cells[i] > 0.0]
     holds_a4 = not a4_cells
     if a4_cells:
         details.append(f"A4: positive mass on (y0,y1)=(1,0) cells in strata {a4_cells}")
-    if L.mass(1, 0, 0, 0) > 0.0:
+    if cells[_NN_10] > 0.0:
         details.append("A4: (1,0) mass in the NN stratum ignored (outcomes censored in both arms)")
 
-    mass_oo = L.stratum_mass(1, 1)
-    mass_no = L.stratum_mass(0, 1)
+    mass_oo = _total(cells, _OO)
+    mass_no = _total(cells, _NO)
     if mass_oo == 0.0 or mass_no == 0.0:
         holds_a5 = True
         details.append("A5: vacuous (OO or NO stratum has zero mass)")
     else:
-        p_y1_oo = (L.mass(0, 1, 1, 1) + L.mass(1, 1, 1, 1)) / mass_oo
-        p_y1_no = (L.mass(0, 1, 0, 1) + L.mass(1, 1, 0, 1)) / mass_no
+        p_y1_oo = (cells[_OO_01] + cells[_OO_11]) / mass_oo
+        p_y1_no = (cells[_NO_01] + cells[_NO_11]) / mass_no
         holds_a5 = p_y1_oo - p_y1_no >= -_DOMINANCE_TOL
         if not holds_a5:
             details.append(f"A5: P[Y1=1 | OO] = {p_y1_oo} < P[Y1=1 | NO] = {p_y1_no}")
@@ -271,15 +320,15 @@ def observed_from_latent(L: LatentJoint) -> ObservedMoments:
     marginal of ``S_d``, and outcome rates among selected units condition
     on the corresponding potential selection indicator.
     """
-    cells = L.as_array()
-    p_s1 = math.fsum(cells[~_shown(1, 0, None)])
-    p_s0 = math.fsum(cells[~_shown(0, 0, None)])
+    cells = L.cells
+    p_s1 = _total(cells, _SELECTED_1)
+    p_s0 = _total(cells, _SELECTED_0)
     if p_s1 <= 0.0:
         raise ValueError("selection marginal P[S1=1] is zero; treated-arm moments undefined")
     if p_s0 <= 0.0:
         raise ValueError("selection marginal P[S0=1] is zero; control-arm moments undefined")
-    p_y1_and_s1 = math.fsum(cells[_shown(1, 1, 1)])
-    p_y0zero_and_s0 = math.fsum(cells[_shown(0, 1, 0)])
+    p_y1_and_s1 = _total(cells, _SUCCESS_1)
+    p_y0zero_and_s0 = _total(cells, _FAILURE_0)
     return ObservedMoments(
         p_y1_s1d1=p_y1_and_s1 / p_s1,
         p_y0_s1d0=p_y0zero_and_s0 / p_s0,
@@ -303,8 +352,8 @@ def _checked_rates(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float, 
 
 def _conditional_tables(
     p1: float, q0: float, alpha: float, a: AssumptionSet, side: Side
-) -> tuple[np.ndarray, np.ndarray]:
-    """Conditional tables for the OO and NO strata, as 2x2 arrays indexed ``[y0, y1]``.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Conditional tables for the OO and NO strata, each the masses of ``(y0, y1)`` in canonical order, clipped to [0, 1].
 
     These are the explicit assignments that attain the interval endpoints
     while reproducing the observed moments.  Both follow from ``rate``,
@@ -335,16 +384,20 @@ def _conditional_tables(
         oo10 = 0.0
     no01 = (p1 - rate * alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
 
-    oo, no = np.array([[[q0 - oo01, oo01], [oo10, oo11]], [[1.0 - no01, no01], [0.0, 0.0]]]).clip(0.0, 1.0)
+    # min(max(x, 0), 1) is np.clip to the bit, NaN and -0.0 included.
+    oo = tuple(min(max(x, 0.0), 1.0) for x in (q0 - oo01, oo01, oo10, oo11))
+    no = tuple(min(max(x, 0.0), 1.0) for x in (1.0 - no01, no01, 0.0, 0.0))
     return oo, no
 
 
-def _assemble_joint(m: ObservedMoments, oo: np.ndarray, no: np.ndarray) -> LatentJoint:
-    joint = np.zeros((2, 2, 2, 2))  # [y0, y1, s0, s1]: ravels in canonical cell order
-    joint[:, :, 1, 1] = oo * m.p_s1_d0
-    joint[:, :, 0, 1] = no * (m.p_s1_d1 - m.p_s1_d0)
-    joint[:, :, 0, 0] = 0.25 * (1.0 - m.p_s1_d1)
-    return LatentJoint(cells=tuple(joint.ravel().tolist()), p_d1=m.p_d1)
+def _assemble_joint(m: ObservedMoments, oo: tuple[float, ...], no: tuple[float, ...]) -> LatentJoint:
+    nn = 0.25 * (1.0 - m.p_s1_d1)
+    weight_no = m.p_s1_d1 - m.p_s1_d0
+    cells: list[float] = []
+    for oo_mass, no_mass in zip(oo, no):
+        # The cells of one (y0, y1), in canonical order: NN, NO, ON, OO.
+        cells += (nn, no_mass * weight_no, 0.0, oo_mass * m.p_s1_d0)
+    return LatentJoint(cells=tuple(cells), p_d1=m.p_d1)
 
 
 def construct_bound_distribution(m: ObservedMoments, a: AssumptionSet, side: Side) -> LatentJoint:
@@ -379,8 +432,8 @@ def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega:
     p1, q0, alpha = _checked_rates(m, a)
     oo_lo, no_lo = _conditional_tables(p1, q0, alpha, a, Side.LOWER)
     oo_hi, no_hi = _conditional_tables(p1, q0, alpha, a, Side.UPPER)
-    oo = omega * oo_lo + (1.0 - omega) * oo_hi
-    no = omega * no_lo + (1.0 - omega) * no_hi
+    oo = tuple(omega * lo + (1.0 - omega) * hi for lo, hi in zip(oo_lo, oo_hi))
+    no = tuple(omega * lo + (1.0 - omega) * hi for lo, hi in zip(no_lo, no_hi))
     return _assemble_joint(m, oo, no)
 
 
@@ -473,7 +526,7 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
         # A5 with the OO and NO masses pinned by the selection moments.
         b.append(m.p_y1_s1d1 * m.p_s1_d0)
     solutions = linprog(_vertices(a), np.array(b))
-    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), cell_index(0, 1, 1, 1)]
+    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), _OO_01]
     if not target.size:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: no basic solution is feasible")
     denominator = m.p_y0_s1d0 * m.p_s1_d0

@@ -11,6 +11,8 @@ its count table: one multinomial draw of ``n`` over the table's six cells.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .bounds import AssumptionSet
@@ -18,6 +20,15 @@ from .estimation import Dataset
 from .latent import OBSERVE, LatentJoint, check_assumptions, forbidden_cells
 
 _MAX_TRIES = 10_000
+
+
+@functools.cache
+def _permitted(a: AssumptionSet) -> tuple[np.ndarray, np.ndarray]:
+    """The cells ``a`` permits, and the unit Dirichlet concentration over them; read-only."""
+    permitted = np.flatnonzero(~forbidden_cells(a))
+    concentration = np.ones(len(permitted))
+    permitted.flags.writeable = concentration.flags.writeable = False
+    return permitted, concentration
 
 
 def draw_latent_joint(a: AssumptionSet, rng: np.random.Generator) -> LatentJoint:
@@ -28,11 +39,11 @@ def draw_latent_joint(a: AssumptionSet, rng: np.random.Generator) -> LatentJoint
     rejected until the dominance restriction holds.  The treated share is
     uniform on [0.2, 0.8].
     """
-    permitted = np.flatnonzero(~forbidden_cells(a))
+    permitted, concentration = _permitted(a)
     share = float(rng.uniform(0.2, 0.8))
     for _ in range(_MAX_TRIES):
         cells = np.zeros(16)
-        cells[permitted] = rng.dirichlet(np.ones(len(permitted)))
+        cells[permitted] = rng.dirichlet(concentration)
         joint = LatentJoint(cells=tuple(cells.tolist()), p_d1=share)
         if a is not AssumptionSet.A1_5:
             return joint

@@ -11,6 +11,7 @@ own ``np.quantile`` call.
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,7 @@ from pocbounds import AssumptionSet, ObservedMoments
 from pocbounds.cli import ConfigError, CsvFormatError
 from pocbounds.estimation import Dataset, stratified_fields, table_position
 from pocbounds.inference import UNSTABLE, BootstrapResult, EndpointIntervals
+from pocbounds.latent import CELL_ORDER, OBSERVE
 
 #: Published point bounds the fixture moments must reproduce.
 TABLE_UB1 = 0.609
@@ -91,6 +93,52 @@ def draw_restricted_moments(rng: np.random.Generator) -> ObservedMoments:
         p_s1_d0=alpha * p_s1_d1,
         p_d1=rng.uniform(0.25, 0.75),
     )
+
+
+def reference_moments(joint) -> ObservedMoments:
+    """Forward map of a latent joint by ``OBSERVE`` masks and ``math.fsum``; ValueError if a selection marginal is 0.
+
+    Arm ``d`` shows a cell as selected when it puts it in either selected
+    column, a success in column 0 and a failure in column 1.  ``fsum`` is
+    correctly rounded, so the result is bit-equal to any exact summation
+    order.
+    """
+    cells = np.array(joint.cells)
+    selected = OBSERVE[:, 0] | OBSERVE[:, 1]
+    p_s1, p_s0 = math.fsum(cells[selected[1]]), math.fsum(cells[selected[0]])
+    if p_s1 <= 0.0 or p_s0 <= 0.0:
+        raise ValueError("a selection marginal is zero")
+    return ObservedMoments(
+        p_y1_s1d1=math.fsum(cells[OBSERVE[1, 0]]) / p_s1,
+        p_y0_s1d0=math.fsum(cells[OBSERVE[0, 1]]) / p_s0,
+        p_s1_d1=p_s1,
+        p_s1_d0=p_s0,
+        p_d1=joint.p_d1,
+    )
+
+
+def reference_holds(joint, a: AssumptionSet) -> bool:
+    """Whether a latent joint satisfies bundle ``a``, from masks over ``CELL_ORDER``.
+
+    A2: positive OO mass with ``y0 = 0``.  A3: no ON mass.  A4: no mass on
+    ``(y0, y1) = (1, 0)`` outside NN.  A5: the OO treated-outcome rate is at
+    least the NO one, less 1e-12, or either stratum is empty.
+    """
+    cells = np.array(joint.cells)
+    y0, y1, s0, s1 = np.array(CELL_ORDER).T
+    oo, no, on = (s0 == 1) & (s1 == 1), (s0 == 0) & (s1 == 1), (s0 == 1) & (s1 == 0)
+    holds = math.fsum(cells[oo & (y0 == 0)]) > 0.0 and not (cells[on] > 0.0).any()
+    if a is AssumptionSet.A1_3 or not holds:
+        return bool(holds)
+    nn = (s0 == 0) & (s1 == 0)
+    if (cells[(y0 == 1) & (y1 == 0) & ~nn] > 0.0).any():
+        return False
+    mass_oo, mass_no = math.fsum(cells[oo]), math.fsum(cells[no])
+    if a is AssumptionSet.A1_4 or mass_oo == 0.0 or mass_no == 0.0:
+        return True
+    rate_oo = math.fsum(cells[oo & (y1 == 1)]) / mass_oo
+    rate_no = math.fsum(cells[no & (y1 == 1)]) / mass_no
+    return bool(rate_oo - rate_no >= -1e-12)
 
 
 def draw_any_moments(rng: np.random.Generator) -> ObservedMoments:

@@ -63,6 +63,27 @@ class TestDataset:
             with pytest.raises(ValueError, match="whole numbers"):
                 Dataset(labels=("a",), counts=[[[count, 0, 0], [0, 0, 1]]])
 
+    @pytest.mark.parametrize("labels", [(None,), ("b", "a")], ids=["pooled", "reordered"])
+    def test_int64_input_is_copied_and_read_only(self, labels):
+        # int64 skips the whole-number cast, so the copy comes from the reorder alone.
+        raw = np.arange(1, 6 * len(labels) + 1, dtype=np.int64).reshape(len(labels), 2, 3)
+        data = Dataset(labels=labels, counts=raw)
+        before = data.counts.tolist()
+        assert not np.shares_memory(data.counts, raw)
+        raw[...] = 0
+        assert data.counts.tolist() == before
+        assert not data.counts.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            data.counts[0, 0, 0] = 7
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.float64])
+    def test_other_whole_number_dtypes_are_accepted(self, dtype):
+        raw = np.array([[[3, 1, 2], [4, 0, 5]]], dtype=dtype)
+        data = Dataset(labels=(None,), counts=raw)
+        assert data.counts.dtype == np.int64
+        assert data.counts.tolist() == [[[3, 1, 2], [4, 0, 5]]]
+        assert not data.counts.flags.writeable
+
 
 def test_simulation_builds_no_row_objects(monkeypatch):
     def refuse(self):

@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import math
+import re
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import pytest
 
 import pocbounds
 import pocbounds.latent as latent
-from _oracles import ASSUMPTION_SETS, draw_restricted_moments
+import pocbounds.simulate as simulate
+from _oracles import ASSUMPTION_SETS, draw_restricted_moments, reference_holds, reference_moments
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
@@ -24,7 +27,7 @@ from pocbounds import (
     theta_oo,
     trim_ratio,
 )
-from pocbounds.estimation import moments_from_counts
+from pocbounds.estimation import estimate_moments, moments_from_counts
 from pocbounds.latent import CELL_ORDER, Side, cell_index
 from pocbounds.simulate import draw_latent_joint, sample_dataset
 
@@ -52,6 +55,22 @@ class TestLatentJointType:
         cells[3] = -0.01
         cells[4] = 2.0 / 16 + 0.01
         with pytest.raises(ValueError, match="invalid mass"):
+            LatentJoint(cells=tuple(cells), p_d1=0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, -0.01], ids=["nan", "negative"])
+    @pytest.mark.parametrize("position", range(16))
+    def test_rejects_invalid_mass_at_each_cell(self, position, bad):
+        # A NaN past position 0 would also pass the fsum total check.
+        cells = [1.0 / 16] * 16
+        cells[position] = bad
+        message = f"cell {CELL_ORDER[position]} has invalid mass {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            LatentJoint(cells=tuple(cells), p_d1=0.5)
+
+    def test_rejects_negative_numpy_float32(self):
+        cells = [1.0 / 16] * 16
+        cells[9] = np.float32(-0.01)
+        with pytest.raises(ValueError, match=re.escape(f"cell {CELL_ORDER[9]} has invalid mass")):
             LatentJoint(cells=tuple(cells), p_d1=0.5)
 
     def test_rejects_bad_total(self):
@@ -254,6 +273,50 @@ class TestCellMaps:
         report = check_assumptions(point_mass_joint(*cell))
         rejected = not report.holds_a3 or (a is not AssumptionSet.A1_3 and not report.holds_a4)
         assert forbidden is rejected
+
+
+class TestCellTables:
+    """The cached cell structure: read-only, built once, and equal to the masks it replaces."""
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_cached_arrays_are_shared_and_read_only(self, a):
+        mask = latent.forbidden_cells(a)
+        assert mask is latent.forbidden_cells(a)
+        for array in (mask, *simulate._permitted(a), latent._vertices(a)):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = array[0]
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_drawn_joints_match_the_mask_reference(self, a):
+        rng = np.random.default_rng(7 + ASSUMPTION_ORDER.index(a))
+        for _ in range(300):
+            joint = draw_latent_joint(a, rng)
+            self.assert_matches_reference(joint)
+
+    def test_sparse_joints_match_the_mask_reference(self):
+        # Sparse supports reach what the draws do not: ON mass, empty strata
+        # and zero selection marginals.
+        rng = np.random.default_rng(8)
+        for _ in range(1000):
+            support = rng.choice(16, size=rng.integers(1, 6), replace=False)
+            cells = np.zeros(16)
+            cells[support] = rng.dirichlet(np.ones(len(support)))
+            self.assert_matches_reference(LatentJoint(cells=tuple(cells.tolist()), p_d1=0.4))
+
+    @staticmethod
+    def assert_matches_reference(joint):
+        report = check_assumptions(joint)
+        for b in ASSUMPTION_ORDER:
+            assert report.holds(b) is reference_holds(joint, b)
+
+        def forward(forward_map):
+            try:
+                return [x.hex() for x in astuple(forward_map(joint))]
+            except ValueError:
+                return "refused"
+
+        assert forward(observed_from_latent) == forward(reference_moments)
 
 
 class TestConstructions:
@@ -501,3 +564,34 @@ class TestInternalIdentities:
             treated_rate = m.p_y1_s1d1 * m.p_s1_d1
             control_rate = (1.0 - m.p_y0_s1d0) * m.p_s1_d0
             assert treated_rate >= control_rate - 1e-12
+
+
+class TestVerificationChainDigest:
+    """Every output of the sharpness verification chain, pinned by one digest.
+
+    The chain is the benchmark's ``sharpness_mc`` operation: per set, a
+    latent draw, its moments, the closed forms, the oracle, both attaining
+    constructions with their checks, and a 2,000-row sample with its
+    moments.  Floats enter through ``repr``, which round-trips, so any moved
+    bit, RNG call or message changes the digest.
+    """
+
+    def test_chain_outputs_are_pinned(self):
+        digest = hashlib.sha256()
+        for seed in range(50):
+            rng = np.random.default_rng([seed, 0])
+            for a in ASSUMPTION_ORDER:
+                joint = draw_latent_joint(a, rng)
+                m = observed_from_latent(joint)
+                outputs = [joint, m, compute_bounds(m, a), latent.sharp_envelope_oracle(m, a)]
+                for side in (Side.LOWER, Side.UPPER):
+                    constructed = construct_bound_distribution(m, a, side)
+                    outputs += [constructed, check_assumptions(constructed)]
+                data = sample_dataset(joint, 2000, rng)
+                try:
+                    estimate = estimate_moments(data)
+                except ValueError as err:
+                    estimate = str(err)
+                outputs += [data.labels, data.counts.tolist(), estimate]
+                digest.update(f"{outputs!r}\n".encode())
+        assert digest.hexdigest() == "96a8000b2d1c1d9a074dde5dc1b3998f401ae5abd8bca7ed2903ea9ca002dca5"
