@@ -17,11 +17,11 @@ uses that order.  The rest of the cell structure is fixed, so it is
 built once and kept read-only: ``OBSERVE`` says which count-table column
 arm ``d`` shows each cell in, and ``forbidden_cells`` (cached per set)
 which cells an assumption set rules out.  The index tuples derived from
-them at import, ``_ON``, ``_OO`` and ``_NO`` for the strata and
-``_SELECTED_1``, ``_SELECTED_0``, ``_SUCCESS_1`` and ``_FAILURE_0`` for the
-forward map's four sums, let the checks and the forward map add a few
-named cells instead of masking all 16.  The LP oracle and the simulator
-read the same tables.
+them at import (``_STRATA`` for the cells of each stratum, ``_ON`` for the
+ones A3 forbids, and ``_SELECTED_1``, ``_SELECTED_0``, ``_SUCCESS_1`` and
+``_FAILURE_0`` for the forward map's four sums) let the checks and the
+forward map add a few named cells instead of masking all 16.  The LP
+oracle and the simulator read the same tables.
 
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
@@ -39,7 +39,6 @@ import enum
 import functools
 import itertools
 import math
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -105,14 +104,14 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-def _stratum(s0: int, s1: int) -> tuple[int, ...]:
-    return tuple(i for i, cell in enumerate(CELL_ORDER) if cell[2:] == (s0, s1))
-
-
-#: Cells of the ON, OO and NO strata, in canonical order.
+#: Cells of each stratum ``(s0, s1)``, in canonical order.
+_STRATA = {
+    (s0, s1): tuple(i for i, cell in enumerate(CELL_ORDER) if cell[2:] == (s0, s1))
+    for s0 in (0, 1)
+    for s1 in (0, 1)
+}
+#: Cells of the ON stratum, the ones A3 forbids.
 _ON = _indices(forbidden_cells(AssumptionSet.A1_3))
-_OO = _stratum(1, 1)
-_NO = _stratum(0, 1)
 #: The cells behind the forward map's four sums: selected in arm 1, selected
 #: in arm 0, a success in arm 1, and a failure in arm 0.
 _SELECTED_1 = _indices(~_shown(1, 0, None))
@@ -122,7 +121,6 @@ _FAILURE_0 = _indices(_shown(0, 1, 0))
 
 
 _MASS_TOL = 1e-12
-_ZEROS = (0.0,) * 16
 # Dominance comparisons between strata tolerate float dust from products
 # of conditionals and stratum masses.
 _DOMINANCE_TOL = 1e-12
@@ -157,13 +155,9 @@ class LatentJoint:
         cells = self.cells
         if len(cells) != 16:
             raise ValueError(f"expected 16 cell masses, got {len(cells)}")
-        # One C-level pass; a NaN fails ``0.0 <= mass`` as a negative does.
-        # operator.le, not (0.0).__le__: the latter returns a truthy
-        # NotImplemented for a mass that is not a float, e.g. np.float32.
-        if not all(map(operator.le, _ZEROS, cells)):
-            for idx, mass in enumerate(cells):
-                if math.isnan(mass) or mass < 0.0:
-                    raise ValueError(f"cell {CELL_ORDER[idx]} has invalid mass {mass!r}")
+        for idx, mass in enumerate(cells):
+            if not 0.0 <= mass:  # a NaN fails this as a negative does
+                raise ValueError(f"cell {CELL_ORDER[idx]} has invalid mass {mass!r}")
         total = math.fsum(cells)
         if abs(total - 1.0) > _MASS_TOL:
             raise ValueError(f"cell masses sum to {total!r}, not 1 within {_MASS_TOL}")
@@ -174,7 +168,7 @@ class LatentJoint:
         return self.cells[cell_index(y0, y1, s0, s1)]
 
     def stratum_mass(self, s0: int, s1: int) -> float:
-        return _total(self.cells, _stratum(s0, s1))
+        return _total(self.cells, _STRATA[s0, s1])
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.cells, dtype=float)
@@ -228,19 +222,11 @@ def _total(cells: tuple[float, ...], indices: tuple[int, ...]) -> float:
     return math.fsum([cells[i] for i in indices])
 
 
-# Canonical positions of the cells the checks and the target read by name.
-_OO_00, _OO_01, _OO_11 = cell_index(0, 0, 1, 1), cell_index(0, 1, 1, 1), cell_index(1, 1, 1, 1)
-_NO_01, _NO_11 = cell_index(0, 1, 0, 1), cell_index(1, 1, 0, 1)
-# The (y0, y1) = (1, 0) cell of OO, NO and ON, in the order A4's message lists
-# the strata, and of NN.
-_A4_CELLS = tuple(((s0, s1), cell_index(1, 0, s0, s1)) for s0, s1 in ((1, 1), (0, 1), (1, 0)))
-_NN_10 = cell_index(1, 0, 0, 0)
-
 
 def _theta_terms(L: LatentJoint) -> tuple[float, float]:
     """Numerator and denominator of :func:`theta_oo`: the masses of cell (0, 1, 1, 1) and of OO with ``y0 = 0``."""
-    target = L.cells[_OO_01]
-    return target, L.cells[_OO_00] + target
+    target = L.mass(0, 1, 1, 1)
+    return target, L.mass(0, 0, 1, 1) + target
 
 
 def check_assumptions(L: LatentJoint) -> AssumptionReport:
@@ -270,21 +256,22 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
     if on_cells:
         details.append(f"A3: positive mass on ON cells {on_cells}")
 
-    a4_cells = [stratum for stratum, i in _A4_CELLS if cells[i] > 0.0]
+    # The strata whose (1, 0) cell A4 forbids, in the order the message lists them.
+    a4_cells = [(s0, s1) for (s0, s1) in ((1, 1), (0, 1), (1, 0)) if L.mass(1, 0, s0, s1) > 0.0]
     holds_a4 = not a4_cells
     if a4_cells:
         details.append(f"A4: positive mass on (y0,y1)=(1,0) cells in strata {a4_cells}")
-    if cells[_NN_10] > 0.0:
+    if L.mass(1, 0, 0, 0) > 0.0:
         details.append("A4: (1,0) mass in the NN stratum ignored (outcomes censored in both arms)")
 
-    mass_oo = _total(cells, _OO)
-    mass_no = _total(cells, _NO)
+    mass_oo = _total(cells, _STRATA[1, 1])
+    mass_no = _total(cells, _STRATA[0, 1])
     if mass_oo == 0.0 or mass_no == 0.0:
         holds_a5 = True
         details.append("A5: vacuous (OO or NO stratum has zero mass)")
     else:
-        p_y1_oo = (cells[_OO_01] + cells[_OO_11]) / mass_oo
-        p_y1_no = (cells[_NO_01] + cells[_NO_11]) / mass_no
+        p_y1_oo = (L.mass(0, 1, 1, 1) + L.mass(1, 1, 1, 1)) / mass_oo
+        p_y1_no = (L.mass(0, 1, 0, 1) + L.mass(1, 1, 0, 1)) / mass_no
         holds_a5 = p_y1_oo - p_y1_no >= -_DOMINANCE_TOL
         if not holds_a5:
             details.append(f"A5: P[Y1=1 | OO] = {p_y1_oo} < P[Y1=1 | NO] = {p_y1_no}")
@@ -391,12 +378,13 @@ def _conditional_tables(
 
 
 def _assemble_joint(m: ObservedMoments, oo: tuple[float, ...], no: tuple[float, ...]) -> LatentJoint:
-    nn = 0.25 * (1.0 - m.p_s1_d1)
+    # float(): moments given as NumPy scalars still give Python-float cells.
+    nn = float(0.25 * (1.0 - m.p_s1_d1))
     weight_no = m.p_s1_d1 - m.p_s1_d0
     cells: list[float] = []
     for oo_mass, no_mass in zip(oo, no):
         # The cells of one (y0, y1), in canonical order: NN, NO, ON, OO.
-        cells += (nn, no_mass * weight_no, 0.0, oo_mass * m.p_s1_d0)
+        cells += (nn, float(no_mass * weight_no), 0.0, float(oo_mass * m.p_s1_d0))
     return LatentJoint(cells=tuple(cells), p_d1=m.p_d1)
 
 
@@ -526,7 +514,7 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
         # A5 with the OO and NO masses pinned by the selection moments.
         b.append(m.p_y1_s1d1 * m.p_s1_d0)
     solutions = linprog(_vertices(a), np.array(b))
-    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), _OO_01]
+    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), cell_index(0, 1, 1, 1)]
     if not target.size:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: no basic solution is feasible")
     denominator = m.p_y0_s1d0 * m.p_s1_d0

@@ -332,6 +332,17 @@ class TestConstructions:
             assert getattr(mm, name) == pytest.approx(getattr(table_moments, name), abs=1e-12)
         assert check_assumptions(joint).holds(a)
 
+    def test_numpy_scalar_moments_give_float_cells(self, table_moments):
+        scalar = ObservedMoments(*(np.float64(x) for x in astuple(table_moments)))
+        for a in ASSUMPTION_ORDER:
+            joints = [construct_bound_distribution(scalar, a, side) for side in Side]
+            joints.append(construct_interior_distribution(scalar, a, np.float64(0.25)))
+            expected = [construct_bound_distribution(table_moments, a, side) for side in Side]
+            expected.append(construct_interior_distribution(table_moments, a, 0.25))
+            for joint, want in zip(joints, expected):
+                assert all(type(mass) is float for mass in joint.cells)
+                assert joint.cells == want.cells
+
     def test_table_values_attained(self, table_moments):
         lower = construct_bound_distribution(table_moments, AssumptionSet.A1_3, Side.LOWER)
         assert theta_oo(lower) == pytest.approx(0.014, abs=1e-3)
