@@ -35,7 +35,8 @@ alone, with the same exact comparison.
 
 The formulas are written once, elementwise, in :func:`bound_fields`, so
 one call bounds a whole stack of moment vectors; :func:`compute_bounds`
-applies it to one.
+applies it to one, whose Python floats the clip into [0, 1] takes without
+NumPy's per-call dispatch and to the same bits.
 
 Everything here is a pure function of its inputs; all operations are safe
 to call concurrently.
@@ -203,8 +204,20 @@ def trimmed_success_floor(p1, alpha):
     return np.minimum((p1 - (1.0 - alpha)) / alpha, p1)
 
 
+def _unit_clip(x):
+    """``np.clip(x, 0.0, 1.0)`` to the bit; a scalar skips NumPy's dispatch.
+
+    ``max`` and ``min`` return their first argument unless the second
+    compares strictly past it, so a NaN or a -0.0 passes through as it does
+    through ``np.clip``.
+    """
+    if isinstance(x, np.ndarray):
+        return np.clip(x, 0.0, 1.0)
+    return min(max(x, 0.0), 1.0)
+
+
 def bound_fields(m: ObservedMoments, a: AssumptionSet) -> dict[str, np.ndarray]:
-    """The fields of :func:`compute_bounds` but ``assumption_set``, elementwise over ``m``'s arrays.
+    """The fields of :func:`compute_bounds` but ``assumption_set``, elementwise over ``m``'s arrays or scalars.
 
     ``a`` picks ``LB1 = LB2`` or ``LB3`` and ``UB1`` or ``UB2 = UB3``.  Where
     ``q0 = 0`` the endpoints are infinite or NaN; callers refuse or mask them.
@@ -222,7 +235,7 @@ def bound_fields(m: ObservedMoments, a: AssumptionSet) -> dict[str, np.ndarray]:
         ub_raw = (p1 / alpha) / q0
     else:
         ub_raw = (p1 / alpha - (1.0 - q0)) / q0
-    lb, ub = np.clip(lb_raw, 0.0, 1.0), np.clip(ub_raw, 0.0, 1.0)
+    lb, ub = _unit_clip(lb_raw), _unit_clip(ub_raw)
     return dict(
         lb=lb, ub=ub, lb_raw=lb_raw, ub_raw=ub_raw, lb_clipped=lb != lb_raw, ub_clipped=ub != ub_raw,
         restriction_violated=_selection_violated(m), crossed=lb > ub,
@@ -235,4 +248,9 @@ def compute_bounds(m: ObservedMoments, a: AssumptionSet) -> BoundsInterval:
     :func:`bound_fields` of the one moment vector ``m``, as Python scalars.
     """
     require_q0(m)
-    return BoundsInterval(assumption_set=a, **{k: np.asarray(v).item() for k, v in bound_fields(m, a).items()})
+    fields = bound_fields(m, a)
+    return BoundsInterval(
+        assumption_set=a,
+        **{k: float(fields[k]) for k in ("lb", "ub", "lb_raw", "ub_raw")},
+        **{k: bool(fields[k]) for k in ("lb_clipped", "ub_clipped", "restriction_violated", "crossed")},
+    )

@@ -8,7 +8,11 @@ strata, not of rows.  Hand-built data enter as
 ``Dataset(labels=..., counts=...)``; ``Dataset.records`` is a read-only
 expansion into rows, kept for independent recounts.  Every probability is
 estimated by the corresponding sample proportion, so estimates are exact
-rationals ``k / n`` in floating point.
+rationals ``k / n`` rounded once to floating point.  The sums, the order
+of the conditioning cells and the ratios are written once, for one table
+of Python ints (:func:`moments_from_counts`) and for stacks of tables as
+arrays (the stratified fit and the bootstrap), so the two paths agree bit
+for bit on any table of fewer than 2**53 records.
 
 Stratified estimation computes fully saturated within-stratum means (with
 discrete strata and no further covariates this coincides with a
@@ -58,6 +62,18 @@ def table_position(d: int, s: int, y: int | None) -> int:
     return 3 * d + (2 if s == 0 else 1 - y)
 
 
+def _int64_counts(counts) -> np.ndarray:
+    """``counts`` as an int64 array, refusing a count the cast would change (1.7, inf, NaN)."""
+    counts = np.asarray(counts)
+    if counts.dtype != np.int64:
+        raw = counts
+        with np.errstate(invalid="ignore"):
+            counts = raw.astype(np.int64)
+        if not np.array_equal(counts, raw):
+            raise ValueError("counts must be whole numbers")
+    return counts
+
+
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Count table: one 2x3 table (arm x ``COUNT_COLUMNS``) per stratum.
@@ -75,14 +91,7 @@ class Dataset:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        counts = np.asarray(self.counts)
-        if counts.dtype != np.int64:
-            raw = counts
-            with np.errstate(invalid="ignore"):
-                counts = raw.astype(np.int64)
-            if not np.array_equal(counts, raw):
-                raise ValueError("counts must be whole numbers")
-        counts = counts.reshape(len(labels), 2, 3)
+        counts = _int64_counts(self.counts).reshape(len(labels), 2, 3)
         totals = counts.sum(axis=(1, 2)).tolist()
         if sum(totals) < 1:
             raise ValueError("dataset must contain at least one record")
@@ -137,34 +146,56 @@ EMPTY_CELLS = (
 _MomentArrays = namedtuple("_MomentArrays", "p_y1_s1d1 p_y0_s1d0 p_s1_d1 p_s1_d0 p_d1")
 
 
+def _table_moments(y1_0, y0_0, s0_0, y1_1, y0_1, s0_1):
+    """A table's size, its conditioning cells in :data:`EMPTY_CELLS` order, and each moment as ``(count, size)``.
+
+    Takes the six cells in ``COUNT_COLUMNS`` order, control arm first, as
+    Python ints or as arrays of them; every sum adds two or three cells.
+    """
+    s1d1, s1d0 = y1_1 + y0_1, y1_0 + y0_0
+    n1, n0 = s1d1 + s0_1, s1d0 + s0_0
+    n = n0 + n1
+    return n, (n1, n0, s1d1, s1d0, y0_0), ((y1_1, s1d1), (y0_0, s1d0), (s1d1, n1), (s1d0, n0), (n1, n))
+
+
 def _proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _MomentArrays]:
     """Each table's first empty conditioning cell, its size, and its moments.
 
     The first is the cell's :data:`EMPTY_CELLS` index, -1 if none is empty;
-    the moments are inf or NaN over an empty cell.  Every sum adds two or
-    three integer cells, so each moment is an exact count ratio ``k / n``.
+    the moments are inf or NaN over an empty cell.
     """
-    s1d1, s1d0 = counts[..., 1, 0] + counts[..., 1, 1], counts[..., 0, 0] + counts[..., 0, 1]
-    n1, n0 = s1d1 + counts[..., 1, 2], s1d0 + counts[..., 0, 2]
-    n = n0 + n1
+    n, cells, ratios = _table_moments(*(counts[..., d, c] for d in (0, 1) for c in range(3)))
     empty = np.full(n.shape, -1)
     # Marked last cell first, so a table keeps its first empty cell's index.
-    for i, cell in reversed(list(enumerate((n1, n0, s1d1, s1d0, counts[..., 0, 1])))):
+    for i, cell in reversed(list(enumerate(cells))):
         empty[cell == 0] = i
     with np.errstate(divide="ignore", invalid="ignore"):
-        p1, q0 = counts[..., 1, 0] / s1d1, counts[..., 0, 1] / s1d0
-        return empty, n, _MomentArrays(p1, q0, s1d1 / n1, s1d0 / n0, n1 / n)
+        return empty, n, _MomentArrays(*(k / size for k, size in ratios))
 
 
 def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
-    """Sample-proportion moments from a 2x3 count table.
+    """Sample-proportion moments from a 2x3 count table (arm x ``COUNT_COLUMNS``).
 
-    Raises ``ValueError`` naming the first empty conditioning cell.
+    The table is read once into Python ints and shares :func:`_proportions`'
+    sums and ratios, so its moments are bit for bit those of the stacked
+    path: each is an exact count ratio ``k / n``, and on a table of fewer
+    than 2**53 records Python's ``int / int`` and NumPy's int64 division
+    both round it correctly.
+
+    Refuses what :class:`Dataset` refuses (a count that is not a whole
+    number, or is negative) and a table of another shape; raises
+    ``ValueError`` naming the first empty conditioning cell.
     """
-    empty, _, moments = _proportions(np.asarray(counts, dtype=np.int64))
-    if empty >= 0:
-        raise ValueError(EMPTY_CELLS[int(empty)])
-    return ObservedMoments(*(float(p) for p in moments))
+    table = _int64_counts(counts)
+    if table.shape != (2, 3):
+        raise ValueError(f"a count table has shape (2, 3), got {table.shape}")
+    cells = table.ravel().tolist()
+    if min(cells) < 0:
+        raise ValueError("counts must be non-negative")
+    _, conditioning, ratios = _table_moments(*cells)
+    if 0 in conditioning:
+        raise ValueError(EMPTY_CELLS[conditioning.index(0)])
+    return ObservedMoments(*(k / size for k, size in ratios))
 
 
 def estimate_moments(data: Dataset) -> ObservedMoments:

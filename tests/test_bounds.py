@@ -16,6 +16,7 @@ from pocbounds import (
     restriction_violations,
     trim_ratio,
 )
+from pocbounds.bounds import _unit_clip
 from pocbounds.estimation import moments_from_counts
 
 RNG = np.random.default_rng(90210)
@@ -41,6 +42,31 @@ class TestObservedMoments:
             ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.0, p_s1_d0=0.5)
         with pytest.raises(ValueError, match="no selected units in control arm"):
             ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.0)
+
+
+class TestComputeBoundsTypes:
+    @pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
+    def test_fields_are_python_floats_and_bools(self, scalar):
+        # Clipped below (LB), above (UB) and inside, and a violated selection restriction.
+        for values in [(0.2, 0.5, 0.6, 0.5), (0.9, 0.3, 0.5, 0.45), (0.5, 0.5, 0.5, 0.6)]:
+            m = ObservedMoments(*map(scalar, values))
+            for a in ASSUMPTION_ORDER:
+                interval = compute_bounds(m, a)
+                for name in ("lb", "ub", "lb_raw", "ub_raw"):
+                    assert type(getattr(interval, name)) is float, name
+                for name in ("lb_clipped", "ub_clipped", "restriction_violated", "crossed"):
+                    assert type(getattr(interval, name)) is bool, name
+
+
+    def test_scalar_clip_is_numpy_clip_to_the_bit(self):
+        values = [math.nan, -0.0, 0.0, 1.0, -math.inf, math.inf, -5e-324, 1.0 + 2**-52, 0.25, -2.0]
+        for x in values:
+            want = np.clip(x, 0.0, 1.0).item().hex()
+            assert _unit_clip(x).hex() == want, x
+            assert float(_unit_clip(np.float64(x))).hex() == want, x
+        assert [x.hex() for x in _unit_clip(np.array(values)).tolist()] == [
+            np.clip(x, 0.0, 1.0).item().hex() for x in values
+        ]
 
 
 class TestTrimRatio:

@@ -1,5 +1,9 @@
 """Moment estimation and stratified aggregation from microdata."""
 
+import re
+from dataclasses import astuple
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,6 +23,7 @@ from pocbounds import (
 )
 from pocbounds.estimation import (
     EMPTY_CELLS,
+    _proportions,
     cell_counts,
     moments_from_counts,
     stratified_fields,
@@ -133,6 +138,43 @@ class TestEstimateMoments:
         assert m.p_y1_s1d1 == int(counts[1, 0]) / int(counts[1, 0] + counts[1, 1])
         assert m.p_d1 == int(counts[1].sum()) / 997
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_fields_are_python_floats(self, dtype):
+        m = moments_from_counts(np.array([[40, 20, 60], [19, 21, 20]], dtype=dtype))
+        assert all(type(x) is float for x in astuple(m))
+
+    def test_rejects_a_count_that_is_not_whole(self):
+        with pytest.raises(ValueError, match="counts must be whole numbers"):
+            moments_from_counts([[1.5, 2, 3], [4, 5, 6]])
+
+    def test_rejects_a_negative_count(self):
+        with pytest.raises(ValueError, match="counts must be non-negative"):
+            moments_from_counts([[1, -1, 3], [4, 5, 6]])
+
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (3, 2)])
+    def test_rejects_a_table_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=re.escape(f"shape (2, 3), got {shape}")):
+            moments_from_counts(np.ones(shape, dtype=np.int64))
+
+    def test_counts_near_two_to_the_52_match_the_stacked_path(self):
+        # 2**53 - 2 records: every sum is still exact in float64, and the
+        # ratios are not, so each path must round the same exact ratio.
+        table = np.array([[2**51 + 1, 2**50 - 3, 2**50 + 7], [2**51 - 5, 2**50 + 11, 2**50 - 13]])
+        empty, n, stacked = _proportions(table[None])
+        assert (empty.tolist(), n.tolist()) == ([-1], [2**53 - 2])
+        m = moments_from_counts(table)
+        assert [x.hex() for x in astuple(m)] == [float(x[0]).hex() for x in stacked]
+        (y1_0, y0_0, s0_0), (y1_1, y0_1, s0_1) = table.tolist()
+        exact = (
+            Fraction(y1_1, y1_1 + y0_1),
+            Fraction(y0_0, y1_0 + y0_0),
+            Fraction(y1_1 + y0_1, y1_1 + y0_1 + s0_1),
+            Fraction(y1_0 + y0_0, y1_0 + y0_0 + s0_0),
+            Fraction(y1_1 + y0_1 + s0_1, 2**53 - 2),
+        )
+        assert astuple(m) == tuple(map(float, exact))
+        assert any(float(x) != x for x in exact)
+
     def test_monte_carlo_convergence_to_forward_map(self):
         rng = np.random.default_rng(62)
         joint = draw_latent_joint(AssumptionSet.A1_4, rng)
@@ -244,7 +286,9 @@ def scalar_stratified(tables, a):
 
     Returns ``(per_stratum, dropped, aggregate)``: per-stratum ``(bounds,
     weight, n)`` of the retained strata by position, ``(position, reason)``
-    of the dropped ones, and the aggregate interval.
+    of the dropped ones, and the aggregate interval.  Each table also goes
+    through ``moments_from_counts``: a retained one must give these moments
+    bit for bit, a dropped one must raise this reason.
     """
     fitted, dropped = {}, []
     for k, t in enumerate(tables):
@@ -259,6 +303,9 @@ def scalar_stratified(tables, a):
         )
         reason = next((why for count, why in checks if count == 0), None)
         if reason is not None:
+            with pytest.raises(ValueError) as refused:
+                moments_from_counts(t)
+            assert str(refused.value) == reason
             dropped.append((k, reason))
             continue
         m = ObservedMoments(
@@ -268,6 +315,7 @@ def scalar_stratified(tables, a):
             p_s1_d0=s1d0 / n0,
             p_d1=n1 / (n0 + n1),
         )
+        assert [x.hex() for x in astuple(moments_from_counts(t))] == [x.hex() for x in astuple(m)]
         fitted[k] = (compute_bounds(m, a), n0 + n1)
     total = sum(n for _, n in fitted.values())
     per_stratum = {k: (b, n / total, n) for k, (b, n) in fitted.items()}
