@@ -57,7 +57,6 @@ class TestComputeBoundsTypes:
                 for name in ("lb_clipped", "ub_clipped", "restriction_violated", "crossed"):
                     assert type(getattr(interval, name)) is bool, name
 
-
     def test_scalar_clip_is_numpy_clip_to_the_bit(self):
         values = [math.nan, -0.0, 0.0, 1.0, -math.inf, math.inf, -5e-324, 1.0 + 2**-52, 0.25, -2.0]
         for x in values:
