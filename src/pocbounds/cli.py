@@ -9,10 +9,12 @@ read as an opaque string id with surrounding whitespace stripped, so
 its field count and its mapped tokens, so :func:`load_csv` checks each
 distinct token tuple once.  It reads the input once, hashing its raw
 bytes as it decodes them, so a pipe such as ``/dev/stdin`` is an input
-too.  It counts the lines a chunk at a time with one ``Counter`` call per
-chunk, parsing each distinct line of a chunk once; a line kept for its
-tuple, at most one per tuple, adds its count with no parse, so memory
-grows with distinct tuples and one chunk, not rows.  A chunk that holds a
+too.  Its unit of work is the decoded 64 KiB block: a block's whole lines
+are one chunk, counted with one ``Counter`` call, and each distinct line
+of a chunk is parsed once; a line kept for its tuple, at most one per
+tuple, adds its count with no parse.  Memory grows with distinct tuples
+and one chunk, not rows: one block's text, 64 KiB of input plus the line
+the block before cut, and that text's ``Counter``.  A chunk that holds a
 record running over several lines, or a bad row, adds nothing from its
 count and is read record by record by the csv module instead, through the
 record that holds its last line; only that read names a row in a message.
@@ -57,13 +59,8 @@ from .estimation import EMPTY_CELLS, Dataset, cell_counts, estimate_moments, est
 from .inference import DIRECTION_NOTE, UNSTABLE, EndpointIntervals, bootstrap_bounds, test_restrictions
 
 
-# Lines per chunk of load_csv.  A chunk's line list and its Counter are all
-# the loader holds that grows with lines, so this stays small: 4096 was
-# measured.  Up to 5,000 lines per chunk, a 40,000-line file of distinct
-# lines peaks at the traced memory of a 10,000-line one (0.86 MB at 4096);
-# at 8,192 it peaks at 1.7 times that.
-_CHUNK = 4096
-# Bytes per read of the input; each block is hashed and decoded as it comes.
+# Bytes per read of the input; each block is hashed and decoded as it comes,
+# and its whole lines are one chunk of load_csv.
 _BLOCK = 1 << 16
 
 
@@ -150,14 +147,16 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
 
     A row's validity depends only on its field count and its mapped (d, s,
     y[, stratum]) tokens, so each distinct token tuple is checked once, on
-    the first line that holds it.  The file is opened and read once, and
-    its lines are taken :data:`_CHUNK` at a time.  Each chunk's lines are
-    counted with one ``Counter`` call, and each *distinct* line of a chunk
-    is parsed once.  A line whose text was kept for its tuple adds its
-    count with no parse; any other line is split at its commas when it
-    holds no quote character, otherwise read by the csv module.  At most
-    one line is kept per tuple, so memory grows with distinct tuples and
-    one chunk, not rows.
+    the first line that holds it.  The file is opened and read once, a
+    :data:`_BLOCK` of bytes at a time, and the whole lines of each decoded
+    block are one chunk.  A chunk is counted with one ``Counter`` call over
+    its text, and each *distinct* line of it is parsed once.  A line whose
+    text was kept for its tuple adds its count with no parse; any other
+    line is split at its commas when it holds no quote character, otherwise
+    read by the csv module.  At most one line is kept per tuple, so memory
+    grows with distinct tuples and one chunk, not rows: a chunk is 64 KiB
+    of input plus the line the block before cut off, and its ``Counter``
+    holds at most that text's lines.
 
     A chunk's counts are added only if every distinct line in it, read from
     the start of a record, is a complete and valid one-line record.  The
@@ -169,10 +168,12 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
     holds its last line, and a record of one line keeps its line for a new
     tuple as the count does.  Only this read names a row in a message, so
     the first bad row, its message and its exit code are those of a
-    record-by-record read; the next chunk is counted whole again.  A cell
-    made before the count failed belongs to a line whose first copy comes
-    before the failing line, so that line is a whole record and the csv
-    read counts it; no stratum is left with no rows.
+    record-by-record read.  That record may run on into later blocks; the
+    next chunk is the unread rest of the block the read stopped in, which
+    starts a record, and it is counted whole again.  A cell made before the
+    count failed belongs to a line whose first copy comes before the
+    failing line, so that line is a whole record and the csv read counts
+    it; no stratum is left with no rows.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
@@ -187,8 +188,20 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
     # Records read so far; the record being read, or the one in an error, is row_number + 1.
     row_number = 0
     try:
-        with _open(path, digest or hashlib.sha256()) as handle:
-            key_of, width = _read_header(handle, path, mapping)
+        with _open(path, digest or hashlib.sha256()) as blocks:
+            # The block being read; the header's lines begin in the first.
+            block = io.StringIO()
+
+            def read_on():
+                """The input's lines from ``block``'s position on; ``block`` follows them into later blocks."""
+                nonlocal block
+                while block is not None:
+                    # Not ``yield from``: closing this generator would close the block.
+                    for line in block:
+                        yield line
+                    block = next(blocks, None)
+
+            key_of, width = _read_header(read_on(), path, mapping)
             row_number = 1
             # A line with no quote character is a whole record, which the csv
             # module would split at its commas, so it is split here; a line
@@ -214,8 +227,9 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
                         known_lines[line] = cell
                 return cell
 
-            while lines := list(itertools.islice(handle, _CHUNK)):
-                chunk = collections.Counter(lines)
+            while block is not None:
+                offset = block.tell()
+                chunk = collections.Counter(block)
                 try:
                     # A message raised here is never shown, so its row number does not matter.
                     found = []
@@ -237,7 +251,11 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
                 except (IndexError, UnicodeError, csv.Error, CsvFormatError):
                     # Read the chunk record by record, through the record that holds
                     # its last line; ``start`` lines of it come before the record read.
-                    reader = csv.reader(_checked_lines(itertools.chain(lines, handle)))
+                    # That record may run on into later blocks, and the next chunk is
+                    # the unread rest of the block the read stopped in.
+                    block.seek(offset)
+                    lines = block.readlines()
+                    reader = csv.reader(_checked_lines(itertools.chain(lines, read_on())))
                     start = 0
                     for row in reader:
                         row_number += 1
@@ -247,9 +265,10 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
                         if start >= len(lines):
                             break
                     continue
-                row_number += len(lines)
+                row_number += sum(chunk.values())
                 for cell, rows in zip(found, chunk.values()):
                     cell[2] += rows
+                block = next(blocks, None)
     except UnicodeError:
         raise CsvFormatError(f"{path}: row {row_number + 1} is not valid UTF-8") from None
     except csv.Error as err:
@@ -264,7 +283,7 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
 
 @contextlib.contextmanager
 def _open(path: Path, digest):
-    """The input's lines, as ``open(path, newline="", encoding="utf-8-sig")`` yields them.
+    """The input's decoded blocks, whose lines are those ``open(path, newline="", encoding="utf-8-sig")`` yields.
 
     The raw bytes are read :data:`_BLOCK` at a time, and each block goes to
     ``digest`` before it is decoded.  Undecodable bytes become lone
@@ -272,7 +291,7 @@ def _open(path: Path, digest):
     the row that holds them.
     """
     with open(path, "rb", buffering=0) as raw:
-        yield itertools.chain.from_iterable(_decoded_blocks(raw, digest))
+        yield _decoded_blocks(raw, digest)
 
 
 def _decoded_blocks(raw, digest):

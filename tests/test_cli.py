@@ -6,6 +6,7 @@ import dataclasses
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -290,20 +291,26 @@ class TestLoadCsv:
 
     def test_csv_read_stops_after_the_failing_chunk(self, tmp_path, parsed):
         # Row 2 spans two lines, and so does the record that opens on the first
-        # chunk's last line.  The quoted one-line record goes to the csv module
-        # in each chunk that does not find its line kept.
-        several = '0,1,0,"b\nc"\n'
+        # block's last line and closes in the second.  The quoted one-line
+        # record goes to the csv module in each chunk that does not find its
+        # line kept.
+        opening, closing = '0,1,0,"b\n', 'continued"\n'
         one_line = '1,1,1,"a"\n'
-        tail = 2 * cli._CHUNK
-        text = "y,s,d,g\n" + several + one_line * (cli._CHUNK - 3) + several + one_line * tail
-        path = write(tmp_path, text)
+        head = "y,s,d,g\n" + opening + closing
+        ones = (cli._BLOCK - len(head) - len(opening)) // len(one_line)
+        first_block = head + one_line * ones + opening
+        # The closing line is longer than a one-line record, so it crosses the block's end.
+        assert len(first_block) <= cli._BLOCK < len(first_block) + len(closing)
+        tail = 2 * ones
+        path = write(tmp_path, first_block + closing + one_line * tail)
         assert load_outcome(load_csv, path, STRATUM_MAPPING) == (
-            ("a", "b\nc"),
-            [[[0, 0, 0], [cli._CHUNK - 3 + tail, 0, 0]], [[0, 2, 0], [0, 0, 0]]],
+            ("a", "b\ncontinued"),
+            [[[0, 0, 0], [ones + tail, 0, 0]], [[0, 2, 0], [0, 0, 0]]],
         )
-        # The header and the first chunk's records, the last of which runs past
-        # it; the lines after that record are counted a chunk at a time, not parsed.
-        assert len(parsed) <= 1 + (cli._CHUNK - 1)
+        # The header and the first block's records, the last of which runs past
+        # it; the lines after that record are counted a block at a time, not parsed.
+        several = ["0", "1", "0", "b\ncontinued"]
+        assert parsed == [["y", "s", "d", "g"], several, *[["1", "1", "1", "a"]] * ones, several]
 
     def test_memory_grows_with_tuples_not_lines(self, tmp_path):
         peaks = []
@@ -328,8 +335,11 @@ class TestLoadCsv:
 
     @pytest.mark.parametrize("data, expected", SEVERAL_LINES, ids=SEVERAL_LINES_IDS)
     def test_records_of_several_lines_in_chunks_of_two(self, tmp_path, monkeypatch, data, expected):
-        """Records of several lines straddle chunks, and continuation lines are read past the chunk."""
-        monkeypatch.setattr(cli, "_CHUNK", 2)
+        """Records of several lines straddle chunks, and continuation lines are read past the chunk.
+
+        A chunk is a block's whole lines, so 16-byte blocks make chunks of about two of these lines.
+        """
+        monkeypatch.setattr(cli, "_BLOCK", 16)
         assert_several_lines(tmp_path, data, expected)
 
 
@@ -530,21 +540,52 @@ def test_load_csv_matches_per_row_reference(tmp_path, data, stratified):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=csv_bytes(), stratified=st.booleans())
 def test_load_csv_matches_per_row_reference_in_chunks_of_two(tmp_path, monkeypatch, data, stratified):
-    """Repeated lines, blank lines and records of several lines straddle the first pass's chunks."""
-    monkeypatch.setattr(cli, "_CHUNK", 2)
+    """Repeated lines, blank lines and records of several lines straddle the first pass's chunks.
+
+    A chunk is a block's whole lines, so 16-byte blocks make chunks of a few of these lines.
+    """
+    monkeypatch.setattr(cli, "_BLOCK", 16)
     assert_matches_per_row_reference(tmp_path, data, stratified)
 
 
-@pytest.mark.parametrize("chunk", [2, cli._CHUNK], ids=["chunks-of-two", "default-chunks"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=csv_bytes(), stratified=st.booleans(), block=st.integers(1, 7))
-def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(
-    tmp_path, monkeypatch, chunk, data, stratified, block
-):
+def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(tmp_path, monkeypatch, data, stratified, block):
     """A CRLF line end, a multibyte character and the byte-order mark are cut across the reads of the raw bytes."""
-    monkeypatch.setattr(cli, "_CHUNK", chunk)
     monkeypatch.setattr(cli, "_BLOCK", block)
     assert_matches_per_row_reference(tmp_path, data, stratified)
+
+
+@pytest.mark.parametrize("bad", [False, True], ids=["clean", "bad-token"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_load_csv_matches_per_row_reference_at_the_default_block_size(tmp_path, newline, bad):
+    """A quoted record of two lines crosses the first block's end; a bad token sits in the third block."""
+    rows = iter(itertools.cycle(f"{line},{g}" for line in VALID_LINES for g in "ab"))
+    opening, closing = '0,1,0,"b' + newline, 'two lines"' + newline
+    text = "y,s,d,g" + newline
+    records = 1
+    while len(text) + len(next_row := next(rows) + newline) + len(opening) <= cli._BLOCK:
+        text += next_row
+        records += 1
+    # The closing line is longer than any row, so it crosses the first block's end.
+    assert len(text) + len(opening) <= cli._BLOCK < len(text) + len(opening) + len(closing)
+    text += opening + closing
+    records += 1
+    while len(text) <= 2 * cli._BLOCK + 100:
+        text += next(rows) + newline
+        records += 1
+    if bad:
+        text += "2,1,0,a" + newline
+    while len(text) <= 3 * cli._BLOCK + 100:
+        text += next(rows) + newline
+    path = tmp_path / "edge.csv"
+    path.write_bytes(text.encode("ascii"))
+    outcome = load_outcome(load_csv, path, STRATUM_MAPPING)
+    assert outcome == load_outcome(reference_load_csv, path, STRATUM_MAPPING)
+    if bad:
+        assert outcome == (CsvFormatError, f"{path}: non-binary value '2' in column 'y' at row {records + 1}")
+    else:
+        assert outcome[0] == ("a", "b", "b" + newline + "two lines")
 
 
 class TestRunConfig:
