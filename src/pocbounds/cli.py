@@ -13,11 +13,12 @@ too.  Its unit of work is the decoded 64 KiB block: a block's whole lines
 are one chunk, counted with one ``Counter`` call, and each distinct line
 of a chunk is parsed once; a line kept for its tuple, at most one per
 tuple, adds its count with no parse.  Memory grows with distinct tuples
-and one chunk, not rows: one block's text, 64 KiB of input plus the line
-the block before cut, and that text's ``Counter``.  A chunk that holds a
-record running over several lines, or a bad row, adds nothing from its
-count and is read record by record by the csv module instead, through the
-record that holds its last line; only that read names a row in a message.
+and one chunk, not rows: one block's text (64 KiB of input, plus the start
+of a line the previous block's end cut) and that text's ``Counter``.  A
+chunk that holds a record running over several lines, or a bad row, adds
+nothing from its count and is read record by record by the csv module
+instead, through the record that holds its last line; only that read
+names a row in a message.
 
 The JSON report is canonical: keys are sorted, floats use their shortest
 exact decimal form, no timestamps are embedded, and a ``schema_version``
@@ -154,9 +155,9 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
     text was kept for its tuple adds its count with no parse; any other
     line is split at its commas when it holds no quote character, otherwise
     read by the csv module.  At most one line is kept per tuple, so memory
-    grows with distinct tuples and one chunk, not rows: a chunk is 64 KiB
-    of input plus the line the block before cut off, and its ``Counter``
-    holds at most that text's lines.
+    grows with distinct tuples and one chunk, not rows: a chunk's text is
+    64 KiB of input, plus the start of a line the previous block's end cut,
+    and its ``Counter`` holds at most that text's lines.
 
     A chunk's counts are added only if every distinct line in it, read from
     the start of a record, is a complete and valid one-line record.  The
@@ -189,7 +190,7 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
     row_number = 0
     try:
         with _open(path, digest or hashlib.sha256()) as blocks:
-            # The block being read; the header's lines begin in the first.
+            # The block being read: an empty one, so reading the header moves on to the first.
             block = io.StringIO()
 
             def read_on():

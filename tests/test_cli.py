@@ -560,7 +560,7 @@ def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(tmp_path, m
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 def test_load_csv_matches_per_row_reference_at_the_default_block_size(tmp_path, newline, bad):
     """A quoted record of two lines crosses the first block's end; a bad token sits in the third block."""
-    rows = iter(itertools.cycle(f"{line},{g}" for line in VALID_LINES for g in "ab"))
+    rows = itertools.cycle(f"{line},{g}" for line in VALID_LINES for g in "ab")
     opening, closing = '0,1,0,"b' + newline, 'two lines"' + newline
     text = "y,s,d,g" + newline
     records = 1
