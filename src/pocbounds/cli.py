@@ -169,12 +169,12 @@ def load_csv(path: str | Path, mapping: dict[str, str | None], digest=None) -> D
     holds its last line, and a record of one line keeps its line for a new
     tuple as the count does.  Only this read names a row in a message, so
     the first bad row, its message and its exit code are those of a
-    record-by-record read.  That record may run on into later blocks; the
-    next chunk is the unread rest of the block the read stopped in, which
-    starts a record, and it is counted whole again.  A cell made before the
-    count failed belongs to a line whose first copy comes before the
-    failing line, so that line is a whole record and the csv read counts
-    it; no stratum is left with no rows.
+    record-by-record read.  The record that holds the chunk's last line may
+    run on into later blocks; the next chunk is the unread rest of the block
+    the read stopped in, which starts a record, and it is counted whole
+    again.  A cell made before the count failed belongs to a line whose
+    first copy comes before the failing line, so that line is a whole record
+    and the csv read counts it; no stratum is left with no rows.
     """
     named = [name for name in mapping.values() if name is not None]
     if len(set(named)) != len(named):
