@@ -548,11 +548,37 @@ def test_load_csv_matches_per_row_reference_in_chunks_of_two(tmp_path, monkeypat
     assert_matches_per_row_reference(tmp_path, data, stratified)
 
 
+def in_chunks_of(lines_per_chunk):
+    """``cli._decoded_blocks`` with each block's whole lines handed on ``lines_per_chunk`` at a time."""
+    decoded_blocks = cli._decoded_blocks
+
+    def regrouped(raw, digest):
+        for block in decoded_blocks(raw, digest):
+            lines = list(block)
+            for start in range(0, len(lines), lines_per_chunk):
+                yield io.StringIO("".join(lines[start : start + lines_per_chunk]), newline="")
+
+    return regrouped
+
+
+# Built once from the loader's own function: the hypothesis examples of one test share its patch.
+IN_CHUNKS_OF = {2: in_chunks_of(2)}
+
+
+@pytest.mark.parametrize("chunk", [2, None], ids=["chunks-of-two", "default-chunks"])
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=csv_bytes(), stratified=st.booleans(), block=st.integers(1, 7))
-def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(tmp_path, monkeypatch, data, stratified, block):
-    """A CRLF line end, a multibyte character and the byte-order mark are cut across the reads of the raw bytes."""
+def test_load_csv_matches_per_row_reference_in_blocks_of_a_few_bytes(
+    tmp_path, monkeypatch, chunk, data, stratified, block
+):
+    """A CRLF line end, a multibyte character and the byte-order mark are cut across the reads of the raw bytes.
+
+    With ``chunk`` set, each decoded block's lines are counted that many at a time, so
+    the chunks' edges fall between lines as well as at the blocks' ends.
+    """
     monkeypatch.setattr(cli, "_BLOCK", block)
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_decoded_blocks", IN_CHUNKS_OF[chunk])
     assert_matches_per_row_reference(tmp_path, data, stratified)
 
 
