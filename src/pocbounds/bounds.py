@@ -11,9 +11,12 @@ bundles:
   subpopulation (A2), and monotone selection (A3, treatment never removes
   a unit from the sample).
 * ``A1_4``: adds monotone treatment response (A4, treatment never flips
-  the latent outcome from one to zero), which lowers the upper bound.
+  the latent outcome from one to zero).  Its flag ``a4`` lowers the upper
+  bound from UB1 to UB2, adds the outcome restriction and, in
+  :mod:`pocbounds.latent`, forbids the ``(y0, y1) = (1, 0)`` cells.
 * ``A1_5``: adds stochastic dominance of always-selected units over units
-  selected only under treatment (A5), which raises the lower bound.
+  selected only under treatment (A5).  Its flag ``a5`` raises the lower
+  bound from LB1 to LB3 and adds the oracle's ``P[Y1=1, OO]`` floor row.
 
 Writing ``p1 = P[Y=1 | S=1, D=1]``, ``q0 = P[Y=0 | S=1, D=0]`` and
 ``alpha = P[S=1 | D=0] / P[S=1 | D=1]``, the interval endpoints are
@@ -52,11 +55,20 @@ import numpy as np
 
 
 class AssumptionSet(enum.Enum):
-    """Nested assumption bundles, ordered from weakest to strongest."""
+    """Nested assumption bundles, ordered from weakest to strongest.
 
-    A1_3 = "A1_3"
-    A1_4 = "A1_4"
-    A1_5 = "A1_5"
+    Every bundle holds A1-A3; ``a4`` and ``a5`` say whether it adds A4 and
+    A5.  The member's value is its token.
+    """
+
+    A1_3 = ("A1_3", False, False)
+    A1_4 = ("A1_4", True, False)
+    A1_5 = ("A1_5", True, True)
+
+    def __new__(cls, token: str, a4: bool, a5: bool) -> "AssumptionSet":
+        member = object.__new__(cls)
+        member._value_, member.a4, member.a5 = token, a4, a5
+        return member
 
     @classmethod
     def parse(cls, token: str) -> "AssumptionSet":
@@ -68,7 +80,7 @@ class AssumptionSet(enum.Enum):
 
 
 #: Canonical display/legend order of the assumption sets.
-ASSUMPTION_ORDER = (AssumptionSet.A1_3, AssumptionSet.A1_4, AssumptionSet.A1_5)
+ASSUMPTION_ORDER = tuple(AssumptionSet)
 
 
 def _check_probability(name: str, value: float) -> None:
@@ -175,7 +187,7 @@ def restriction_violations(m: ObservedMoments, a: AssumptionSet) -> list[str]:
     violations = []
     if _selection_violated(m):
         violations.append("P[S=1|D=1] < P[S=1|D=0] (selection restriction)")
-    if a is not AssumptionSet.A1_3:
+    if a.a4:
         treated = m.p_y1_s1d1 * m.p_s1_d1
         control = (1.0 - m.p_y0_s1d0) * m.p_s1_d0
         if control - treated > _RATE_TOL:
@@ -227,14 +239,14 @@ def bound_fields(m: ObservedMoments, a: AssumptionSet) -> dict[str, np.ndarray]:
     p1 = m.p_y1_s1d1
     # x + q0 - 1 is written as x - (1 - q0) so the q0 = 1 boundary does
     # not pick up a one-ulp +1/-1 round trip.
-    if a is AssumptionSet.A1_5:
+    if a.a5:
         lb_raw = (p1 - (1.0 - q0)) / q0
     else:
         lb_raw = (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
-    if a is AssumptionSet.A1_3:
-        ub_raw = (p1 / alpha) / q0
-    else:
+    if a.a4:
         ub_raw = (p1 / alpha - (1.0 - q0)) / q0
+    else:
+        ub_raw = (p1 / alpha) / q0
     lb, ub = _unit_clip(lb_raw), _unit_clip(ub_raw)
     return dict(
         lb=lb, ub=ub, lb_raw=lb_raw, ub_raw=ub_raw, lb_clipped=lb != lb_raw, ub_clipped=ub != ub_raw,

@@ -464,7 +464,7 @@ def run_analysis(cfg: RunConfig) -> Report:
     restriction_tests = {
         a.value: {
             "selection": _test_outcome_dict(tests.selection_test),
-            "outcome": None if a is AssumptionSet.A1_3 else _test_outcome_dict(tests.outcome_test),
+            "outcome": _test_outcome_dict(tests.outcome_test) if a.a4 else None,
         }
         for a in requested
     }

@@ -68,7 +68,7 @@ class TestOutcome(NamedTuple):
 class RestrictionTestResult:
     """One-sided tests of the model's observable restrictions.
 
-    ``outcome_test`` is absent under ``A1_3``, where only the selection
+    ``outcome_test`` is absent for a set without A4, where only the selection
     restriction is implied.
     """
 
@@ -175,7 +175,7 @@ def restriction_tests_from_counts(counts: np.ndarray, a: AssumptionSet) -> Restr
         k1=int(counts[1, 0] + counts[1, 1]), n1=n1, k0=int(counts[0, 0] + counts[0, 1]), n0=n0
     )
     outcome = None
-    if a is not AssumptionSet.A1_3:
+    if a.a4:
         # Raw success rates: y = 1 requires selection, so missing counts as 0.
         outcome = one_sided_nonnegative_test(
             k1=int(counts[1, 0]), n1=n1, k0=int(counts[0, 0]), n0=n0

@@ -91,9 +91,8 @@ def forbidden_cells(a: AssumptionSet) -> np.ndarray:
     A3 forbids the ON stratum.  A4 adds ``(y0, y1) = (1, 0)`` in every
     stratum but NN, whose outcomes no arm reveals.  A5 forbids no cell.
     """
-    a4 = a is not AssumptionSet.A1_3
     mask = np.array([
-        (s0, s1) == (1, 0) or (a4 and (y0, y1) == (1, 0) and (s0, s1) != (0, 0))
+        (s0, s1) == (1, 0) or (a.a4 and (y0, y1) == (1, 0) and (s0, s1) != (0, 0))
         for y0, y1, s0, s1 in CELL_ORDER
     ])
     mask.flags.writeable = False
@@ -208,13 +207,8 @@ class AssumptionReport:
     details: list[str] = field(default_factory=list)
 
     def holds(self, a: AssumptionSet) -> bool:
-        """True when every assumption in bundle ``a`` passes."""
-        base = self.holds_a2 and self.holds_a3
-        if a is AssumptionSet.A1_3:
-            return base
-        if a is AssumptionSet.A1_4:
-            return base and self.holds_a4
-        return base and self.holds_a4 and self.holds_a5
+        """True when A2, A3 and, where ``a`` adds them, A4 and A5 pass (A1 holds by construction)."""
+        return self.holds_a2 and self.holds_a3 and (self.holds_a4 or not a.a4) and (self.holds_a5 or not a.a5)
 
 
 def _total(cells: tuple[float, ...], indices: tuple[int, ...]) -> float:
@@ -352,23 +346,17 @@ def _conditional_tables(
     """
     if side is Side.UPPER:
         rate = min(p1 / alpha, 1.0)
-    elif a is AssumptionSet.A1_3:
-        rate = max(float(trimmed_success_floor(p1, alpha)), 0.0)
-    elif a is AssumptionSet.A1_4:
-        rate = max(float(trimmed_success_floor(p1, alpha)), 1.0 - q0)
     else:
-        rate = max(p1, 1.0 - q0)
+        rate = max(p1 if a.a5 else float(trimmed_success_floor(p1, alpha)), 1.0 - q0 if a.a4 else 0.0)
 
-    if a is AssumptionSet.A1_3 and side is Side.UPPER:
-        oo01 = min(rate, q0)
-    else:
+    if a.a4:
         oo01 = max(rate - (1.0 - q0), 0.0)
-    if a is AssumptionSet.A1_3:
-        oo11 = rate - oo01
-        oo10 = (1.0 - q0) - oo11
-    else:
         oo11 = 1.0 - q0
         oo10 = 0.0
+    else:
+        oo01 = min(rate, q0) if side is Side.UPPER else max(rate - (1.0 - q0), 0.0)
+        oo11 = rate - oo01
+        oo10 = (1.0 - q0) - oo11
     no01 = (p1 - rate * alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
 
     # min(max(x, 0), 1) is np.clip to the bit, NaN and -0.0 included.
@@ -434,7 +422,7 @@ def linprog(vertices: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The package's one solve.  ``vertices`` is :func:`_vertices` of a set;
     row ``k`` of the result is basis ``k``'s solution over the 16 cells
-    (and, under A1_5, the slack of the A5 floor), zero off the basis.
+    (and, under A5, the slack of the A5 floor), zero off the basis.
     """
     return vertices @ b
 
@@ -443,8 +431,8 @@ def linprog(vertices: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _vertices(a: AssumptionSet) -> np.ndarray:
     """The maps from the right-hand side to every basic solution of the oracle's program under ``a``; read-only.
 
-    The program's columns are the cells ``a`` allows and, under A1_5, one
-    slack column; its rows are the five moment rows and, under A1_5, the
+    The program's columns are the cells ``a`` allows and, under A5, one
+    slack column; its rows are the five moment rows and, under A5, the
     mass of the OO cells with ``y1 = 1`` less that slack, which the A5
     floor sets.  Every nonsingular choice of as many columns as rows is a
     basis.  Each basis matrix has determinant +-1, so its inverse is an
@@ -456,7 +444,7 @@ def _vertices(a: AssumptionSet) -> np.ndarray:
     y1_s1 = _shown(1, 1, 1)
     rows = np.vstack([np.ones(16), ~_shown(1, 0, None), selected0, y1_s1, _shown(0, 1, 0), y1_s1 & selected0])
     columns = np.flatnonzero(~forbidden_cells(a))
-    if a is AssumptionSet.A1_5:
+    if a.a5:
         rows = np.hstack([rows, -np.eye(6)[:, 5:]])
         columns = np.append(columns, 16)
     else:
@@ -493,10 +481,10 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     A bounded linear program attains its optimum at a basic feasible
     solution, so one set of vertices gives both endpoints exactly.  The
     program's matrix is the same for every call: the five moment rows
-    and, under A1_5, the ``P[Y1=1, OO]`` row with a slack column for its
+    and, under A5, the ``P[Y1=1, OO]`` row with a slack column for its
     floor, over the cells the set allows.  :func:`_vertices` inverts each
     of its bases once per set and keeps the integer inverses read-only.
-    A call builds only the right-hand side, the moments and, under A1_5,
+    A call builds only the right-hand side, the moments and, under A5,
     the floor, and makes one call to :func:`linprog`, a matrix product
     that gives every basic solution.  The endpoints are the least and the
     greatest target cell over the solutions that are nonnegative within
@@ -510,7 +498,7 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     """
     _checked_rates(m, AssumptionSet.A1_3)
     b = [1.0, m.p_s1_d1, m.p_s1_d0, m.p_y1_s1d1 * m.p_s1_d1, m.p_y0_s1d0 * m.p_s1_d0]
-    if a is AssumptionSet.A1_5:
+    if a.a5:
         # A5 with the OO and NO masses pinned by the selection moments.
         b.append(m.p_y1_s1d1 * m.p_s1_d0)
     solutions = linprog(_vertices(a), np.array(b))

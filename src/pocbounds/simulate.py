@@ -35,7 +35,7 @@ def draw_latent_joint(a: AssumptionSet, rng: np.random.Generator) -> LatentJoint
     """Draw one latent joint satisfying assumption set ``a``.
 
     Masses are Dirichlet(1, ..., 1) over the permitted cells, so the draw
-    is uniform on the feasible face of the simplex; for ``A1_5`` draws are
+    is uniform on the feasible face of the simplex; under A5, draws are
     rejected until the dominance restriction holds.  The treated share is
     uniform on [0.2, 0.8].
     """
@@ -45,9 +45,7 @@ def draw_latent_joint(a: AssumptionSet, rng: np.random.Generator) -> LatentJoint
         cells = np.zeros(16)
         cells[permitted] = rng.dirichlet(concentration)
         joint = LatentJoint(cells=tuple(cells.tolist()), p_d1=share)
-        if a is not AssumptionSet.A1_5:
-            return joint
-        if check_assumptions(joint).holds_a5:
+        if not a.a5 or check_assumptions(joint).holds_a5:
             return joint
     raise RuntimeError(f"failed to draw an {a.value} joint in {_MAX_TRIES} tries")
 

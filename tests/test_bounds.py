@@ -44,6 +44,36 @@ class TestObservedMoments:
             ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.0)
 
 
+class TestAssumptionFlags:
+    def test_flags_are_the_papers_bundles(self):
+        # A1-A3 alone, plus monotone response (A4), plus stochastic dominance (A5).
+        assert {a: (a.a4, a.a5) for a in AssumptionSet} == {
+            AssumptionSet.A1_3: (False, False),
+            AssumptionSet.A1_4: (True, False),
+            AssumptionSet.A1_5: (True, True),
+        }
+
+    def test_order_is_nested(self):
+        # Each set holds every assumption the sets before it hold.
+        for weaker, stronger in zip(ASSUMPTION_ORDER, ASSUMPTION_ORDER[1:]):
+            assert stronger.a4 >= weaker.a4 and stronger.a5 >= weaker.a5
+            assert (stronger.a4, stronger.a5) != (weaker.a4, weaker.a5)
+        assert ASSUMPTION_ORDER == tuple(AssumptionSet)
+
+    def test_tokens_and_parse_are_unchanged(self):
+        assert list(AssumptionSet) == [AssumptionSet.A1_3, AssumptionSet.A1_4, AssumptionSet.A1_5]
+        assert [a.value for a in AssumptionSet] == ["A1_3", "A1_4", "A1_5"]
+        assert [a.name for a in AssumptionSet] == ["A1_3", "A1_4", "A1_5"]
+        for a in AssumptionSet:
+            assert AssumptionSet(a.value) is a
+            assert AssumptionSet.parse(a.value) is a
+            assert AssumptionSet.parse(f" {a.value.lower()}\t") is a
+        with pytest.raises(ValueError, match=r"unknown assumption set 'A1_6'; expected one of A1_3, A1_4, A1_5"):
+            AssumptionSet.parse("A1_6")
+        with pytest.raises(ValueError):
+            AssumptionSet(("A1_4", True, False))
+
+
 class TestComputeBoundsTypes:
     @pytest.mark.parametrize("scalar", [float, np.float64], ids=["float", "float64"])
     def test_fields_are_python_floats_and_bools(self, scalar):

@@ -459,6 +459,9 @@ ROW_KINDS = {
     "quoted": ["valid", "valid", "opens", "closes"],
     # Rows behind a unique id column, so no line repeats.
     "ids": ["valid", "valid", "mixed", "opens", "closes"],
+    # One valid line several times over, then rows with bad tokens, so a chunk
+    # holds fewer distinct lines than lines before a later row fails.
+    "repeats": ["repeated", "repeated", "mixed"],
 }
 
 
@@ -466,7 +469,8 @@ ROW_KINDS = {
 def csv_bytes(draw):
     """CSV bytes: clean files, files whose rows hold bad tokens, files with
     malformed rows, stray and undecodable bytes, files with records that
-    span several lines, or files whose every line differs."""
+    span several lines, files whose every line differs, or files whose
+    lines repeat before a bad row."""
     kind = draw(st.sampled_from(list(ROW_KINDS)))
     header = draw(HEADERS) if kind == "malformed" else "y,s,d,g"
     lines = [header]
@@ -474,6 +478,8 @@ def csv_bytes(draw):
         row = draw(st.sampled_from(ROW_KINDS[kind]))
         if row == "valid":
             lines.append(draw(VALID_ROWS) + draw(STRATA))
+        elif row == "repeated":
+            lines += [draw(VALID_ROWS) + draw(STRATA)] * draw(st.integers(2, 5))
         elif row == "mixed":
             # The header's width, so the row reaches the token checks, which
             # can then meet several bad mapped tokens in one row.

@@ -2,7 +2,8 @@
 
 Used means referenced, re-exported in ``__all__``, or marked ``# noqa: F401``.
 
-The benchmark's tracer looks names up in the package, so they are checked here too.
+The benchmark's tracer looks names up in the package, so they are checked here too, and so
+is that no module but ``bounds.py`` tells the assumption sets apart by member.
 """
 
 import ast
@@ -12,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from pocbounds import AssumptionSet
 from pocbounds.cli import build_parser
 from pocbounds.inference import BootstrapResult
 
@@ -83,6 +85,66 @@ def test_checker_flags_a_dead_import():
     source = "from typing import NamedTuple, Sequence\nfrom x import y  # noqa: F401\n\nclass T(NamedTuple):\n    a: int\n"
     assert unused_imports(source) == ["line 1: Sequence"]
     assert unused_imports("import os.path\nos.sep\n__all__ = ['json']\nimport json\n") == []
+
+
+def assumption_member_comparisons(source: str) -> list[str]:
+    """Comparisons that test which ``AssumptionSet`` member a value is, instead of reading its flags.
+
+    These are ``is``, ``is not``, ``==`` and ``!=`` against a member, ``in`` and
+    ``not in`` a literal holding one, and a ``case`` on one.
+    """
+
+    def members(node):
+        elements = node.elts if isinstance(node, (ast.Tuple, ast.List, ast.Set)) else [node]
+        return any(
+            isinstance(e, ast.Attribute) and e.attr in AssumptionSet.__members__
+            and ast.unparse(e.value).rpartition(".")[2] == "AssumptionSet"
+            for e in elements
+        )
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            hits = any(
+                isinstance(op, (ast.Is, ast.IsNot, ast.Eq, ast.NotEq)) and (members(left) or members(right))
+                or isinstance(op, (ast.In, ast.NotIn)) and members(right)
+                for left, op, right in zip(operands, node.ops, operands[1:])
+            )
+        else:
+            hits = isinstance(node, ast.MatchValue) and members(node.value)
+        if hits:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_checker_flags_an_assumption_member_comparison():
+    source = (
+        "if a is AssumptionSet.A1_3 or b != bounds.AssumptionSet.A1_5 or c in (x, AssumptionSet.A1_4):\n"
+        "    pass\n"
+        "match a:\n"
+        "    case AssumptionSet.A1_4:\n"
+        "        pass\n"
+    )
+    assert assumption_member_comparisons(source) == [
+        "line 1: a is AssumptionSet.A1_3",
+        "line 1: b != bounds.AssumptionSet.A1_5",
+        "line 1: c in (x, AssumptionSet.A1_4)",
+        "line 4: AssumptionSet.A1_4",
+    ]
+    # Passing a member as a value, reading a flag and testing membership in a variable are fine.
+    ok = "f(AssumptionSet.A1_3)\nif a.a4 and not a.a5 and a in requested:\n    x = a == b\n"
+    assert assumption_member_comparisons(ok) == []
+
+
+def test_package_reads_assumption_flags_not_members():
+    # bounds.py defines the flags of each member; everywhere else reads a.a4 or a.a5.
+    found = {
+        path.name: assumption_member_comparisons(path.read_text(encoding="utf-8"))
+        for path in SOURCES
+        if path.name != "bounds.py"
+    }
+    assert {name: hits for name, hits in found.items() if hits} == {}
 
 
 def load_benchmark_module(name):
