@@ -149,10 +149,6 @@ class BoundsInterval:
     restriction_violated: bool = False
     crossed: bool = False
 
-    def contains(self, theta: float, tol: float = 0.0) -> bool:
-        """True when ``theta`` lies in the closed interval, within ``tol``."""
-        return self.lb - tol <= theta <= self.ub + tol
-
 
 def trim_ratio(m: ObservedMoments) -> float:
     """Ratio of control-arm to treated-arm selection rates.

@@ -169,27 +169,6 @@ class LatentJoint:
     def stratum_mass(self, s0: int, s1: int) -> float:
         return _total(self.cells, _STRATA[s0, s1])
 
-    def as_array(self) -> np.ndarray:
-        return np.asarray(self.cells, dtype=float)
-
-    def to_fixture_line(self) -> str:
-        """Serialize as one whitespace-separated text record.
-
-        The 16 cell masses appear in canonical order followed by ``p_d1``,
-        each with 17 significant digits so parsing recovers the exact
-        float64 values.
-        """
-        values = list(self.cells) + [self.p_d1]
-        return " ".join(format(v, ".16e") for v in values)
-
-    @classmethod
-    def from_fixture_line(cls, line: str) -> "LatentJoint":
-        parts = line.split()
-        if len(parts) != 17:
-            raise ValueError(f"fixture record must have 17 fields, got {len(parts)}")
-        values = [float(p) for p in parts]
-        return cls(cells=tuple(values[:16]), p_d1=values[16])
-
 
 @dataclass
 class AssumptionReport:
@@ -490,7 +469,10 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     greatest target cell over the solutions that are nonnegative within
     the 1e-12 that :func:`~pocbounds.bounds.restriction_violations` allows
     a raw success-rate gap, so the oracle refuses exactly the moments that
-    predicate flags.
+    predicate flags.  Each endpoint is clipped to [0, 1] as
+    :func:`~pocbounds.bounds.compute_bounds` clips its own: a target cell
+    kept at that tolerance, say -1e-12, over a denominator as small would
+    otherwise read far outside the unit interval.
 
     Raises ``ValueError`` when ``q0 = 0`` (A2), when the moments violate
     the selection restriction, or when no basic solution is feasible, i.e.
@@ -506,4 +488,5 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
     if not target.size:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: no basic solution is feasible")
     denominator = m.p_y0_s1d0 * m.p_s1_d0
-    return float(target.min() / denominator), float(target.max() / denominator)
+    lo, hi = float(target.min() / denominator), float(target.max() / denominator)
+    return min(max(lo, 0.0), 1.0), min(max(hi, 0.0), 1.0)

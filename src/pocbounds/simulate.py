@@ -86,7 +86,7 @@ def _sample_counts(L: LatentJoint, n: int, rng: np.random.Generator) -> np.ndarr
     (``OBSERVE``).  The table is therefore one multinomial draw of ``n``
     over the six (arm, column) probabilities.
     """
-    cells = L.as_array()
+    cells = np.asarray(L.cells, dtype=float)
     arms = OBSERVE @ (cells / cells.sum())
     probs = np.array([[1.0 - L.p_d1], [L.p_d1]]) * arms
     return rng.multinomial(n, probs.ravel()).reshape(2, 3)

@@ -139,6 +139,13 @@ class TestRestrictionViolations:
         for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
             assert restriction_violations(m, a) == ["P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)"]
 
+    def test_gap_of_exactly_the_tolerance_is_allowed(self):
+        # Raw success rates 0 treated and (1 - 0.5) * 2e-12 == 1e-12 control:
+        # the gap equals the 1e-12 tolerance, which counts as equality.
+        m = ObservedMoments(p_y1_s1d1=0.0, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=2e-12)
+        assert (1.0 - m.p_y0_s1d0) * m.p_s1_d0 - m.p_y1_s1d1 * m.p_s1_d1 == 1e-12
+        assert restriction_violations(m, AssumptionSet.A1_4) == []
+
     def test_selection_compared_exactly(self):
         equal = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.5)
         assert restriction_violations(equal, AssumptionSet.A1_3) == []

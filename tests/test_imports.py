@@ -174,3 +174,14 @@ def test_benchmark_cli_flags_parse(tmp_path):
         workloads.BulkPooled(tmp_path, seed=0, expected=expected, reps=2),
     ):
         build_parser().parse_args(workload.argv)
+
+
+def test_benchmark_workloads_run_and_check(tmp_path):
+    # Tier-1 does not run the benchmark, so a name its workloads or their
+    # checks read off the package, once gone, would fail only the benchmark.
+    workloads = load_benchmark_module("workloads")
+    for workload in (
+        workloads.SharpnessMc(seed=0, sample_rows=200),
+        workloads.FixtureCli(REPO, tmp_path, seed=0, reps=20),
+    ):
+        workload.check(workload.run(0))

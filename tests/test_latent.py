@@ -5,7 +5,6 @@ import itertools
 import math
 import re
 from dataclasses import astuple
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,7 +31,6 @@ from pocbounds.latent import CELL_ORDER, Side, cell_index
 from pocbounds.simulate import draw_latent_joint, sample_dataset
 
 RNG = np.random.default_rng(431)
-FIXTURES = Path(__file__).parent / "data" / "latent_fixtures.txt"
 
 
 def uniform_joint(p_d1=0.5) -> LatentJoint:
@@ -80,20 +78,6 @@ class TestLatentJointType:
     def test_rejects_degenerate_treated_share(self):
         with pytest.raises(ValueError, match="p_d1"):
             LatentJoint(cells=(1.0 / 16,) * 16, p_d1=1.0)
-
-    def test_fixture_line_round_trip(self):
-        joint = draw_latent_joint(AssumptionSet.A1_4, np.random.default_rng(7))
-        again = LatentJoint.from_fixture_line(joint.to_fixture_line())
-        assert again.cells == joint.cells
-        assert again.p_d1 == joint.p_d1
-
-    def test_committed_fixture_records_parse(self):
-        lines = FIXTURES.read_text().splitlines()
-        assert len(lines) == 6
-        for line in lines:
-            joint = LatentJoint.from_fixture_line(line)
-            assert math.isclose(sum(joint.cells), 1.0, abs_tol=1e-12)
-            assert check_assumptions(joint).holds_a3
 
 
 LATENT_EXPORTS = (
@@ -418,14 +402,12 @@ class TestConstructions:
                         assert abs(getattr(mm, name) - getattr(m, name)) <= 1e-12
         assert tables == 1065
 
-    def test_committed_fixture_records_match_constructions(self, table_moments):
-        # scripts/make_latent_fixtures.py writes these six records.
-        expected = [
-            construct_bound_distribution(table_moments, a, side).to_fixture_line()
-            for a in ASSUMPTION_ORDER
-            for side in (Side.LOWER, Side.UPPER)
-        ]
-        assert FIXTURES.read_text().splitlines() == expected
+    def test_table_moment_constructions_are_pinned(self, table_moments):
+        # Floats enter through ``repr``, which round-trips, so any moved bit
+        # of the six attaining joints moves the digest.
+        joints = [construct_bound_distribution(table_moments, a, side) for a in ASSUMPTION_ORDER for side in Side]
+        digest = hashlib.sha256(repr(joints).encode()).hexdigest()
+        assert digest == "0ea55168fafaad45912fa8aada90e4f652d69e4e7f6e2be21d500d0a712e9f6c"
 
 
 def _small_arms(n_max):
@@ -474,7 +456,7 @@ class TestValidityOnRandomJoints:
         for _ in range(300):
             joint = draw_latent_joint(a, rng)
             interval = compute_bounds(observed_from_latent(joint), a)
-            assert interval.contains(theta_oo(joint), tol=1e-10)
+            assert interval.lb - 1e-10 <= theta_oo(joint) <= interval.ub + 1e-10
 
 
 class TestInternalIdentities:

@@ -126,6 +126,14 @@ class TestLpMode:
         lo, hi = sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(109)), AssumptionSet.A1_5)
         assert type(lo) is float and type(hi) is float
 
+    def test_endpoints_clipped_at_a_tolerated_gap_over_a_tiny_denominator(self):
+        # The raw success-rate gap is exactly the 1e-12 tolerance, so a basic
+        # solution whose target cell is -1e-12 is kept; over the denominator
+        # q0 * P[S=1|D=0] = 1e-12 it read -1.0 before the clip.
+        m = ObservedMoments(p_y1_s1d1=0.0, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=2e-12)
+        interval = compute_bounds(m, AssumptionSet.A1_4)
+        assert sharp_envelope_oracle(m, AssumptionSet.A1_4) == (interval.lb, interval.ub) == (0.0, 0.0)
+
     @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
     def test_refuses_exactly_what_restriction_violations_flags(self, a):
         # p1 shifted off the outcome-restriction boundary
