@@ -1,6 +1,10 @@
 """Restriction tests and bootstrap confidence intervals."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,6 +37,8 @@ from pocbounds.inference import (
 )
 from pocbounds.latent import LatentJoint, cell_index
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def pooled(table):
@@ -396,3 +402,13 @@ def test_dropped_strata_and_skipped_intervals_match_column_reference():
     assert all(got.per_stratum[a]["tiny"] is None for a in ASSUMPTION_ORDER)
     assert all(got.per_stratum[a]["b"] is not None for a in ASSUMPTION_ORDER)
     assert repr(got) == repr(reference_bootstrap_bounds(data, ASSUMPTION_ORDER, 300, 0.9, 4))
+
+
+def test_coverage_study_script_runs():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "coverage_study.py"), "3", "200", "20"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "coverage at n=200" in proc.stdout
