@@ -92,12 +92,14 @@ class Dataset:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         counts = _int64_counts(self.counts).reshape(len(labels), 2, 3)
-        totals = counts.sum(axis=(1, 2)).tolist()
+        # One list of Python ints: cheaper than NumPy reductions on tables this small.
+        tables = counts.reshape(len(labels), 6).tolist()
+        totals = [sum(table) for table in tables]
         if sum(totals) < 1:
             raise ValueError("dataset must contain at least one record")
         if len(set(labels)) != len(labels):
             raise ValueError(f"stratum labels must be unique, got {labels}")
-        if counts.min() < 0:
+        if min(map(min, tables)) < 0:
             raise ValueError("counts must be non-negative")
         if 0 in totals:
             raise ValueError("every stratum must hold at least one record")

@@ -16,12 +16,16 @@ Cells are indexed canonically as ``index = 8*y0 + 4*y1 + 2*s0 + s1``
 uses that order.  The rest of the cell structure is fixed, so it is
 built once and kept read-only: ``OBSERVE`` says which count-table column
 arm ``d`` shows each cell in, and ``forbidden_cells`` (cached per set)
-which cells an assumption set rules out.  The index tuples derived from
-them at import (``_STRATA`` for the cells of each stratum, ``_ON`` for the
-ones A3 forbids, and ``_SELECTED_1``, ``_SELECTED_0``, ``_SUCCESS_1`` and
-``_FAILURE_0`` for the forward map's four sums) let the checks and the
-forward map add a few named cells instead of masking all 16.  The LP
-oracle and the simulator read the same tables.
+which cells an assumption set rules out.  What the checks and the forward
+map read is derived from them at import, so they add a few named cells
+instead of masking all 16: ``operator.itemgetter`` getters for the sums
+(``_STRATA`` for the cells of each stratum, and ``_SELECTED_1``,
+``_SELECTED_0``, ``_SUCCESS_1`` and ``_FAILURE_0`` for the forward map's
+four), the indices ``_ON`` of the cells A3 forbids, and
+:func:`cell_index` constants for the single cells (``_CELL_0111``, the
+target cell, and ``_CELL_0011``, ``_CELL_1111``, ``_CELL_0101``,
+``_CELL_1101``, ``_CELL_1000`` and ``_A4_CELLS``).  The LP oracle and the
+simulator read the same tables.
 
 This module provides the model-assumption checks, the target functional,
 the forward map to observed moments, explicit mass assignments attaining
@@ -39,6 +43,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,35 +104,48 @@ def forbidden_cells(a: AssumptionSet) -> np.ndarray:
     return mask
 
 
+def cell_index(y0: int, y1: int, s0: int, s1: int) -> int:
+    """Canonical position of cell ``(y0, y1, s0, s1)``."""
+    return 8 * y0 + 4 * y1 + 2 * s0 + s1
+
+
 def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-#: Cells of each stratum ``(s0, s1)``, in canonical order.
+#: Getters of the cells of each stratum ``(s0, s1)``, in canonical order.
+#: Every getter here reads at least 4 cells, so each returns a tuple.
 _STRATA = {
-    (s0, s1): tuple(i for i, cell in enumerate(CELL_ORDER) if cell[2:] == (s0, s1))
+    (s0, s1): operator.itemgetter(*(i for i, cell in enumerate(CELL_ORDER) if cell[2:] == (s0, s1)))
     for s0 in (0, 1)
     for s1 in (0, 1)
 }
 #: Cells of the ON stratum, the ones A3 forbids.
 _ON = _indices(forbidden_cells(AssumptionSet.A1_3))
-#: The cells behind the forward map's four sums: selected in arm 1, selected
-#: in arm 0, a success in arm 1, and a failure in arm 0.
-_SELECTED_1 = _indices(~_shown(1, 0, None))
-_SELECTED_0 = _indices(~_shown(0, 0, None))
-_SUCCESS_1 = _indices(_shown(1, 1, 1))
-_FAILURE_0 = _indices(_shown(0, 1, 0))
+#: Getters of the cells behind the forward map's four sums: selected in
+#: arm 1, selected in arm 0, a success in arm 1, and a failure in arm 0.
+_SELECTED_1 = operator.itemgetter(*_indices(~_shown(1, 0, None)))
+_SELECTED_0 = operator.itemgetter(*_indices(~_shown(0, 0, None)))
+_SUCCESS_1 = operator.itemgetter(*_indices(_shown(1, 1, 1)))
+_FAILURE_0 = operator.itemgetter(*_indices(_shown(0, 1, 0)))
+#: Single cells the checks read: the target cell ``(0, 1, 1, 1)`` and its
+#: OO partner with ``y1 = 0`` make up theta's terms, the OO and NO cells
+#: with ``y1 = 1`` the A5 rates, and the ``(y0, y1) = (1, 0)`` cells A4.
+_CELL_0111 = cell_index(0, 1, 1, 1)
+_CELL_0011 = cell_index(0, 0, 1, 1)
+_CELL_1111 = cell_index(1, 1, 1, 1)
+_CELL_0101 = cell_index(0, 1, 0, 1)
+_CELL_1101 = cell_index(1, 1, 0, 1)
+_CELL_1000 = cell_index(1, 0, 0, 0)
+#: The strata whose ``(1, 0)`` cell A4 forbids, in the order its message
+#: lists them, each with that cell.
+_A4_CELLS = tuple((stratum, cell_index(1, 0, *stratum)) for stratum in ((1, 1), (0, 1), (1, 0)))
 
 
 _MASS_TOL = 1e-12
 # Dominance comparisons between strata tolerate float dust from products
 # of conditionals and stratum masses.
 _DOMINANCE_TOL = 1e-12
-
-
-def cell_index(y0: int, y1: int, s0: int, s1: int) -> int:
-    """Canonical position of cell ``(y0, y1, s0, s1)``."""
-    return 8 * y0 + 4 * y1 + 2 * s0 + s1
 
 
 class Side(enum.Enum):
@@ -190,16 +208,16 @@ class AssumptionReport:
         return self.holds_a2 and self.holds_a3 and (self.holds_a4 or not a.a4) and (self.holds_a5 or not a.a5)
 
 
-def _total(cells: tuple[float, ...], indices: tuple[int, ...]) -> float:
-    """Correctly rounded sum of the masses at ``indices``."""
-    return math.fsum([cells[i] for i in indices])
-
+def _total(cells: tuple[float, ...], getter: operator.itemgetter) -> float:
+    """Correctly rounded sum of the masses ``getter`` reads."""
+    return math.fsum(getter(cells))
 
 
 def _theta_terms(L: LatentJoint) -> tuple[float, float]:
     """Numerator and denominator of :func:`theta_oo`: the masses of cell (0, 1, 1, 1) and of OO with ``y0 = 0``."""
-    target = L.mass(0, 1, 1, 1)
-    return target, L.mass(0, 0, 1, 1) + target
+    cells = L.cells
+    target = cells[_CELL_0111]
+    return target, cells[_CELL_0011] + target
 
 
 def check_assumptions(L: LatentJoint) -> AssumptionReport:
@@ -229,12 +247,11 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
     if on_cells:
         details.append(f"A3: positive mass on ON cells {on_cells}")
 
-    # The strata whose (1, 0) cell A4 forbids, in the order the message lists them.
-    a4_cells = [(s0, s1) for (s0, s1) in ((1, 1), (0, 1), (1, 0)) if L.mass(1, 0, s0, s1) > 0.0]
+    a4_cells = [stratum for stratum, i in _A4_CELLS if cells[i] > 0.0]
     holds_a4 = not a4_cells
     if a4_cells:
         details.append(f"A4: positive mass on (y0,y1)=(1,0) cells in strata {a4_cells}")
-    if L.mass(1, 0, 0, 0) > 0.0:
+    if cells[_CELL_1000] > 0.0:
         details.append("A4: (1,0) mass in the NN stratum ignored (outcomes censored in both arms)")
 
     mass_oo = _total(cells, _STRATA[1, 1])
@@ -243,8 +260,8 @@ def check_assumptions(L: LatentJoint) -> AssumptionReport:
         holds_a5 = True
         details.append("A5: vacuous (OO or NO stratum has zero mass)")
     else:
-        p_y1_oo = (L.mass(0, 1, 1, 1) + L.mass(1, 1, 1, 1)) / mass_oo
-        p_y1_no = (L.mass(0, 1, 0, 1) + L.mass(1, 1, 0, 1)) / mass_no
+        p_y1_oo = (cells[_CELL_0111] + cells[_CELL_1111]) / mass_oo
+        p_y1_no = (cells[_CELL_0101] + cells[_CELL_1101]) / mass_no
         holds_a5 = p_y1_oo - p_y1_no >= -_DOMINANCE_TOL
         if not holds_a5:
             details.append(f"A5: P[Y1=1 | OO] = {p_y1_oo} < P[Y1=1 | NO] = {p_y1_no}")
@@ -401,9 +418,12 @@ def linprog(vertices: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The package's one solve.  ``vertices`` is :func:`_vertices` of a set;
     row ``k`` of the result is basis ``k``'s solution over the 16 cells
-    (and, under A5, the slack of the A5 floor), zero off the basis.
+    (and, under A5, the slack of the A5 floor), zero off the basis.  The
+    bases are stacked into one matrix, so this is one 2-D product rather
+    than one small product per basis.
     """
-    return vertices @ b
+    bases, cells, rows = vertices.shape
+    return (vertices.reshape(-1, rows) @ b).reshape(bases, cells)
 
 
 @functools.cache
@@ -484,7 +504,7 @@ def sharp_envelope_oracle(m: ObservedMoments, a: AssumptionSet) -> tuple[float, 
         # A5 with the OO and NO masses pinned by the selection moments.
         b.append(m.p_y1_s1d1 * m.p_s1_d0)
     solutions = linprog(_vertices(a), np.array(b))
-    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), cell_index(0, 1, 1, 1)]
+    target = solutions[(solutions >= -_RATE_TOL).all(axis=1), _CELL_0111]
     if not target.size:
         raise ValueError(f"moments inconsistent with assumption set {a.value}: no basic solution is feasible")
     denominator = m.p_y0_s1d0 * m.p_s1_d0

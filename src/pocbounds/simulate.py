@@ -2,9 +2,10 @@
 
 Used by the test suite and the experiment scripts to exercise the bounds
 against known data-generating processes.  Latent joints are drawn
-uniformly (Dirichlet with unit concentration) over the cells a given
-assumption set permits, with rejection sampling for the stochastic
-dominance restriction.  A sample of ``n`` i.i.d. rows, each showing
+uniformly over the cells a given assumption set permits, as standard
+exponentials divided by their sum, which is Dirichlet with unit
+concentration, with rejection sampling for the stochastic dominance
+restriction.  A sample of ``n`` i.i.d. rows, each showing
 ``y = y_d`` when ``s_d = 1`` and nothing otherwise, is drawn straight as
 its count table: one multinomial draw of ``n`` over the table's six cells.
 """
@@ -23,28 +24,35 @@ _MAX_TRIES = 10_000
 
 
 @functools.cache
-def _permitted(a: AssumptionSet) -> tuple[np.ndarray, np.ndarray]:
-    """The cells ``a`` permits, and the unit Dirichlet concentration over them; read-only."""
-    permitted = np.flatnonzero(~forbidden_cells(a))
-    concentration = np.ones(len(permitted))
-    permitted.flags.writeable = concentration.flags.writeable = False
-    return permitted, concentration
+def _permitted(a: AssumptionSet) -> tuple[int, ...]:
+    """The cells ``a`` permits, in canonical order."""
+    return tuple(np.flatnonzero(~forbidden_cells(a)).tolist())
 
 
 def draw_latent_joint(a: AssumptionSet, rng: np.random.Generator) -> LatentJoint:
     """Draw one latent joint satisfying assumption set ``a``.
 
-    Masses are Dirichlet(1, ..., 1) over the permitted cells, so the draw
-    is uniform on the feasible face of the simplex; under A5, draws are
-    rejected until the dominance restriction holds.  The treated share is
-    uniform on [0.2, 0.8].
+    Masses are standard exponentials over the permitted cells divided by
+    their sum, which is Dirichlet(1, ..., 1), so the draw is uniform on the
+    feasible face of the simplex; under A5, draws are rejected until the
+    dominance restriction holds.  The treated share is uniform on
+    [0.2, 0.8].  The draws, the left-to-right sum and the multiply by its
+    reciprocal are the ones ``Generator.dirichlet`` makes, so each mass and
+    the generator's state match it bit for bit.  The sum is an explicit
+    loop because ``sum()`` compensates its rounding from Python 3.12 on.
     """
-    permitted, concentration = _permitted(a)
+    permitted = _permitted(a)
     share = float(rng.uniform(0.2, 0.8))
     for _ in range(_MAX_TRIES):
-        cells = np.zeros(16)
-        cells[permitted] = rng.dirichlet(concentration)
-        joint = LatentJoint(cells=tuple(cells.tolist()), p_d1=share)
+        draws = rng.standard_exponential(len(permitted)).tolist()
+        total = 0.0
+        for x in draws:
+            total += x
+        scale = 1.0 / total
+        cells = [0.0] * 16
+        for i, x in zip(permitted, draws):
+            cells[i] = x * scale
+        joint = LatentJoint(cells=tuple(cells), p_d1=share)
         if not a.a5 or check_assumptions(joint).holds_a5:
             return joint
     raise RuntimeError(f"failed to draw an {a.value} joint in {_MAX_TRIES} tries")

@@ -266,7 +266,10 @@ class TestCellTables:
     def test_cached_arrays_are_shared_and_read_only(self, a):
         mask = latent.forbidden_cells(a)
         assert mask is latent.forbidden_cells(a)
-        for array in (mask, *simulate._permitted(a), latent._vertices(a)):
+        permitted = simulate._permitted(a)
+        assert permitted is simulate._permitted(a)
+        assert permitted == tuple(np.flatnonzero(~mask).tolist())
+        for array in (mask, latent._vertices(a)):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = array[0]
@@ -277,6 +280,26 @@ class TestCellTables:
         for _ in range(300):
             joint = draw_latent_joint(a, rng)
             self.assert_matches_reference(joint)
+
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_draws_are_the_dirichlet_stream(self, a):
+        # The normalized exponentials are Generator.dirichlet's masses bit
+        # for bit and leave the generator where it leaves it, rejections
+        # under A5 included.
+        permitted = np.flatnonzero(~latent.forbidden_cells(a))
+        for seed in range(500):
+            rng, reference = np.random.default_rng([seed, 9]), np.random.default_rng([seed, 9])
+            joint = draw_latent_joint(a, rng)
+            share = float(reference.uniform(0.2, 0.8))
+            while True:
+                cells = np.zeros(16)
+                cells[permitted] = reference.dirichlet(np.ones(len(permitted)))
+                expected = LatentJoint(cells=tuple(cells.tolist()), p_d1=share)
+                if not a.a5 or check_assumptions(expected).holds_a5:
+                    break
+            assert [x.hex() for x in joint.cells] == [x.hex() for x in expected.cells]
+            assert joint.p_d1 == share
+            assert rng.random() == reference.random()
 
     def test_sparse_joints_match_the_mask_reference(self):
         # Sparse supports reach what the draws do not: ON mass, empty strata

@@ -342,6 +342,22 @@ class TestOneSolvePerCall:
         for solve, (m, a) in zip(solves, calls):
             self.assert_program(solve, m, a)
 
+    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    def test_flat_product_matches_the_stacked_product(self, a):
+        # linprog multiplies the bases stacked into one matrix; every bit
+        # must agree with one product per basis.
+        rng = np.random.default_rng(108 + ASSUMPTION_ORDER.index(a))
+        vertices = latent._vertices(a)
+        rows = vertices.shape[2]
+        right_hand_sides = []
+        for _ in range(2000):
+            m = draw_restricted_moments(rng)
+            floor = [m.p_y1_s1d1 * m.p_s1_d0] if a.a5 else []
+            right_hand_sides.append(np.array([*moment_values(m), *floor]))
+        right_hand_sides += list(rng.standard_normal((2000, rows)))
+        for b in right_hand_sides:
+            assert np.array_equal(latent.linprog(vertices, b), np.matmul(vertices, b))
+
     def test_cached_arrays_are_read_only(self, solves):
         # The solve gets the cached vertices themselves.
         sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
