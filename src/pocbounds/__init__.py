@@ -42,7 +42,6 @@ from .estimation import (
 )
 from .inference import (
     BootstrapResult,
-    RestrictionTestResult,
     bootstrap_bounds,
     test_restrictions,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "Dataset",
     "LatentJoint",
     "ObservedMoments",
-    "RestrictionTestResult",
     "Side",
     "StratifiedFields",
     "__version__",

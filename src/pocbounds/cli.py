@@ -25,9 +25,9 @@ exact decimal form, no timestamps are embedded, and a ``schema_version``
 field versions the layout, so identical inputs and configuration produce
 byte-identical output.  Model-restriction violations are reported as
 warnings, never as process failures; exit codes are 0 for success, 1 for
-a fatal runtime error (an unreadable input, an unwritable output path,
-or data the estimator cannot use, such as an empty arm, among them), and
-2 for configuration or parse errors.
+a fatal runtime error (an unreadable input, an unwritable output path
+or standard output, or data the estimator cannot use, such as an empty
+arm, among them), and 2 for configuration or parse errors.
 
 :class:`RunConfig` holds what :func:`run_analysis` reads and nothing else.
 Where the results go, ``--format``, ``--output`` and ``--plot-out``, is
@@ -77,8 +77,10 @@ class CsvFormatError(ValueError):
 class RunConfig:
     """Everything :func:`run_analysis` reads, checked once on construction.
 
-    How the report is written out (``--format``, ``--output``,
-    ``--plot-out``) is not part of it: :func:`main` reads those flags.
+    ``assumption_sets`` may hold members or their tokens; it is kept as the
+    requested members, each once, in ``ASSUMPTION_ORDER``.  How the report
+    is written out (``--format``, ``--output``, ``--plot-out``) is not part
+    of it: :func:`main` reads those flags.
     """
 
     input_path: str
@@ -93,6 +95,15 @@ class RunConfig:
     stratified: bool | None = None
 
     def __post_init__(self) -> None:
+        try:
+            chosen = {
+                a if isinstance(a, AssumptionSet) else AssumptionSet.parse(str(a)) for a in self.assumption_sets
+            }
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        if not chosen:
+            raise ConfigError("at least one assumption set must be requested")
+        object.__setattr__(self, "assumption_sets", tuple(a for a in ASSUMPTION_ORDER if a in chosen))
         if not self.input_path:
             raise ConfigError("--input is empty; it must name a CSV file")
         if not 0.0 < self.level < 1.0:
@@ -101,8 +112,6 @@ class RunConfig:
             raise ConfigError(f"reps = {self.reps} must be at least 2")
         if self.seed < 0:
             raise ConfigError(f"seed = {self.seed} must be non-negative")
-        if not self.assumption_sets:
-            raise ConfigError("at least one assumption set must be requested")
         mapped = [self.y_col, self.s_col, self.d_col]
         if self.stratum_col is not None:
             mapped.append(self.stratum_col)
@@ -450,24 +459,19 @@ def run_analysis(cfg: RunConfig) -> Report:
     data = load_csv(cfg.input_path, mapping, digest)
 
     moments = estimate_moments(data)
-    requested = tuple(a for a in ASSUMPTION_ORDER if a in cfg.assumption_sets)
+    requested = cfg.assumption_sets
     # The strongest requested set implies every restriction the others do.
     strongest = requested[-1]
     warnings = [
         f"restriction violated in-sample: {violation}; bounds reported anyway"
         for violation in restriction_violations(moments, strongest)
     ]
-    tests = test_restrictions(data, strongest)
+    selection, outcome = map(_test_outcome_dict, test_restrictions(data))
     boot_args = dict(reps=cfg.reps, level=cfg.level, seed=cfg.seed)
     pooled = _group_block(Dataset(labels=(None,), counts=cell_counts(data)), requested, boot_args)
     unconditional = {name: block["aggregate"] for name, block in pooled["sets"].items()}
-    restriction_tests = {
-        a.value: {
-            "selection": _test_outcome_dict(tests.selection_test),
-            "outcome": _test_outcome_dict(tests.outcome_test) if a.a4 else None,
-        }
-        for a in requested
-    }
+    # Only a set with A4 implies the outcome restriction.
+    restriction_tests = {a.value: {"selection": selection, "outcome": outcome if a.a4 else None} for a in requested}
 
     stratified_block = None
     if cfg.use_strata:
@@ -575,24 +579,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        try:
-            sets = tuple(
-                AssumptionSet.parse(tok) for tok in args.assumptions.split(",") if tok.strip()
-            )
-            cfg = RunConfig(
-                input_path=args.input,
-                y_col=args.y_col,
-                s_col=args.s_col,
-                d_col=args.d_col,
-                stratum_col=args.stratum_col,
-                assumption_sets=sets,
-                reps=args.reps,
-                level=args.level,
-                seed=args.seed,
-                stratified=args.stratified,
-            )
-        except ValueError as err:
-            raise ConfigError(str(err))
+        cfg = RunConfig(
+            input_path=args.input,
+            y_col=args.y_col,
+            s_col=args.s_col,
+            d_col=args.d_col,
+            stratum_col=args.stratum_col,
+            assumption_sets=tuple(tok for tok in args.assumptions.split(",") if tok.strip()),
+            reps=args.reps,
+            level=args.level,
+            seed=args.seed,
+            stratified=args.stratified,
+        )
         report = run_analysis(cfg)
     except (ConfigError, CsvFormatError) as err:
         print(f"pocbounds: {err}", file=sys.stderr)
@@ -605,15 +603,18 @@ def main(argv: list[str] | None = None) -> int:
     # An input path that is not valid UTF-8 holds lone surrogates; they go
     # out as the path's own bytes, whatever the locale's encoding.
     rendered = rendered.encode("utf-8", errors="surrogateescape")
-    if args.output is not None:
-        try:
+    try:
+        if args.output is not None:
             Path(args.output).write_bytes(rendered)
-        except OSError as err:
-            print(f"pocbounds: fatal: cannot write report: {err}", file=sys.stderr)
-            return 1
-    else:
-        sys.stdout.flush()
-        sys.stdout.buffer.write(rendered)
+        elif sys.stdout is None:
+            raise OSError("standard output is closed")
+        else:
+            sys.stdout.flush()
+            sys.stdout.buffer.write(rendered)
+            sys.stdout.buffer.flush()
+    except OSError as err:
+        print(f"pocbounds: fatal: cannot write report: {err}", file=sys.stderr)
+        return 1
     if args.plot_out is not None:
         try:
             emit_plot_data(report, args.plot_out)

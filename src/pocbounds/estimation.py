@@ -4,15 +4,16 @@ Every estimator reads one table: per stratum, the counts of each arm
 (``d`` = 0, 1) in three cells, selected with ``y = 1``, selected with
 ``y = 0`` and unselected (the outcome of an unselected unit is censored).
 A :class:`Dataset` is that table, so memory grows with the number of
-strata, not of rows.  Hand-built data enter as
-``Dataset(labels=..., counts=...)``; ``Dataset.records`` is a read-only
-expansion into rows, kept for independent recounts.  Every probability is
+strata, not of rows.  It is every estimator's one input: hand-built data,
+one 2x3 table among them, enter as ``Dataset(labels=..., counts=...)``,
+which checks them once.  ``Dataset.records`` is a read-only expansion into
+rows, kept for independent recounts.  Every probability is
 estimated by the corresponding sample proportion, so estimates are exact
 rationals ``k / n`` rounded once to floating point.  The sums, the order
-of the conditioning cells and the ratios are written once, for one table
-of Python ints (:func:`moments_from_counts`) and for stacks of tables as
-arrays (the stratified fit and the bootstrap), so the two paths agree bit
-for bit on any table of fewer than 2**53 records.
+of the conditioning cells and the ratios are written once, for the pooled
+table as Python ints (:func:`estimate_moments`) and for stacks of tables
+as arrays (the stratified fit and the bootstrap), so the two paths agree
+bit for bit on any table of fewer than 2**53 records.
 
 Stratified estimation computes fully saturated within-stratum means (with
 discrete strata and no further covariates this coincides with a
@@ -62,25 +63,15 @@ def table_position(d: int, s: int, y: int | None) -> int:
     return 3 * d + (2 if s == 0 else 1 - y)
 
 
-def _int64_counts(counts) -> np.ndarray:
-    """``counts`` as an int64 array, refusing a count the cast would change (1.7, inf, NaN)."""
-    counts = np.asarray(counts)
-    if counts.dtype != np.int64:
-        raw = counts
-        with np.errstate(invalid="ignore"):
-            counts = raw.astype(np.int64)
-        if not np.array_equal(counts, raw):
-            raise ValueError("counts must be whole numbers")
-    return counts
-
-
 @dataclass(frozen=True, eq=False)
 class Dataset:
     """Count table: one 2x3 table (arm x ``COUNT_COLUMNS``) per stratum.
 
     ``labels`` names the strata; rows without a stratum form the stratum
     labelled ``None``, so unstratified data has ``labels == (None,)``.
-    ``counts`` is a read-only int64 array of shape ``[strata, 2, 3]``.
+    ``counts`` is a read-only int64 array of shape ``[strata, 2, 3]``; it
+    may be given as that stack, as one row of six counts per stratum, or,
+    for one stratum, as its 2x3 table.  Any other shape is refused.
     Strata are kept in sorted order (``None`` first), and every stratum
     holds at least one row.  A count the int64 cast would change (1.7,
     inf, NaN) is refused.
@@ -91,9 +82,21 @@ class Dataset:
 
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
-        counts = _int64_counts(self.counts).reshape(len(labels), 2, 3)
+        k = len(labels)
+        counts = np.asarray(self.counts)
+        # An empty list holds no strata, so it falls through to the record check.
+        if counts.shape not in ((k, 2, 3), (k, 6)) and (k, counts.shape) not in ((1, (2, 3)), (0, (0,))):
+            raise ValueError(
+                f"counts of shape {counts.shape} do not fit len(labels) = {k}: expected ({k}, 2, 3) or ({k}, 6)"
+            )
+        if counts.dtype != np.int64:
+            raw = counts
+            with np.errstate(invalid="ignore"):
+                counts = raw.astype(np.int64)
+            if not np.array_equal(counts, raw):
+                raise ValueError("counts must be whole numbers")
         # One list of Python ints: cheaper than NumPy reductions on tables this small.
-        tables = counts.reshape(len(labels), 6).tolist()
+        tables = counts.reshape(k, 6).tolist()
         totals = [sum(table) for table in tables]
         if sum(totals) < 1:
             raise ValueError("dataset must contain at least one record")
@@ -103,9 +106,9 @@ class Dataset:
             raise ValueError("counts must be non-negative")
         if 0 in totals:
             raise ValueError("every stratum must hold at least one record")
-        order = sorted(range(len(labels)), key=lambda i: (labels[i] is not None, labels[i] or ""))
+        order = sorted(range(k), key=lambda i: (labels[i] is not None, labels[i] or ""))
         # take copies, so the caller's array is never aliased.
-        counts = counts.take(order, axis=0)
+        counts = counts.reshape(k, 2, 3).take(order, axis=0)
         counts.setflags(write=False)
         object.__setattr__(self, "labels", tuple(labels[i] for i in order))
         object.__setattr__(self, "counts", counts)
@@ -175,34 +178,20 @@ def _proportions(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray, _MomentArr
         return empty, n, _MomentArrays(*(k / size for k, size in ratios))
 
 
-def moments_from_counts(counts: np.ndarray) -> ObservedMoments:
-    """Sample-proportion moments from a 2x3 count table (arm x ``COUNT_COLUMNS``).
+def estimate_moments(data: Dataset) -> ObservedMoments:
+    """Sample-proportion moments of the pooled table.
 
     The table is read once into Python ints and shares :func:`_proportions`'
     sums and ratios, so its moments are bit for bit those of the stacked
     path: each is an exact count ratio ``k / n``, and on a table of fewer
     than 2**53 records Python's ``int / int`` and NumPy's int64 division
-    both round it correctly.
-
-    Refuses what :class:`Dataset` refuses (a count that is not a whole
-    number, or is negative) and a table of another shape; raises
-    ``ValueError`` naming the first empty conditioning cell.
+    both round it correctly.  Raises ``ValueError`` naming the first empty
+    conditioning cell.
     """
-    table = _int64_counts(counts)
-    if table.shape != (2, 3):
-        raise ValueError(f"a count table has shape (2, 3), got {table.shape}")
-    cells = table.ravel().tolist()
-    if min(cells) < 0:
-        raise ValueError("counts must be non-negative")
-    _, conditioning, ratios = _table_moments(*cells)
+    _, conditioning, ratios = _table_moments(*cell_counts(data).ravel().tolist())
     if 0 in conditioning:
         raise ValueError(EMPTY_CELLS[conditioning.index(0)])
     return ObservedMoments(*(k / size for k, size in ratios))
-
-
-def estimate_moments(data: Dataset) -> ObservedMoments:
-    """Observed moments for the pooled sample."""
-    return moments_from_counts(cell_counts(data))
 
 
 StratifiedFields = namedtuple("StratifiedFields", "empty weight strata aggregate")

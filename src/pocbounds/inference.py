@@ -4,7 +4,8 @@ The model implies observable restrictions: the treated arm's selection
 rate cannot fall below the control arm's, and (under monotone treatment
 response) neither can the treated arm's raw success rate, where the raw
 rate counts missing outcomes as zero.  Each restriction is tested with a
-one-sided two-sample proportion z statistic using unpooled variances.
+one-sided two-sample proportion z statistic using unpooled variances, on
+a dataset's pooled table; only a set with A4 implies the second.
 
 Direction convention: the statistic is ``(treated rate - control rate)``
 divided by its standard error, and the reported p-value is the lower-tail
@@ -62,19 +63,6 @@ class TestOutcome(NamedTuple):
     stat: float
     p_value: float
     degenerate: bool = False
-
-
-@dataclass(frozen=True)
-class RestrictionTestResult:
-    """One-sided tests of the model's observable restrictions.
-
-    ``outcome_test`` is absent for a set without A4, where only the selection
-    restriction is implied.
-    """
-
-    selection_test: TestOutcome
-    outcome_test: TestOutcome | None
-    assumption_set: AssumptionSet
 
 
 # Cephes ndtr.c: erf(x) = x T(x^2) / U(x^2) for |x| <= 1, and
@@ -167,25 +155,17 @@ def one_sided_nonnegative_test(k1: int, n1: int, k0: int, n0: int) -> TestOutcom
     return TestOutcome(stat=stat, p_value=_ndtr(stat))
 
 
-def restriction_tests_from_counts(counts: np.ndarray, a: AssumptionSet) -> RestrictionTestResult:
-    """Restriction tests from a 2x3 count table (see ``COUNT_COLUMNS``)."""
-    n0 = int(counts[0].sum())
-    n1 = int(counts[1].sum())
-    selection = one_sided_nonnegative_test(
-        k1=int(counts[1, 0] + counts[1, 1]), n1=n1, k0=int(counts[0, 0] + counts[0, 1]), n0=n0
-    )
-    outcome = None
-    if a.a4:
-        # Raw success rates: y = 1 requires selection, so missing counts as 0.
-        outcome = one_sided_nonnegative_test(
-            k1=int(counts[1, 0]), n1=n1, k0=int(counts[0, 0]), n0=n0
-        )
-    return RestrictionTestResult(selection_test=selection, outcome_test=outcome, assumption_set=a)
+def test_restrictions(data: Dataset) -> tuple[TestOutcome, TestOutcome]:
+    """One-sided tests of the pooled table's selection and outcome restrictions, in that order.
 
-
-def test_restrictions(data: Dataset, a: AssumptionSet) -> RestrictionTestResult:
-    """One-sided tests of the selection and (under A4) outcome restrictions."""
-    return restriction_tests_from_counts(cell_counts(data), a)
+    Every set implies the selection restriction; only a set with A4 implies
+    the outcome one, so the caller reads the second test under A4 alone.
+    """
+    (y1_0, y0_0, s0_0), (y1_1, y0_1, s0_1) = cell_counts(data).tolist()
+    n0, n1 = y1_0 + y0_0 + s0_0, y1_1 + y0_1 + s0_1
+    selection = one_sided_nonnegative_test(k1=y1_1 + y0_1, n1=n1, k0=y1_0 + y0_0, n0=n0)
+    # Raw success rates: y = 1 requires selection, so missing counts as 0.
+    return selection, one_sided_nonnegative_test(k1=y1_1, n1=n1, k0=y1_0, n0=n0)
 
 
 #: Why a bootstrap gives up: more than half of its replicates failed.

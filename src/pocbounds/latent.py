@@ -181,9 +181,6 @@ class LatentJoint:
         if not 0.0 < self.p_d1 < 1.0:
             raise ValueError(f"p_d1 = {self.p_d1!r} must lie strictly in (0, 1)")
 
-    def mass(self, y0: int, y1: int, s0: int, s1: int) -> float:
-        return self.cells[cell_index(y0, y1, s0, s1)]
-
     def stratum_mass(self, s0: int, s1: int) -> float:
         return _total(self.cells, _STRATA[s0, s1])
 

@@ -22,6 +22,7 @@ from _oracles import (
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
+    Dataset,
     ObservedMoments,
     bootstrap_bounds,
     check_assumptions,
@@ -30,11 +31,11 @@ from pocbounds import (
     construct_interior_distribution,
     observed_from_latent,
     sharp_envelope_oracle,
+    test_restrictions as run_restriction_tests,
     theta_oo,
 )
 from pocbounds.cli import main
 from pocbounds.estimation import estimate_stratified
-from pocbounds.inference import restriction_tests_from_counts
 from pocbounds.latent import Side
 from pocbounds.simulate import draw_latent_joint, sample_dataset, sample_stratified_dataset
 
@@ -164,9 +165,9 @@ def _simulate_test_batch(rng, n, sel_treated, sel_control, trials):
         )
         counts[0, 1] = s0 - counts[0, 0]
         counts[1, 1] = s1 - counts[1, 0]
-        result = restriction_tests_from_counts(counts, AssumptionSet.A1_4)
-        p_sel[t] = result.selection_test.p_value
-        p_out[t] = result.outcome_test.p_value
+        selection, outcome = run_restriction_tests(Dataset(labels=(None,), counts=counts))
+        p_sel[t] = selection.p_value
+        p_out[t] = outcome.p_value
     return p_sel, p_out
 
 

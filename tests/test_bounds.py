@@ -11,13 +11,14 @@ from _oracles import draw_any_moments
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
+    Dataset,
     ObservedMoments,
     compute_bounds,
+    estimate_moments,
     restriction_violations,
     trim_ratio,
 )
 from pocbounds.bounds import _unit_clip
-from pocbounds.estimation import moments_from_counts
 
 RNG = np.random.default_rng(90210)
 
@@ -128,13 +129,13 @@ class TestRestrictionViolations:
     CONTROL = [40, 20, 60]
 
     def test_equal_raw_success_rates_are_consistent(self):
-        m = moments_from_counts(np.array([self.CONTROL, [20, 20, 20]]))
+        m = estimate_moments(Dataset(labels=(None,), counts=[self.CONTROL, [20, 20, 20]]))
         assert m.p_y1_s1d1 * m.p_s1_d1 != (1.0 - m.p_y0_s1d0) * m.p_s1_d0  # float dust
         for a in ASSUMPTION_ORDER:
             assert restriction_violations(m, a) == []
 
     def test_one_count_past_the_outcome_boundary(self):
-        m = moments_from_counts(np.array([self.CONTROL, [19, 21, 20]]))
+        m = estimate_moments(Dataset(labels=(None,), counts=[self.CONTROL, [19, 21, 20]]))
         assert restriction_violations(m, AssumptionSet.A1_3) == []
         for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
             assert restriction_violations(m, a) == ["P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)"]

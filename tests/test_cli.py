@@ -41,13 +41,17 @@ MAPPING = {"y": "y", "s": "s", "d": "d", "stratum": None}
 STRATUM_MAPPING = {**MAPPING, "stratum": "g"}
 
 
+def module_env():
+    """The environment of a fresh interpreter that imports this checkout's package."""
+    src = str(REPO / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_module(argv, input=None, env_overrides=None):
     """``python -m pocbounds argv`` in a fresh interpreter that imports this checkout's package."""
-    src = str(REPO / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run(
         [sys.executable, "-m", "pocbounds", *argv],
-        input=input, capture_output=True, env={**env, **(env_overrides or {})}, timeout=120,
+        input=input, capture_output=True, env={**module_env(), **(env_overrides or {})}, timeout=120,
     )
 
 
@@ -639,6 +643,17 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="without a stratum column"):
             RunConfig(input_path="x", y_col="y", s_col="s", d_col="d", stratified=True)
 
+    def test_assumption_sets_are_held_canonical(self):
+        base = dict(input_path="x", y_col="y", s_col="s", d_col="d")
+        A1_3, A1_4, A1_5 = AssumptionSet
+        tokens = RunConfig(**base, assumption_sets=("a1_5", " A1_3", "A1_5"))
+        assert tokens.assumption_sets == (A1_3, A1_5)
+        mixed = RunConfig(**base, assumption_sets=(A1_5, "A1_4", A1_4, A1_5))
+        assert mixed.assumption_sets == (A1_4, A1_5)
+        for bad in ("A1_6", 5):
+            with pytest.raises(ConfigError, match=f"unknown assumption set '{bad}'"):
+                RunConfig(**base, assumption_sets=(A1_3, bad))
+
     def test_empty_input_path_rejected(self, capsys):
         # ``Path("")`` is the working directory, so an empty path must not reach the loader.
         with pytest.raises(ConfigError, match="--input"):
@@ -740,6 +755,16 @@ class TestRunAnalysis:
                 assert agg[key] == without.unconditional[a][key] == with_strata.unconditional[a][key]
             (row,) = with_strata.stratified["sets"][a]["per_stratum"]
             assert (row["ci_lb"], row["ci_ub"]) == (agg["ci_lb"], agg["ci_ub"])
+
+    def test_outcome_test_shown_only_under_a4(self, fixture_cfg, fixture_report):
+        tests = fixture_report.restriction_tests
+        assert tests["A1_3"]["outcome"] is None
+        assert tests["A1_4"]["outcome"] is not None
+        assert tests["A1_4"]["outcome"] == tests["A1_5"]["outcome"]
+        assert tests["A1_3"]["selection"] == tests["A1_4"]["selection"] == tests["A1_5"]["selection"]
+        # A set given by its token is the member it names.
+        alone = run_analysis(dataclasses.replace(fixture_cfg, assumption_sets=("A1_5",), stratified=False))
+        assert alone.restriction_tests == {"A1_5": tests["A1_5"]}
 
     def test_one_set_matches_its_entries_in_the_all_sets_report(self, fixture_cfg, fixture_report):
         alone = run_analysis(dataclasses.replace(fixture_cfg, assumption_sets=(AssumptionSet.A1_5,)))
@@ -899,6 +924,19 @@ class TestMainExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(message)
         assert "Traceback" not in err and err.count("\n") == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("closed", [False, True], ids=["device-full", "closed"])
+    def test_unwritable_stdout_is_1(self, fixture_csv, closed):
+        command = [sys.executable, "-m", "pocbounds", "--input", str(fixture_csv),
+                   "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "4"]
+        if closed:
+            command = ["sh", "-c", 'exec "$@" >&-', "sh", *command]
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(command, stdout=full, stderr=subprocess.PIPE, env=module_env(), timeout=120)
+        reason = "standard output is closed" if closed else "[Errno 28] No space left on device"
+        assert proc.returncode == 1
+        assert proc.stderr.decode() == f"pocbounds: fatal: cannot write report: {reason}\n"
 
     def test_parse_error_is_2(self, tmp_path, capsys):
         path = write(tmp_path, "y,s,d\n2,1,0\n")

@@ -25,7 +25,6 @@ from pocbounds.estimation import (
     EMPTY_CELLS,
     _proportions,
     cell_counts,
-    moments_from_counts,
     stratified_fields,
 )
 from pocbounds.simulate import draw_latent_joint, sample_dataset, sample_stratified_dataset
@@ -89,6 +88,21 @@ class TestDataset:
         assert data.counts.tolist() == [[[3, 1, 2], [4, 0, 5]]]
         assert not data.counts.flags.writeable
 
+    @pytest.mark.parametrize("labels", [(None,), ("a", "b")], ids=["pooled", "two-strata"])
+    def test_accepts_a_stack_or_rows_of_six(self, labels):
+        rows = np.arange(1, 6 * len(labels) + 1).reshape(len(labels), 6)
+        stack = Dataset(labels=labels, counts=rows.reshape(-1, 2, 3)).counts
+        assert Dataset(labels=labels, counts=rows).counts.tolist() == stack.tolist()
+        if len(labels) == 1:
+            assert Dataset(labels=labels, counts=rows.reshape(2, 3)).counts.tolist() == stack.tolist()
+
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (2, 7), (2, 2, 2, 3)])
+    def test_rejects_a_stack_of_another_shape(self, shape):
+        # Two labels: twelve counts in a (3, 4) array are not two tables either.
+        message = f"counts of shape {shape} do not fit len(labels) = 2: expected (2, 2, 3) or (2, 6)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(labels=("a", "b"), counts=np.ones(shape, dtype=np.int64))
+
 
 def test_simulation_builds_no_row_objects(monkeypatch):
     def refuse(self):
@@ -140,21 +154,24 @@ class TestEstimateMoments:
 
     @pytest.mark.parametrize("dtype", [np.int64, np.int32])
     def test_fields_are_python_floats(self, dtype):
-        m = moments_from_counts(np.array([[40, 20, 60], [19, 21, 20]], dtype=dtype))
+        m = estimate_moments(pooled(np.array([[40, 20, 60], [19, 21, 20]], dtype=dtype)))
         assert all(type(x) is float for x in astuple(m))
 
+    # A table reaches estimate_moments only as a Dataset, which refuses
+    # each of these tables on its way in.
     def test_rejects_a_count_that_is_not_whole(self):
         with pytest.raises(ValueError, match="counts must be whole numbers"):
-            moments_from_counts([[1.5, 2, 3], [4, 5, 6]])
+            pooled([[1.5, 2, 3], [4, 5, 6]])
 
     def test_rejects_a_negative_count(self):
         with pytest.raises(ValueError, match="counts must be non-negative"):
-            moments_from_counts([[1, -1, 3], [4, 5, 6]])
+            pooled([[1, -1, 3], [4, 5, 6]])
 
-    @pytest.mark.parametrize("shape", [(1, 2, 3), (3, 2)])
+    @pytest.mark.parametrize("shape", [(3, 2), (6,), (2, 2, 3)])
     def test_rejects_a_table_of_another_shape(self, shape):
-        with pytest.raises(ValueError, match=re.escape(f"shape (2, 3), got {shape}")):
-            moments_from_counts(np.ones(shape, dtype=np.int64))
+        message = f"counts of shape {shape} do not fit len(labels) = 1: expected (1, 2, 3) or (1, 6)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Dataset(labels=(None,), counts=np.ones(shape, dtype=np.int64))
 
     def test_counts_near_two_to_the_52_match_the_stacked_path(self):
         # 2**53 - 2 records: every sum is still exact in float64, and the
@@ -162,7 +179,7 @@ class TestEstimateMoments:
         table = np.array([[2**51 + 1, 2**50 - 3, 2**50 + 7], [2**51 - 5, 2**50 + 11, 2**50 - 13]])
         empty, n, stacked = _proportions(table[None])
         assert (empty.tolist(), n.tolist()) == ([-1], [2**53 - 2])
-        m = moments_from_counts(table)
+        m = estimate_moments(pooled(table))
         assert [x.hex() for x in astuple(m)] == [float(x[0]).hex() for x in stacked]
         (y1_0, y0_0, s0_0), (y1_1, y0_1, s0_1) = table.tolist()
         exact = (
@@ -270,7 +287,7 @@ class TestEstimateStratified:
         assert aggregate["ub"] == pytest.approx(truth_ub, abs=0.01)
 
 
-def test_moments_from_counts_matches_record_path():
+def test_records_recount_to_the_same_moments():
     # Counting the expanded rows by hand reproduces the pipeline's moments.
     rng = np.random.default_rng(66)
     joint = draw_latent_joint(AssumptionSet.A1_3, rng)
@@ -278,7 +295,7 @@ def test_moments_from_counts_matches_record_path():
     counts = np.zeros((2, 3), dtype=np.int64)
     for r in data.records:
         counts[r.d, 2 if r.s == 0 else 1 - r.y] += 1
-    assert moments_from_counts(counts) == estimate_moments(data)
+    assert estimate_moments(pooled(counts)) == estimate_moments(data)
 
 
 def scalar_stratified(tables, a):
@@ -287,8 +304,9 @@ def scalar_stratified(tables, a):
     Returns ``(per_stratum, dropped, aggregate)``: per-stratum ``(bounds,
     weight, n)`` of the retained strata by position, ``(position, reason)``
     of the dropped ones, and the aggregate interval.  Each table also goes
-    through ``moments_from_counts``: a retained one must give these moments
-    bit for bit, a dropped one must raise this reason.
+    through ``estimate_moments``: a retained one must give these moments
+    bit for bit, a dropped one must raise this reason, and an empty one is
+    refused by ``Dataset`` before it gets there.
     """
     fitted, dropped = {}, []
     for k, t in enumerate(tables):
@@ -304,8 +322,8 @@ def scalar_stratified(tables, a):
         reason = next((why for count, why in checks if count == 0), None)
         if reason is not None:
             with pytest.raises(ValueError) as refused:
-                moments_from_counts(t)
-            assert str(refused.value) == reason
+                estimate_moments(pooled(t))
+            assert str(refused.value) == (reason if n0 + n1 else "dataset must contain at least one record")
             dropped.append((k, reason))
             continue
         m = ObservedMoments(
@@ -315,7 +333,7 @@ def scalar_stratified(tables, a):
             p_s1_d0=s1d0 / n0,
             p_d1=n1 / (n0 + n1),
         )
-        assert [x.hex() for x in astuple(moments_from_counts(t))] == [x.hex() for x in astuple(m)]
+        assert [x.hex() for x in astuple(estimate_moments(pooled(t)))] == [x.hex() for x in astuple(m)]
         fitted[k] = (compute_bounds(m, a), n0 + n1)
     total = sum(n for _, n in fitted.values())
     per_stratum = {k: (b, n / total, n) for k, (b, n) in fitted.items()}

@@ -180,8 +180,10 @@ def test_benchmark_workloads_run_and_check(tmp_path):
     # Tier-1 does not run the benchmark, so a name its workloads or their
     # checks read off the package, once gone, would fail only the benchmark.
     workloads = load_benchmark_module("workloads")
+    bulk = load_benchmark_module("bulk_input").generate(tmp_path / "bulk.csv", seed=0, rows=2_000, strata=5)
     for workload in (
         workloads.SharpnessMc(seed=0, sample_rows=200),
         workloads.FixtureCli(REPO, tmp_path, seed=0, reps=20),
+        workloads.BulkPooled(tmp_path, seed=0, expected=bulk, reps=20),
     ):
         workload.check(workload.run(0))

@@ -27,14 +27,7 @@ from pocbounds import (
     observed_from_latent,
     test_restrictions as run_restriction_tests,
 )
-from pocbounds.estimation import moments_from_counts
-from pocbounds.inference import (
-    UNSTABLE,
-    _ndtr,
-    _sorted_quantiles,
-    one_sided_nonnegative_test,
-    restriction_tests_from_counts,
-)
+from pocbounds.inference import UNSTABLE, _ndtr, _sorted_quantiles, one_sided_nonnegative_test
 from pocbounds.latent import LatentJoint, cell_index
 from pocbounds.simulate import sample_dataset, sample_stratified_dataset
 
@@ -53,16 +46,11 @@ def balanced_dataset():
 
 class TestRestrictionTests:
     def test_equal_proportions_give_centered_statistic(self):
-        result = run_restriction_tests(balanced_dataset(), AssumptionSet.A1_4)
-        assert result.selection_test.stat == 0.0
-        assert result.selection_test.p_value == 0.5
-        assert result.outcome_test.stat == 0.0
-        assert result.outcome_test.p_value == 0.5
-
-    def test_outcome_test_absent_under_a13(self):
-        result = run_restriction_tests(balanced_dataset(), AssumptionSet.A1_3)
-        assert result.outcome_test is None
-        assert result.assumption_set is AssumptionSet.A1_3
+        selection, outcome = run_restriction_tests(balanced_dataset())
+        assert selection.stat == 0.0
+        assert selection.p_value == 0.5
+        assert outcome.stat == 0.0
+        assert outcome.p_value == 0.5
 
     def test_degenerate_arms(self):
         assert one_sided_nonnegative_test(5, 5, 3, 3) == (0.0, 1.0, True)
@@ -72,8 +60,8 @@ class TestRestrictionTests:
     def test_missing_outcomes_count_as_zero(self):
         # Treated arm: 1 success of 2 (one censored); control arm: 1 of 2
         # selected successes. Raw success rates are both 1/2.
-        result = run_restriction_tests(pooled([[1, 1, 0], [1, 0, 1]]), AssumptionSet.A1_4)
-        assert result.outcome_test.stat == 0.0
+        _, outcome = run_restriction_tests(pooled([[1, 1, 0], [1, 0, 1]]))
+        assert outcome.stat == 0.0
 
     def test_violation_rejected_with_large_sample(self):
         # Selection rates 0.5 treated vs 0.7 control: a 0.2 violation.
@@ -84,8 +72,8 @@ class TestRestrictionTests:
         cells[cell_index(0, 0, 0, 0)] = 0.3
         joint = LatentJoint(cells=tuple(cells), p_d1=0.5)
         data = sample_dataset(joint, 5000, rng)
-        result = run_restriction_tests(data, AssumptionSet.A1_3)
-        assert result.selection_test.p_value < 0.001
+        selection, _ = run_restriction_tests(data)
+        assert selection.p_value < 0.001
 
     def test_monotone_rejection_in_violation_size(self):
         # Larger selection violations must get rejected at least as often.
@@ -103,12 +91,6 @@ class TestRestrictionTests:
             rates.append(rejections / 300)
         assert rates[0] <= rates[1] + 0.02 <= rates[2] + 0.04
         assert rates[2] > 0.95
-
-    def test_counts_path_matches_record_path(self):
-        data = balanced_dataset()
-        assert restriction_tests_from_counts(
-            np.array([[1, 1, 2], [1, 1, 2]]), AssumptionSet.A1_5
-        ) == run_restriction_tests(data, AssumptionSet.A1_5)
 
 
 def normal_tail_points():
@@ -215,7 +197,7 @@ class TestBootstrapBounds:
         rng = np.random.default_rng(21)
         for _ in range(100):
             tables = [rng.multinomial(t.sum(), t.reshape(-1) / t.sum()).reshape(2, 3) for t in data.counts]
-            fits = [compute_bounds(moments_from_counts(t), A1_5) for t in tables]
+            fits = [compute_bounds(estimate_moments(pooled(t)), A1_5) for t in tables]
             shares = [int(t.sum()) / data.n for t in tables]
             strata.append(fits)
             aggregate_lb.append(sum(w * fit.lb for w, fit in zip(shares, fits)))

@@ -16,17 +16,18 @@ from _oracles import ASSUMPTION_SETS, draw_restricted_moments, reference_holds, 
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
+    Dataset,
     LatentJoint,
     ObservedMoments,
     check_assumptions,
     compute_bounds,
     construct_bound_distribution,
     construct_interior_distribution,
+    estimate_moments,
     observed_from_latent,
     theta_oo,
     trim_ratio,
 )
-from pocbounds.estimation import estimate_moments, moments_from_counts
 from pocbounds.latent import CELL_ORDER, Side, cell_index
 from pocbounds.simulate import draw_latent_joint, sample_dataset
 
@@ -141,7 +142,7 @@ class TestCheckAssumptions:
         # cells whose outcomes are censored under both arms.
         m = draw_restricted_moments(np.random.default_rng(3))
         joint = construct_bound_distribution(m, AssumptionSet.A1_4, Side.UPPER)
-        assert joint.mass(1, 0, 0, 0) > 0.0
+        assert joint.cells[cell_index(1, 0, 0, 0)] > 0.0
         report = check_assumptions(joint)
         assert report.holds_a4
         assert any("NN stratum" in note for note in report.details)
@@ -381,7 +382,7 @@ class TestConstructions:
         assert nn_total == pytest.approx(1.0 - table_moments.p_s1_d1, abs=1e-12)
         for y0 in (0, 1):
             for y1 in (0, 1):
-                assert joint.mass(y0, y1, 0, 0) == pytest.approx(nn_total / 4.0, abs=1e-15)
+                assert joint.cells[cell_index(y0, y1, 0, 0)] == pytest.approx(nn_total / 4.0, abs=1e-15)
 
     def test_selection_restriction_precondition(self):
         m = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.6)
@@ -394,7 +395,7 @@ class TestConstructions:
         # control and 19/60 in treated.
         for m in (
             ObservedMoments(p_y1_s1d1=0.05, p_y0_s1d0=0.4, p_s1_d1=0.8, p_s1_d0=0.72),
-            moments_from_counts(np.array([[40, 20, 60], [19, 21, 20]])),
+            estimate_moments(Dataset(labels=(None,), counts=[[40, 20, 60], [19, 21, 20]])),
         ):
             for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
                 with pytest.raises(ValueError, match="outcome restriction"):
@@ -413,7 +414,7 @@ class TestConstructions:
             if (treated[0] + treated[1]) * n0 < (control[0] + control[1]) * n1:
                 continue
             tables += 1
-            m = moments_from_counts(np.array([control, treated]))
+            m = estimate_moments(Dataset(labels=(None,), counts=[control, treated]))
             for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
                 interval = compute_bounds(m, a)
                 for side, target in ((Side.LOWER, interval.lb), (Side.UPPER, interval.ub)):
@@ -502,7 +503,8 @@ class TestInternalIdentities:
         for _ in range(200):
             joint = draw_latent_joint(AssumptionSet.A1_3, rng)
             m = observed_from_latent(joint)
-            rate = (joint.mass(0, 0, 1, 1) + joint.mass(0, 1, 1, 1)) / joint.stratum_mass(1, 1)
+            selected_failures = joint.cells[cell_index(0, 0, 1, 1)] + joint.cells[cell_index(0, 1, 1, 1)]
+            rate = selected_failures / joint.stratum_mass(1, 1)
             assert m.p_y0_s1d0 == pytest.approx(rate, abs=1e-12)
 
     def test_monotone_response_point_identity(self):
@@ -512,9 +514,9 @@ class TestInternalIdentities:
         for _ in range(200):
             joint = draw_latent_joint(AssumptionSet.A1_4, rng)
             mass_oo = joint.stratum_mass(1, 1)
-            joint_event = joint.mass(0, 1, 1, 1) / mass_oo
-            p_y1 = (joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1)) / mass_oo
-            p_y0_zero = (joint.mass(0, 0, 1, 1) + joint.mass(0, 1, 1, 1)) / mass_oo
+            joint_event = joint.cells[cell_index(0, 1, 1, 1)] / mass_oo
+            p_y1 = (joint.cells[cell_index(0, 1, 1, 1)] + joint.cells[cell_index(1, 1, 1, 1)]) / mass_oo
+            p_y0_zero = (joint.cells[cell_index(0, 0, 1, 1)] + joint.cells[cell_index(0, 1, 1, 1)]) / mass_oo
             assert joint_event == pytest.approx(p_y1 + p_y0_zero - 1.0, abs=1e-12)
 
     def test_dominance_bounds_treated_rate_from_below(self):
@@ -524,7 +526,8 @@ class TestInternalIdentities:
         for _ in range(200):
             joint = draw_latent_joint(AssumptionSet.A1_5, rng)
             m = observed_from_latent(joint)
-            p_y1_oo = (joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1)) / joint.stratum_mass(1, 1)
+            treated_successes = joint.cells[cell_index(0, 1, 1, 1)] + joint.cells[cell_index(1, 1, 1, 1)]
+            p_y1_oo = treated_successes / joint.stratum_mass(1, 1)
             assert p_y1_oo >= m.p_y1_s1d1 - 1e-12
 
     def test_dominance_is_a_floor_on_the_oo_treated_mass(self):
@@ -536,7 +539,7 @@ class TestInternalIdentities:
         for _ in range(400):
             joint = draw_latent_joint(AssumptionSet.A1_4, rng)
             m = observed_from_latent(joint)
-            margin = joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1) - m.p_y1_s1d1 * m.p_s1_d0
+            margin = joint.cells[cell_index(0, 1, 1, 1)] + joint.cells[cell_index(1, 1, 1, 1)] - m.p_y1_s1d1 * m.p_s1_d0
             if abs(margin) <= 1e-9:
                 continue
             assert check_assumptions(joint).holds_a5 == (margin > 0.0)
@@ -550,9 +553,9 @@ class TestInternalIdentities:
         for _ in range(200):
             joint = draw_latent_joint(AssumptionSet.A1_3, rng)
             mass_oo = joint.stratum_mass(1, 1)
-            joint_event = joint.mass(0, 1, 1, 1) / mass_oo
-            p_y1 = (joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1)) / mass_oo
-            p_y0_zero = (joint.mass(0, 0, 1, 1) + joint.mass(0, 1, 1, 1)) / mass_oo
+            joint_event = joint.cells[cell_index(0, 1, 1, 1)] / mass_oo
+            p_y1 = (joint.cells[cell_index(0, 1, 1, 1)] + joint.cells[cell_index(1, 1, 1, 1)]) / mass_oo
+            p_y0_zero = (joint.cells[cell_index(0, 0, 1, 1)] + joint.cells[cell_index(0, 1, 1, 1)]) / mass_oo
             assert joint_event >= p_y1 + p_y0_zero - 1.0 - 1e-12
             assert joint_event <= min(p_y1, p_y0_zero) + 1e-12
 
@@ -565,7 +568,8 @@ class TestInternalIdentities:
             joint = draw_latent_joint(AssumptionSet.A1_3, rng)
             m = observed_from_latent(joint)
             alpha = trim_ratio(m)
-            p_y1_oo = (joint.mass(0, 1, 1, 1) + joint.mass(1, 1, 1, 1)) / joint.stratum_mass(1, 1)
+            treated_successes = joint.cells[cell_index(0, 1, 1, 1)] + joint.cells[cell_index(1, 1, 1, 1)]
+            p_y1_oo = treated_successes / joint.stratum_mass(1, 1)
             assert (m.p_y1_s1d1 - (1.0 - alpha)) / alpha <= p_y1_oo + 1e-12
             assert p_y1_oo <= m.p_y1_s1d1 / alpha + 1e-12
 
