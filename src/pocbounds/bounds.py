@@ -4,8 +4,10 @@ The target parameter is the share of units whose treated potential outcome
 equals one among always-selected units whose untreated potential outcome
 equals zero.  With a binary outcome observed only for selected units, this
 share is not point-identified.  It is bounded by functionals of four
-identified conditional probabilities, under three nested assumption
-bundles:
+identified conditional probabilities, under assumption bundles that hold
+A1-A3 and add A4 and A5 by the flags ``a4`` and ``a5`` of
+:class:`AssumptionSet`.  A bundle is nested in another when it holds every
+flag the other does; :data:`ASSUMPTION_ORDER` is the paper's chain of three:
 
 * ``A1_3``: random assignment (A1), positive mass of the relevant latent
   subpopulation (A2), and monotone selection (A3, treatment never removes
@@ -55,7 +57,7 @@ import numpy as np
 
 
 class AssumptionSet(enum.Enum):
-    """Nested assumption bundles, ordered from weakest to strongest.
+    """Assumption bundles, nested in the partial order of their flags.
 
     Every bundle holds A1-A3; ``a4`` and ``a5`` say whether it adds A4 and
     A5.  The member's value is its token.
@@ -79,8 +81,8 @@ class AssumptionSet(enum.Enum):
             raise ValueError(f"unknown assumption set {token!r}; expected one of {valid}")
 
 
-#: Canonical display/legend order of the assumption sets.
-ASSUMPTION_ORDER = tuple(AssumptionSet)
+#: The paper's chain of bundles, weakest first: the sets a run reports by default.
+ASSUMPTION_ORDER = (AssumptionSet.A1_3, AssumptionSet.A1_4, AssumptionSet.A1_5)
 
 
 def _check_probability(name: str, value: float) -> None:

@@ -2,7 +2,7 @@
 
 One floating bar spans [lb, ub] for each assumption set, with the
 unconditional group on the left and the stratified group (when present)
-on the right.  Bars are ordered A1_3, A1_4, A1_5.  Every bar carries its
+on the right.  Bars follow the report's set order.  Every bar carries its
 exact endpoint values in ``data-lb`` / ``data-ub`` attributes, and a
 sidecar JSON next to the SVG echoes the plotted numbers verbatim.
 """

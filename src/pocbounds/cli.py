@@ -78,7 +78,7 @@ class RunConfig:
     """Everything :func:`run_analysis` reads, checked once on construction.
 
     ``assumption_sets`` may hold members or their tokens; it is kept as the
-    requested members, each once, in ``ASSUMPTION_ORDER``.  How the report
+    requested members, each once, in ``AssumptionSet``'s order.  How the report
     is written out (``--format``, ``--output``, ``--plot-out``) is not part
     of it: :func:`main` reads those flags.
     """
@@ -103,7 +103,7 @@ class RunConfig:
             raise ConfigError(str(err)) from None
         if not chosen:
             raise ConfigError("at least one assumption set must be requested")
-        object.__setattr__(self, "assumption_sets", tuple(a for a in ASSUMPTION_ORDER if a in chosen))
+        object.__setattr__(self, "assumption_sets", tuple(a for a in AssumptionSet if a in chosen))
         if not self.input_path:
             raise ConfigError("--input is empty; it must name a CSV file")
         if not 0.0 < self.level < 1.0:
@@ -460,12 +460,9 @@ def run_analysis(cfg: RunConfig) -> Report:
 
     moments = estimate_moments(data)
     requested = cfg.assumption_sets
-    # The strongest requested set implies every restriction the others do.
-    strongest = requested[-1]
-    warnings = [
-        f"restriction violated in-sample: {violation}; bounds reported anyway"
-        for violation in restriction_violations(moments, strongest)
-    ]
+    # Every restriction some requested set implies, each once.
+    violations = dict.fromkeys(v for a in requested for v in restriction_violations(moments, a))
+    warnings = [f"restriction violated in-sample: {v}; bounds reported anyway" for v in violations]
     selection, outcome = map(_test_outcome_dict, test_restrictions(data))
     boot_args = dict(reps=cfg.reps, level=cfg.level, seed=cfg.seed)
     pooled = _group_block(Dataset(labels=(None,), counts=cell_counts(data)), requested, boot_args)
@@ -476,9 +473,10 @@ def run_analysis(cfg: RunConfig) -> Report:
     stratified_block = None
     if cfg.use_strata:
         stratified_block = _group_block(data, requested, boot_args)
+        # Which strata the bootstrap skips does not depend on the set.
         warnings += [
             f"stratum {row['stratum']!r}: bootstrap skipped ({UNSTABLE})"
-            for row in stratified_block["sets"][strongest.value]["per_stratum"]
+            for row in stratified_block["sets"][requested[0].value]["per_stratum"]
             if row["ci_lb"] is None
         ]
 
@@ -509,21 +507,16 @@ def run_analysis(cfg: RunConfig) -> Report:
 def emit_plot_data(report: Report, path: str | Path) -> tuple[Path, Path]:
     """Write the SVG chart and its sidecar JSON for ``report``.
 
-    One bar per group and set, in canonical set order.
+    One bar per group and set, in the report's set order.
     """
-    bars = []
-    order = [a.value for a in ASSUMPTION_ORDER if a.value in report.unconditional]
-    for name in order:
-        entry = report.unconditional[name]
-        bars.append(
-            {"assumption_set": name, "group": "unconditional", "lb": entry["lb"], "ub": entry["ub"]}
-        )
+    groups = {"unconditional": report.unconditional}
     if report.stratified is not None:
-        for name in order:
-            aggregate = report.stratified["sets"][name]["aggregate"]
-            bars.append(
-                {"assumption_set": name, "group": "stratified", "lb": aggregate["lb"], "ub": aggregate["ub"]}
-            )
+        groups["stratified"] = {name: block["aggregate"] for name, block in report.stratified["sets"].items()}
+    bars = [
+        {"assumption_set": name, "group": group, "lb": entries[name]["lb"], "ub": entries[name]["ub"]}
+        for group, entries in groups.items()
+        for name in report.provenance["assumption_sets"]
+    ]
     return write_plot(bars, path)
 
 

@@ -74,7 +74,7 @@ class Dataset:
     for one stratum, as its 2x3 table.  Any other shape is refused.
     Strata are kept in sorted order (``None`` first), and every stratum
     holds at least one row.  A count the int64 cast would change (1.7,
-    inf, NaN) is refused.
+    inf, NaN) or cannot make (text) is refused.
     """
 
     labels: tuple[str | None, ...]
@@ -83,17 +83,22 @@ class Dataset:
     def __post_init__(self) -> None:
         labels = tuple(self.labels)
         k = len(labels)
-        counts = np.asarray(self.counts)
+        try:
+            counts = np.asarray(self.counts)
+            shape = counts.shape
+        except ValueError:  # lists of unequal lengths
+            shape = "ragged"
         # An empty list holds no strata, so it falls through to the record check.
-        if counts.shape not in ((k, 2, 3), (k, 6)) and (k, counts.shape) not in ((1, (2, 3)), (0, (0,))):
-            raise ValueError(
-                f"counts of shape {counts.shape} do not fit len(labels) = {k}: expected ({k}, 2, 3) or ({k}, 6)"
-            )
+        if shape not in ((k, 2, 3), (k, 6)) and (k, shape) not in ((1, (2, 3)), (0, (0,))):
+            raise ValueError(f"counts of shape {shape} do not fit len(labels) = {k}: expected ({k}, 2, 3) or ({k}, 6)")
         if counts.dtype != np.int64:
             raw = counts
-            with np.errstate(invalid="ignore"):
-                counts = raw.astype(np.int64)
-            if not np.array_equal(counts, raw):
+            try:
+                with np.errstate(invalid="ignore"):
+                    counts = raw.astype(np.int64)
+            except (TypeError, ValueError):  # text or None
+                counts = None
+            if counts is None or not np.array_equal(counts, raw):
                 raise ValueError("counts must be whole numbers")
         # One list of Python ints: cheaper than NumPy reductions on tables this small.
         tables = counts.reshape(k, 6).tolist()

@@ -120,25 +120,46 @@ def reference_moments(joint) -> ObservedMoments:
 def reference_holds(joint, a: AssumptionSet) -> bool:
     """Whether a latent joint satisfies bundle ``a``, from masks over ``CELL_ORDER``.
 
-    A2: positive OO mass with ``y0 = 0``.  A3: no ON mass.  A4: no mass on
-    ``(y0, y1) = (1, 0)`` outside NN.  A5: the OO treated-outcome rate is at
-    least the NO one, less 1e-12, or either stratum is empty.
+    A2: positive OO mass with ``y0 = 0``.  A3: no ON mass.  A4, where
+    ``a.a4``: no mass on ``(y0, y1) = (1, 0)`` outside NN.  A5, where
+    ``a.a5``: the OO treated-outcome rate is at least the NO one, less
+    1e-12, or either stratum is empty.
     """
     cells = np.array(joint.cells)
     y0, y1, s0, s1 = np.array(CELL_ORDER).T
-    oo, no, on = (s0 == 1) & (s1 == 1), (s0 == 0) & (s1 == 1), (s0 == 1) & (s1 == 0)
-    holds = math.fsum(cells[oo & (y0 == 0)]) > 0.0 and not (cells[on] > 0.0).any()
-    if a is AssumptionSet.A1_3 or not holds:
-        return bool(holds)
-    nn = (s0 == 0) & (s1 == 0)
-    if (cells[(y0 == 1) & (y1 == 0) & ~nn] > 0.0).any():
+    oo, no, on, nn = (s0 == 1) & (s1 == 1), (s0 == 0) & (s1 == 1), (s0 == 1) & (s1 == 0), (s0 == 0) & (s1 == 0)
+    if math.fsum(cells[oo & (y0 == 0)]) <= 0.0 or (cells[on] > 0.0).any():
+        return False
+    if a.a4 and (cells[(y0 == 1) & (y1 == 0) & ~nn] > 0.0).any():
         return False
     mass_oo, mass_no = math.fsum(cells[oo]), math.fsum(cells[no])
-    if a is AssumptionSet.A1_4 or mass_oo == 0.0 or mass_no == 0.0:
+    if not a.a5 or mass_oo == 0.0 or mass_no == 0.0:
         return True
     rate_oo = math.fsum(cells[oo & (y1 == 1)]) / mass_oo
     rate_no = math.fsum(cells[no & (y1 == 1)]) / mass_no
     return bool(rate_oo - rate_no >= -1e-12)
+
+
+def weaker_or_equal(a: AssumptionSet, b: AssumptionSet) -> bool:
+    """Whether bundle ``b`` holds every assumption ``a`` holds: the nesting order, read off the flags."""
+    return b.a4 >= a.a4 and b.a5 >= a.a5
+
+
+def assert_nested(intervals: dict) -> None:
+    """Nesting and the lattice identity over ``intervals``, a map from bundles to intervals with ``lb`` and ``ub``.
+
+    A bundle's interval lies inside that of every bundle it is stronger
+    than.  The lower bound reads only ``a5`` and the upper bound only
+    ``a4``, so two bundles that agree on a flag share that endpoint exactly.
+    """
+    for weaker, wide in intervals.items():
+        for stronger, narrow in intervals.items():
+            if weaker_or_equal(weaker, stronger):
+                assert wide.lb <= narrow.lb and narrow.ub <= wide.ub, (weaker, stronger)
+            if weaker.a5 == stronger.a5:
+                assert wide.lb == narrow.lb, (weaker, stronger)
+            if weaker.a4 == stronger.a4:
+                assert wide.ub == narrow.ub, (weaker, stronger)
 
 
 def draw_any_moments(rng: np.random.Generator) -> ObservedMoments:
@@ -154,9 +175,6 @@ def draw_any_moments(rng: np.random.Generator) -> ObservedMoments:
     )
 
 
-ASSUMPTION_SETS = (AssumptionSet.A1_3, AssumptionSet.A1_4, AssumptionSet.A1_5)
-
-
 def draw_gentle_moments(rng: np.random.Generator) -> ObservedMoments:
     """Moment vector whose six raw endpoints all sit 0.05 inside [0, 1].
 
@@ -166,7 +184,7 @@ def draw_gentle_moments(rng: np.random.Generator) -> ObservedMoments:
     stratified Monte Carlo fixtures, where the aggregate must track the
     known truth tightly.
     """
-    from pocbounds import ASSUMPTION_ORDER, compute_bounds
+    from pocbounds import compute_bounds
 
     for _ in range(1000):
         q0 = rng.uniform(0.78, 0.92)
@@ -181,7 +199,7 @@ def draw_gentle_moments(rng: np.random.Generator) -> ObservedMoments:
             p_y1_s1d1=p1, p_y0_s1d0=q0, p_s1_d1=p_s1_d1, p_s1_d0=alpha * p_s1_d1
         )
         raws = []
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             interval = compute_bounds(m, a)
             raws += [interval.lb_raw, interval.ub_raw]
         if all(0.05 <= r <= 0.95 for r in raws):
@@ -197,7 +215,7 @@ def build_stratified_fixture(seed: int, n_strata: int = 10):
     is known exactly.  Returns (joints, weights, truth) where truth maps
     each assumption set to the weighted aggregate (lb, ub).
     """
-    from pocbounds import ASSUMPTION_ORDER, compute_bounds, observed_from_latent
+    from pocbounds import compute_bounds, observed_from_latent
     from pocbounds.latent import construct_interior_distribution
 
     rng = np.random.default_rng(seed)
@@ -209,7 +227,7 @@ def build_stratified_fixture(seed: int, n_strata: int = 10):
         )
     weights = {name: 1.0 / n_strata for name in joints}
     truth = {}
-    for a in ASSUMPTION_ORDER:
+    for a in AssumptionSet:
         lb = sum(
             weights[k] * compute_bounds(observed_from_latent(joints[k]), a).lb
             for k in joints

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import draw_any_moments
+from _oracles import assert_nested, draw_any_moments, weaker_or_equal
 from pocbounds import (
     ASSUMPTION_ORDER,
     AssumptionSet,
@@ -55,11 +55,12 @@ class TestAssumptionFlags:
         }
 
     def test_order_is_nested(self):
-        # Each set holds every assumption the sets before it hold.
+        # The paper's chain: each set holds every assumption the sets before it hold, and more.
+        assert [a.value for a in ASSUMPTION_ORDER] == ["A1_3", "A1_4", "A1_5"]
         for weaker, stronger in zip(ASSUMPTION_ORDER, ASSUMPTION_ORDER[1:]):
-            assert stronger.a4 >= weaker.a4 and stronger.a5 >= weaker.a5
-            assert (stronger.a4, stronger.a5) != (weaker.a4, weaker.a5)
-        assert ASSUMPTION_ORDER == tuple(AssumptionSet)
+            assert weaker_or_equal(weaker, stronger) and not weaker_or_equal(stronger, weaker)
+        # A set is its flags: no two sets hold the same assumptions.
+        assert len({(a.a4, a.a5) for a in AssumptionSet}) == len(AssumptionSet)
 
     def test_tokens_and_parse_are_unchanged(self):
         assert list(AssumptionSet) == [AssumptionSet.A1_3, AssumptionSet.A1_4, AssumptionSet.A1_5]
@@ -81,7 +82,7 @@ class TestComputeBoundsTypes:
         # Clipped below (LB), above (UB) and inside, and a violated selection restriction.
         for values in [(0.2, 0.5, 0.6, 0.5), (0.9, 0.3, 0.5, 0.45), (0.5, 0.5, 0.5, 0.6)]:
             m = ObservedMoments(*map(scalar, values))
-            for a in ASSUMPTION_ORDER:
+            for a in AssumptionSet:
                 interval = compute_bounds(m, a)
                 for name in ("lb", "ub", "lb_raw", "ub_raw"):
                     assert type(getattr(interval, name)) is float, name
@@ -131,14 +132,14 @@ class TestRestrictionViolations:
     def test_equal_raw_success_rates_are_consistent(self):
         m = estimate_moments(Dataset(labels=(None,), counts=[self.CONTROL, [20, 20, 20]]))
         assert m.p_y1_s1d1 * m.p_s1_d1 != (1.0 - m.p_y0_s1d0) * m.p_s1_d0  # float dust
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             assert restriction_violations(m, a) == []
 
     def test_one_count_past_the_outcome_boundary(self):
         m = estimate_moments(Dataset(labels=(None,), counts=[self.CONTROL, [19, 21, 20]]))
-        assert restriction_violations(m, AssumptionSet.A1_3) == []
-        for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
-            assert restriction_violations(m, a) == ["P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)"]
+        for a in AssumptionSet:
+            outcome = ["P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)"] if a.a4 else []
+            assert restriction_violations(m, a) == outcome
 
     def test_gap_of_exactly_the_tolerance_is_allowed(self):
         # Raw success rates 0 treated and (1 - 0.5) * 2e-12 == 1e-12 control:
@@ -153,7 +154,7 @@ class TestRestrictionViolations:
         above = ObservedMoments(
             p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=math.nextafter(0.5, 1.0)
         )
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             assert restriction_violations(above, a)[0] == "P[S=1|D=1] < P[S=1|D=0] (selection restriction)"
             assert compute_bounds(above, a).restriction_violated
 
@@ -167,7 +168,7 @@ class TestTableReproduction:
         AssumptionSet.A1_5: (0.106, 0.163),
     }
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_each_set(self, table_moments, a):
         lb, ub = self.EXPECTED[a]
         interval = compute_bounds(table_moments, a)
@@ -220,7 +221,7 @@ class TestWorkedExamples:
 
     def test_q0_zero_errors(self):
         m = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.0, p_s1_d1=0.5, p_s1_d0=0.5)
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             with pytest.raises(ValueError, match="A2"):
                 compute_bounds(m, a)
 
@@ -231,21 +232,17 @@ class TestNestingAndRange:
         # ratio at most one, not just on-model ones.
         for _ in range(10_000):
             m = draw_any_moments(RNG)
-            i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
-            assert 0.0 <= i1.lb <= i1.ub <= 1.0
-            assert i1.lb == i2.lb
-            assert i2.ub == i3.ub
-            assert i1.lb <= i2.lb <= i3.lb
-            assert i3.ub <= i2.ub <= i1.ub
+            intervals = {a: compute_bounds(m, a) for a in AssumptionSet}
+            for interval in intervals.values():
+                assert 0.0 <= interval.lb <= interval.ub <= 1.0
+            assert_nested(intervals)
 
     def test_monotone_tightening_claims(self):
         # Adding monotone response can only lower the upper bound; adding
         # dominance can only raise the lower bound.
         for _ in range(2_000):
             m = draw_any_moments(RNG)
-            i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
-            assert i2.ub <= i1.ub
-            assert i3.lb >= i2.lb
+            assert_nested({a: compute_bounds(m, a) for a in AssumptionSet})
 
 
 class TestScaleInvariance:
@@ -262,7 +259,7 @@ class TestScaleInvariance:
                 p_s1_d0=c * m.p_s1_d0,
                 p_d1=m.p_d1,
             )
-            for a in ASSUMPTION_ORDER:
+            for a in AssumptionSet:
                 assert compute_bounds(m, a) == compute_bounds(scaled, a)
 
     def test_general_scaling_matches_to_rounding(self):
@@ -276,7 +273,7 @@ class TestScaleInvariance:
                 p_s1_d0=c * m.p_s1_d0,
                 p_d1=m.p_d1,
             )
-            for a in ASSUMPTION_ORDER:
+            for a in AssumptionSet:
                 base = compute_bounds(m, a)
                 other = compute_bounds(scaled, a)
                 assert other.lb == pytest.approx(base.lb, abs=1e-12)
@@ -308,7 +305,7 @@ class TestContinuity:
                     if not 0.0 < fields[key] < 1.0:
                         continue
                     m1 = ObservedMoments(**fields)
-                    for a in ASSUMPTION_ORDER:
+                    for a in AssumptionSet:
                         b0 = compute_bounds(m0, a)
                         b1 = compute_bounds(m1, a)
                         assert abs(b1.lb - b0.lb) <= 100.0 * eps
@@ -331,19 +328,18 @@ def moment_vectors(draw):
 @settings(max_examples=300, deadline=None)
 @given(moment_vectors())
 def test_property_nesting_and_range(m):
-    i1, i2, i3 = (compute_bounds(m, a) for a in ASSUMPTION_ORDER)
-    for interval in (i1, i2, i3):
+    intervals = {a: compute_bounds(m, a) for a in AssumptionSet}
+    for interval in intervals.values():
         assert 0.0 <= interval.lb <= 1.0
         assert 0.0 <= interval.ub <= 1.0
         assert not interval.crossed
-    assert i1.lb <= i2.lb <= i3.lb
-    assert i3.ub <= i2.ub <= i1.ub
+    assert_nested(intervals)
 
 
 @settings(max_examples=200, deadline=None)
 @given(moment_vectors())
 def test_property_clip_flags_track_raw_values(m):
-    for a in ASSUMPTION_ORDER:
+    for a in AssumptionSet:
         interval = compute_bounds(m, a)
         assert interval.lb_clipped == (interval.lb != interval.lb_raw)
         assert interval.ub_clipped == (interval.ub != interval.ub_raw)

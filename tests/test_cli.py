@@ -24,7 +24,7 @@ import pocbounds.cli as cli
 import pocbounds.estimation as estimation
 import pocbounds.inference as inference
 from _oracles import reference_load_csv
-from pocbounds.bounds import AssumptionSet
+from pocbounds.bounds import ASSUMPTION_ORDER, AssumptionSet, restriction_violations
 from pocbounds.cli import (
     ConfigError,
     CsvFormatError,
@@ -34,7 +34,7 @@ from pocbounds.cli import (
     main,
     run_analysis,
 )
-from pocbounds.estimation import Dataset
+from pocbounds.estimation import Dataset, estimate_moments
 
 REPO = Path(__file__).resolve().parents[1]
 MAPPING = {"y": "y", "s": "s", "d": "d", "stratum": None}
@@ -59,6 +59,15 @@ def write(tmp_path, text, name="data.csv"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def write_arms(tmp_path, control, treated):
+    """A y,s,d file whose arms hold these (selected y=1, selected y=0, unselected) counts."""
+    rows = ["y,s,d"]
+    for d, counts in ((0, control), (1, treated)):
+        for cell, k in zip(("1,1", "0,1", ",0"), counts):
+            rows += [f"{cell},{d}"] * k
+    return write(tmp_path, "\n".join(rows) + "\n")
 
 
 def load_outcome(load, path, mapping):
@@ -645,7 +654,9 @@ class TestRunConfig:
 
     def test_assumption_sets_are_held_canonical(self):
         base = dict(input_path="x", y_col="y", s_col="s", d_col="d")
-        A1_3, A1_4, A1_5 = AssumptionSet
+        A1_3, A1_4, A1_5 = ASSUMPTION_ORDER
+        # Every requested member is kept, in declaration order.
+        assert RunConfig(**base, assumption_sets=tuple(reversed(AssumptionSet))).assumption_sets == tuple(AssumptionSet)
         tokens = RunConfig(**base, assumption_sets=("a1_5", " A1_3", "A1_5"))
         assert tokens.assumption_sets == (A1_3, A1_5)
         mixed = RunConfig(**base, assumption_sets=(A1_5, "A1_4", A1_4, A1_5))
@@ -809,11 +820,7 @@ class TestRunAnalysis:
     def test_outcome_warning_only_past_the_boundary(self, tmp_path, treated, warns):
         # Control cells [40, 20, 60] have a raw success rate of 1/3, as
         # does the treated arm [20, 20, 20]; [19, 21, 20] falls below it.
-        rows = ["y,s,d"]
-        for d, counts in ((0, [40, 20, 60]), (1, treated)):
-            for cell, k in zip(("1,1", "0,1", ",0"), counts):
-                rows += [f"{cell},{d}"] * k
-        path = write(tmp_path, "\n".join(rows) + "\n")
+        path = write_arms(tmp_path, [40, 20, 60], treated)
         report = run_analysis(
             RunConfig(input_path=str(path), y_col="y", s_col="s", d_col="d", reps=2, seed=0)
         )
@@ -822,6 +829,26 @@ class TestRunAnalysis:
         assert not any("selection restriction" in w for w in report.warnings)
         if not warns:
             assert report.restriction_tests["A1_4"]["outcome"]["stat"] == 0.0
+
+    # One count past the outcome boundary; [10, 10, 40] also selects less than control.
+    @pytest.mark.parametrize("treated", [[19, 21, 20], [10, 10, 40]], ids=["outcome", "both"])
+    def test_warnings_are_the_union_over_the_requested_sets(self, tmp_path, treated):
+        path = write_arms(tmp_path, [40, 20, 60], treated)
+        moments = estimate_moments(Dataset(labels=(None,), counts=[[40, 20, 60], treated]))
+        for r in range(1, len(ASSUMPTION_ORDER) + 1):
+            for subset in itertools.combinations(ASSUMPTION_ORDER, r):
+                out = tmp_path / "report.json"
+                tokens = ",".join(a.value for a in reversed(subset))
+                argv = ["--input", str(path), "--y-col", "y", "--s-col", "s", "--d-col", "d", "--reps", "2"]
+                assert main([*argv, "--assumptions", tokens, "--output", str(out)]) == 0
+                report = json.loads(out.read_text())
+                assert report["provenance"]["assumption_sets"] == [a.value for a in subset]
+                violations = dict.fromkeys(v for a in subset for v in restriction_violations(moments, a))
+                assert report["warnings"] == [
+                    f"restriction violated in-sample: {v}; bounds reported anyway" for v in violations
+                ]
+                outcome = [w for w in report["warnings"] if "outcome restriction" in w]
+                assert len(outcome) == any(a.a4 for a in subset)
 
     def test_numeric_fields_finite(self, fixture_report):
         json.dumps(fixture_report.to_dict(), allow_nan=False)
@@ -863,7 +890,7 @@ class TestEmitPlotData:
         _, sidecar_path = emit_plot_data(fixture_report, tmp_path / "o.svg")
         bars = json.loads(sidecar_path.read_text())["bars"]
         unconditional = [b["assumption_set"] for b in bars if b["group"] == "unconditional"]
-        assert unconditional == ["A1_3", "A1_4", "A1_5"]
+        assert unconditional == fixture_report.provenance["assumption_sets"] == ["A1_3", "A1_4", "A1_5"]
 
     def test_without_strata_only_one_group(self, fixture_csv, tmp_path):
         cfg = RunConfig(

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from _oracles import build_stratified_fixture
 from pocbounds import (
-    ASSUMPTION_ORDER,
     AssumptionSet,
     BoundsInterval,
     Dataset,
@@ -95,6 +94,22 @@ class TestDataset:
         assert Dataset(labels=labels, counts=rows).counts.tolist() == stack.tolist()
         if len(labels) == 1:
             assert Dataset(labels=labels, counts=rows.reshape(2, 3)).counts.tolist() == stack.tolist()
+
+    @pytest.mark.parametrize(
+        ("labels", "counts", "message"),
+        [
+            (
+                ("a", "b"), [[1, 2, 3], [4, 5]],
+                "counts of shape ragged do not fit len(labels) = 2: expected (2, 2, 3) or (2, 6)",
+            ),
+            (("a",), [[1, 2, "x"], [4, 5, 6]], "counts must be whole numbers"),
+        ],
+        ids=["ragged", "text"],
+    )
+    def test_rejects_lists_numpy_cannot_cast_with_its_own_message(self, labels, counts, message):
+        # Not NumPy's "inhomogeneous shape" or int()'s "invalid literal".
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Dataset(labels=labels, counts=counts)
 
     @pytest.mark.parametrize("shape", [(3, 4), (2, 3), (2, 7), (2, 2, 2, 3)])
     def test_rejects_a_stack_of_another_shape(self, shape):
@@ -205,7 +220,7 @@ class TestEstimateStratified:
     def test_none_stratum_is_an_ordinary_stratum(self):
         data = Dataset(labels=("a", None), counts=[[[1, 2, 2], [3, 1, 1]], [[2, 3, 1], [4, 1, 2]]])
         assert data.labels == (None, "a")
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             fit = estimate_stratified(data, [a])
             per_stratum, dropped, aggregate = scalar_stratified(data.counts, a)
             assert dropped == [] and fit.empty.tolist() == [-1, -1]
@@ -217,7 +232,7 @@ class TestEstimateStratified:
     def test_single_stratum_matches_unconditional(self):
         for table in (FOUR_TABLE, [[3, 5, 2], [6, 2, 4]], [[1, 4, 0], [5, 0, 0]]):
             data = Dataset(labels=("only",), counts=[table])
-            for a in ASSUMPTION_ORDER:
+            for a in AssumptionSet:
                 result = estimate_stratified(data, [a])
                 unconditional = compute_bounds(estimate_moments(data), a)
                 # repr tells -0.0 from 0.0 and prints floats exactly: bit for bit.
@@ -248,7 +263,7 @@ class TestEstimateStratified:
         assert "no control units" in dropped[0][1]
         assert result.weight[data.labels.index("g")] == 1.0
         # Drops and weights do not depend on the set: every request shares them.
-        every = estimate_stratified(data, ASSUMPTION_ORDER)
+        every = estimate_stratified(data, AssumptionSet)
         assert every.empty.tolist() == result.empty.tolist()
         assert every.weight.tolist() == result.weight.tolist()
 
@@ -375,8 +390,8 @@ def table_stacks(draw):
 @settings(max_examples=300, deadline=None)
 @given(table_stacks())
 def test_property_stacked_tables_match_scalar_path(stack):
-    fit = stratified_fields(stack, ASSUMPTION_ORDER)
-    for a in ASSUMPTION_ORDER:
+    fit = stratified_fields(stack, AssumptionSet)
+    for a in AssumptionSet:
         for b, tables in enumerate(stack):
             per_stratum, dropped, aggregate = scalar_stratified(tables, a)
             assert [(k, EMPTY_CELLS[i]) for k, i in enumerate(fit.empty[b]) if i >= 0] == dropped

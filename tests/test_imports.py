@@ -3,7 +3,8 @@
 Used means referenced, re-exported in ``__all__``, or marked ``# noqa: F401``.
 
 The benchmark's tracer looks names up in the package, so they are checked here too, and so
-is that no module but ``bounds.py`` tells the assumption sets apart by member.
+is that no module but ``bounds.py``, in the package or in the tests, tells the assumption sets
+apart by member.
 """
 
 import ast
@@ -87,11 +88,12 @@ def test_checker_flags_a_dead_import():
     assert unused_imports("import os.path\nos.sep\n__all__ = ['json']\nimport json\n") == []
 
 
-def assumption_member_comparisons(source: str) -> list[str]:
+def assumption_member_comparisons(source: str, exempt: tuple[str, ...] = ()) -> list[str]:
     """Comparisons that test which ``AssumptionSet`` member a value is, instead of reading its flags.
 
     These are ``is``, ``is not``, ``==`` and ``!=`` against a member, ``in`` and
-    ``not in`` a literal holding one, and a ``case`` on one.
+    ``not in`` a literal holding one, and a ``case`` on one, outside the classes
+    named in ``exempt``.
     """
 
     def members(node):
@@ -102,8 +104,17 @@ def assumption_member_comparisons(source: str) -> list[str]:
             for e in elements
         )
 
+    tree = ast.parse(source)
+    skipped = {
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name in exempt
+        for line in range(node.lineno, node.end_lineno + 1)
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
+        if getattr(node, "lineno", None) in skipped:
+            continue
         if isinstance(node, ast.Compare):
             operands = [node.left, *node.comparators]
             hits = any(
@@ -135,13 +146,19 @@ def test_checker_flags_an_assumption_member_comparison():
     # Passing a member as a value, reading a flag and testing membership in a variable are fine.
     ok = "f(AssumptionSet.A1_3)\nif a.a4 and not a.a5 and a in requested:\n    x = a == b\n"
     assert assumption_member_comparisons(ok) == []
+    # An exempt class is skipped whole; the code around it is not.
+    pins = "class Pins:\n    def test(self):\n        assert a is AssumptionSet.A1_3\nb == AssumptionSet.A1_4\n"
+    assert assumption_member_comparisons(pins, exempt=("Pins",)) == ["line 4: b == AssumptionSet.A1_4"]
 
 
 def test_package_reads_assumption_flags_not_members():
-    # bounds.py defines the flags of each member; everywhere else reads a.a4 or a.a5.
+    # bounds.py defines the flags of each member; everywhere else, the tests included, reads a.a4
+    # or a.a5.  Only TestAssumptionFlags pins the members themselves.
     found = {
-        path.name: assumption_member_comparisons(path.read_text(encoding="utf-8"))
-        for path in SOURCES
+        str(path.relative_to(REPO)): assumption_member_comparisons(
+            path.read_text(encoding="utf-8"), exempt=("TestAssumptionFlags",) if path.name == "test_bounds.py" else ()
+        )
+        for path in SOURCES + sorted((REPO / "tests").glob("*.py"))
         if path.name != "bounds.py"
     }
     assert {name: hits for name, hits in found.items() if hits} == {}

@@ -16,7 +16,6 @@ from scipy.stats import norm
 import pocbounds.inference as inference
 from _oracles import build_stratified_fixture, reference_bootstrap_bounds
 from pocbounds import (
-    ASSUMPTION_ORDER,
     AssumptionSet,
     BoundsInterval,
     Dataset,
@@ -242,14 +241,14 @@ class TestBootstrapBounds:
         data = sample_stratified_dataset(joints, weights, 600, np.random.default_rng(8))
         monkeypatch.setattr(ObservedMoments, "__post_init__", refuse)
         monkeypatch.setattr(BoundsInterval, "__init__", refuse)
-        boot = bootstrap_bounds(data, ASSUMPTION_ORDER, reps=50, seed=3)
+        boot = bootstrap_bounds(data, AssumptionSet, reps=50, seed=3)
         assert boot.failed_replicates == 0
-        assert all(ci is not None for a in ASSUMPTION_ORDER for ci in boot.per_stratum[a].values())
+        assert all(ci is not None for a in AssumptionSet for ci in boot.per_stratum[a].values())
 
     def test_every_set_scored_on_the_same_draws(self, dgp_joint):
         data = sample_dataset(dgp_joint, 400, np.random.default_rng(6))
-        together = bootstrap_bounds(data, [A1_3, AssumptionSet.A1_4, A1_5], reps=100, seed=9)
-        for a in (A1_3, A1_5):
+        together = bootstrap_bounds(data, AssumptionSet, reps=100, seed=9)
+        for a in AssumptionSet:
             alone = bootstrap_bounds(data, [a], reps=100, seed=9)
             assert alone.aggregate[a] == together.aggregate[a]
             assert alone.per_stratum[a][None] == together.per_stratum[a][None] == alone.aggregate[a]
@@ -364,14 +363,14 @@ def sparse_datasets(draw):
 )
 def test_property_stacked_percentiles_match_column_reference(data, reps, level, seed):
     try:
-        want = reference_bootstrap_bounds(data, ASSUMPTION_ORDER, reps, level, seed)
+        want = reference_bootstrap_bounds(data, AssumptionSet, reps, level, seed)
     except ValueError as err:
         assert str(err) == UNSTABLE
         with pytest.raises(ValueError, match=UNSTABLE):
-            bootstrap_bounds(data, ASSUMPTION_ORDER, reps=reps, level=level, seed=seed)
+            bootstrap_bounds(data, AssumptionSet, reps=reps, level=level, seed=seed)
         return
     # repr prints every float exactly and tells -0.0 from 0.0.
-    assert repr(bootstrap_bounds(data, ASSUMPTION_ORDER, reps=reps, level=level, seed=seed)) == repr(want)
+    assert repr(bootstrap_bounds(data, AssumptionSet, reps=reps, level=level, seed=seed)) == repr(want)
 
 
 def test_dropped_strata_and_skipped_intervals_match_column_reference():
@@ -379,11 +378,11 @@ def test_dropped_strata_and_skipped_intervals_match_column_reference():
     # aggregate loses some replicates outright.
     tables = [[[1, 1, 0], [1, 0, 1]], [[2, 2, 1], [2, 1, 1]], [[0, 1, 0], [1, 0, 0]]]
     data = Dataset(labels=("a", "b", "tiny"), counts=tables)
-    got = bootstrap_bounds(data, ASSUMPTION_ORDER, reps=300, level=0.9, seed=4)
+    got = bootstrap_bounds(data, AssumptionSet, reps=300, level=0.9, seed=4)
     assert 0 < got.failed_replicates <= 150
-    assert all(got.per_stratum[a]["tiny"] is None for a in ASSUMPTION_ORDER)
-    assert all(got.per_stratum[a]["b"] is not None for a in ASSUMPTION_ORDER)
-    assert repr(got) == repr(reference_bootstrap_bounds(data, ASSUMPTION_ORDER, 300, 0.9, 4))
+    assert all(got.per_stratum[a]["tiny"] is None for a in AssumptionSet)
+    assert all(got.per_stratum[a]["b"] is not None for a in AssumptionSet)
+    assert repr(got) == repr(reference_bootstrap_bounds(data, AssumptionSet, 300, 0.9, 4))
 
 
 def test_coverage_study_script_runs():

@@ -8,7 +8,6 @@ from scipy.optimize import milp
 
 from _oracles import draw_restricted_moments
 from pocbounds import (
-    ASSUMPTION_ORDER,
     AssumptionSet,
     ObservedMoments,
     compute_bounds,
@@ -37,13 +36,13 @@ def moments(p1, q0, alpha, p_s1_d1):
 
 
 class TestLpMode:
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_matches_closed_forms_on_draws(self, a):
         rng = np.random.default_rng(101)
         for _ in range(30):
             assert_matches_closed_forms(draw_restricted_moments(rng), a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_matches_closed_forms_at_equal_raw_success_rates(self, a):
         # p1 * P[S=1|D=1] == (1 - q0) * P[S=1|D=0]: the outcome-restriction
         # boundary, which draw_restricted_moments keeps away from.
@@ -52,7 +51,7 @@ class TestLpMode:
             q0, alpha = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.98)
             assert_matches_closed_forms(moments((1.0 - q0) * alpha, q0, alpha, rng.uniform(0.2, 0.95)), a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_matches_closed_forms_at_alpha_one(self, a):
         # Equal selection rates leave the NO stratum empty; p1 runs from
         # the outcome-restriction boundary 1 - q0 up to 1.
@@ -61,7 +60,7 @@ class TestLpMode:
             q0 = rng.uniform(0.05, 0.95)
             assert_matches_closed_forms(moments(1.0 - q0 + u * q0, q0, 1.0, rng.uniform(0.2, 0.95)), a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_matches_closed_forms_on_simulated_joints(self, a):
         # The route the sharpness benchmark takes: latent draw, forward map, oracle.
         rng = np.random.default_rng(104)
@@ -98,23 +97,25 @@ class TestLpMode:
         # alpha = 1 with p1 + q0 < 1 contradicts monotone response, so
         # the feasible set under the stronger bundles is empty.
         m = ObservedMoments(p_y1_s1d1=0.3, p_y0_s1d0=0.6, p_s1_d1=0.8, p_s1_d0=0.8)
-        for a in (AssumptionSet.A1_4, AssumptionSet.A1_5):
-            with pytest.raises(ValueError, match="inconsistent"):
-                sharp_envelope_oracle(m, a)
-        lo, hi = sharp_envelope_oracle(m, AssumptionSet.A1_3)
-        assert lo <= hi
+        for a in AssumptionSet:
+            if a.a4:
+                with pytest.raises(ValueError, match="inconsistent"):
+                    sharp_envelope_oracle(m, a)
+            else:
+                lo, hi = sharp_envelope_oracle(m, a)
+                assert lo <= hi
         # q0 = 0 (no A2) and a selection-violating vector are refused under every bundle.
         no_q0 = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.0, p_s1_d1=0.6, p_s1_d0=0.5)
         selection = ObservedMoments(p_y1_s1d1=0.5, p_y0_s1d0=0.5, p_s1_d1=0.5, p_s1_d0=0.5 + 1e-9)
         for bad in (no_q0, selection):
-            for a in ASSUMPTION_ORDER:
+            for a in AssumptionSet:
                 with pytest.raises(ValueError):
                     sharp_envelope_oracle(bad, a)
 
     def test_equal_selection_rates(self):
         # Zero mass on the NO stratum: only the OO cells can move.
         m = ObservedMoments(p_y1_s1d1=0.6, p_y0_s1d0=0.7, p_s1_d1=0.5, p_s1_d0=0.5)
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             assert_matches_closed_forms(m, a)
 
     def test_trim_ratio_above_one_rejected(self):
@@ -134,7 +135,7 @@ class TestLpMode:
         interval = compute_bounds(m, AssumptionSet.A1_4)
         assert sharp_envelope_oracle(m, AssumptionSet.A1_4) == (interval.lb, interval.ub) == (0.0, 0.0)
 
-    @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_refuses_exactly_what_restriction_violations_flags(self, a):
         # p1 shifted off the outcome-restriction boundary
         # p1 * P[S=1|D=1] = (1 - q0) * P[S=1|D=0]: the oracle solves within
@@ -184,7 +185,7 @@ def highs_envelope(m, a, rows, lower, upper):
 
 def constant_envelope(m, a):
     """Both endpoints from the constant program: the moments, and the A5 floor as a row bound."""
-    floor = m.p_y1_s1d1 * m.p_s1_d0 if a is AssumptionSet.A1_5 else 0.0
+    floor = m.p_y1_s1d1 * m.p_s1_d0 if a.a5 else 0.0
     lower = np.tile([*moment_values(m), floor], 2)
     upper = np.tile([*moment_values(m), np.inf], 2)
     return highs_envelope(m, a, expected_rows(), lower, upper)
@@ -193,13 +194,13 @@ def constant_envelope(m, a):
 def dominance_rows(m, a):
     """The constraint rows of the earlier oracle, which wrote A5 as coefficients.
 
-    Five moment rows per copy, then under A1_5 with P[NO] > 0 one dominance
+    Five moment rows per copy, then under A5 with P[NO] > 0 one dominance
     row per copy: ``P[NO] * P[Y1=1, OO] - P[OO] * P[Y1=1, NO] >= 0``.
     """
     y0, y1, s0, s1 = np.array(latent.CELL_ORDER).T
     rows = [np.kron(np.eye(2), np.vstack([np.ones(16), s1, s0, y1 * s1, (1 - y0) * s0]))]
     mass_no = m.p_s1_d1 - m.p_s1_d0
-    if a is AssumptionSet.A1_5 and mass_no > 0.0:
+    if a.a5 and mass_no > 0.0:
         rows.append(np.kron(np.eye(2), y1 * s1 * np.where(s0 == 1, mass_no, -m.p_s1_d0)))
     return np.vstack(rows)
 
@@ -222,20 +223,20 @@ class MatchesReference:
     def assert_matches_reference(self, m, a):
         assert sharp_envelope_oracle(m, a) == pytest.approx(self.reference(m, a), abs=1e-12, rel=0)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_on_simulated_joints(self, a):
         rng = np.random.default_rng(108)
         for _ in range(300):
             self.assert_matches_reference(observed_from_latent(draw_latent_joint(a, rng)), a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_at_alpha_one(self, a):
         rng = np.random.default_rng(103)
         for u in np.linspace(0.0, 1.0, 30):
             q0 = rng.uniform(0.05, 0.95)
             self.assert_matches_reference(moments(1.0 - q0 + u * q0, q0, 1.0, rng.uniform(0.2, 0.95)), a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_at_equal_raw_success_rates(self, a):
         rng = np.random.default_rng(102)
         for _ in range(30):
@@ -256,13 +257,13 @@ class TestConstantProgram(MatchesReference):
 
 
 def program_columns(a):
-    """The constant program's first copy over the cells ``a`` allows, with the A5 slack column under A1_5.
+    """The constant program's first copy over the cells ``a`` allows, with the A5 slack column under A5.
 
     Returns the matrix over all 16 cells (and the slack) and the allowed columns.
     """
     rows = expected_rows()[:6, :16]
     allowed = list(np.flatnonzero(~latent.forbidden_cells(a)))
-    if a is AssumptionSet.A1_5:
+    if a.a5:
         return np.hstack([rows, [[0.0]] * 5 + [[-1.0]]]), allowed + [16]
     return rows[:5], allowed
 
@@ -282,14 +283,14 @@ class TestOneSolvePerCall:
 
     @staticmethod
     def assert_program(solve, m, a):
-        # The set's cached vertices; the moments and, under A1_5, the A5
+        # The set's cached vertices; the moments and, under A5, its
         # floor are the right-hand side.
         vertices, b = solve
         assert vertices is latent._vertices(a)
-        floor = [m.p_y1_s1d1 * m.p_s1_d0] if a is AssumptionSet.A1_5 else []
+        floor = [m.p_y1_s1d1 * m.p_s1_d0] if a.a5 else []
         assert np.array_equal(b, [*moment_values(m), *floor])
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_vertices_are_every_basis_of_the_program(self, a):
         # Each stored map is the exact inverse of one nonsingular basis of
         # the constant program's first copy, and every such basis is stored.
@@ -309,7 +310,7 @@ class TestOneSolvePerCall:
             stored.append(basis)
         assert sorted(stored) == sorted(bases)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_one_solve_gives_both_endpoints(self, solves, a):
         m = draw_restricted_moments(np.random.default_rng(105))
         assert m.p_s1_d1 > m.p_s1_d0
@@ -324,7 +325,7 @@ class TestOneSolvePerCall:
         assert len(solves) == 1
         self.assert_program(solves[0], m, AssumptionSet.A1_5)
 
-    @pytest.mark.parametrize("a", [AssumptionSet.A1_4, AssumptionSet.A1_5], ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", [a for a in AssumptionSet if a.a4], ids=lambda a: a.value)
     def test_infeasible_after_one_solve(self, solves, a):
         m = ObservedMoments(p_y1_s1d1=0.3, p_y0_s1d0=0.6, p_s1_d1=0.8, p_s1_d0=0.8)
         with pytest.raises(ValueError, match="inconsistent"):
@@ -335,18 +336,18 @@ class TestOneSolvePerCall:
     def test_cached_rows_do_not_leak_between_calls(self, solves):
         # Every call passes its set's cached vertices themselves; none writes into them.
         rng = np.random.default_rng(106)
-        calls = [(draw_restricted_moments(rng), a) for a in (*ASSUMPTION_ORDER[::-1], *ASSUMPTION_ORDER)]
+        calls = [(draw_restricted_moments(rng), a) for a in (*reversed(AssumptionSet), *AssumptionSet)]
         for m, a in calls:
             assert_matches_closed_forms(m, a)
         assert len(solves) == len(calls)
         for solve, (m, a) in zip(solves, calls):
             self.assert_program(solve, m, a)
 
-    @pytest.mark.parametrize("a", ASSUMPTION_ORDER, ids=lambda a: a.value)
+    @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_flat_product_matches_the_stacked_product(self, a):
         # linprog multiplies the bases stacked into one matrix; every bit
         # must agree with one product per basis.
-        rng = np.random.default_rng(108 + ASSUMPTION_ORDER.index(a))
+        rng = np.random.default_rng(108 + tuple(AssumptionSet).index(a))
         vertices = latent._vertices(a)
         rows = vertices.shape[2]
         right_hand_sides = []
@@ -362,7 +363,7 @@ class TestOneSolvePerCall:
         # The solve gets the cached vertices themselves.
         sharp_envelope_oracle(draw_restricted_moments(np.random.default_rng(107)), AssumptionSet.A1_3)
         assert solves[0][0] is latent._vertices(AssumptionSet.A1_3)
-        for a in ASSUMPTION_ORDER:
+        for a in AssumptionSet:
             array = latent._vertices(a)
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
