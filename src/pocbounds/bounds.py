@@ -187,7 +187,7 @@ def restriction_violations(m: ObservedMoments, a: AssumptionSet) -> list[str]:
         violations.append("P[S=1|D=1] < P[S=1|D=0] (selection restriction)")
     if a.a4:
         treated = m.p_y1_s1d1 * m.p_s1_d1
-        control = (1.0 - m.p_y0_s1d0) * m.p_s1_d0
+        control = (1 - m.p_y0_s1d0) * m.p_s1_d0
         if control - treated > _RATE_TOL:
             violations.append("P[Y=1|D=1] < P[Y=1|D=0] (outcome restriction)")
     return violations
@@ -211,7 +211,7 @@ def trimmed_success_floor(p1, alpha):
     minimum only absorbs one ulp of rounding when ``alpha`` sits next to 1,
     keeping the nested-interval ordering exact in floating point.
     """
-    return np.minimum((p1 - (1.0 - alpha)) / alpha, p1)
+    return np.minimum((p1 - (1 - alpha)) / alpha, p1)
 
 
 def _unit_clip(x):
@@ -238,11 +238,11 @@ def bound_fields(m: ObservedMoments, a: AssumptionSet) -> dict[str, np.ndarray]:
     # x + q0 - 1 is written as x - (1 - q0) so the q0 = 1 boundary does
     # not pick up a one-ulp +1/-1 round trip.
     if a.a5:
-        lb_raw = (p1 - (1.0 - q0)) / q0
+        lb_raw = (p1 - (1 - q0)) / q0
     else:
-        lb_raw = (trimmed_success_floor(p1, alpha) - (1.0 - q0)) / q0
+        lb_raw = (trimmed_success_floor(p1, alpha) - (1 - q0)) / q0
     if a.a4:
-        ub_raw = (p1 / alpha - (1.0 - q0)) / q0
+        ub_raw = (p1 / alpha - (1 - q0)) / q0
     else:
         ub_raw = (p1 / alpha) / q0
     lb, ub = _unit_clip(lb_raw), _unit_clip(ub_raw)

@@ -28,8 +28,8 @@ target cell, and ``_CELL_0011``, ``_CELL_1111``, ``_CELL_0101``,
 simulator read the same tables.
 
 This module provides the model-assumption checks, the target functional,
-the forward map to observed moments, explicit mass assignments attaining
-each closed-form bound endpoint (and any interior point), and a
+the forward map to observed moments, one explicit mass assignment per
+closed-form bound endpoint (any interior point is a mix of the two), and a
 brute-force envelope oracle that recovers the identified set by linear
 programming over the cell simplex.  All functions are pure and
 deterministic, and the module needs numpy only: the oracle enumerates
@@ -324,19 +324,25 @@ def _checked_rates(m: ObservedMoments, a: AssumptionSet) -> tuple[float, float, 
     return m.p_y1_s1d1, q0, trim_ratio(m)
 
 
-def _conditional_tables(
-    p1: float, q0: float, alpha: float, a: AssumptionSet, side: Side
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Conditional tables for the OO and NO strata, each the masses of ``(y0, y1)`` in canonical order, clipped to [0, 1].
+def construct_bound_distribution(m: ObservedMoments, a: AssumptionSet, side: Side) -> LatentJoint:
+    """Latent joint that attains one endpoint of the identified interval.
 
-    These are the explicit assignments that attain the interval endpoints
-    while reproducing the observed moments.  Both follow from ``rate``,
-    the OO stratum's treated-outcome rate at the endpoint: the OO table
-    splits it around the untreated failure rate ``q0``, and the NO
-    stratum takes what is left of ``p1``.  When ``alpha == 1`` the NO
-    stratum has zero mass and its table is fixed to a point mass on
-    (0, 0), which is immaterial for every observable quantity.
+    The result satisfies assumption set ``a``, forward-maps back to the
+    four identified probabilities of ``m``, and has a probability of
+    causation equal to the corresponding closed-form bound.  Strata receive
+    masses ``P[OO] = p_s1_d0``, ``P[NO] = p_s1_d1 - p_s1_d0``, ``P[ON] = 0``
+    and ``P[NN] = 1 - p_s1_d1``; the NN stratum spreads its mass uniformly
+    over its four outcome cells, which no observable quantity depends on.
+    ``rate``, the OO stratum's treated-outcome rate at the endpoint, sets
+    the OO and NO tables over ``(y0, y1)``, each mass clipped to [0, 1]:
+    OO splits it around the untreated failure rate ``q0``, and NO takes
+    what is left of ``p1`` (a point mass on (0, 0) when ``alpha == 1``
+    leaves NO empty, immaterial for every observable quantity).
+
+    Raises a descriptive ``ValueError`` when the moments violate a
+    restriction required by ``a``.
     """
+    p1, q0, alpha = _checked_rates(m, a)
     if side is Side.UPPER:
         rate = min(p1 / alpha, 1.0)
     else:
@@ -352,58 +358,34 @@ def _conditional_tables(
         oo10 = (1.0 - q0) - oo11
     no01 = (p1 - rate * alpha) / (1.0 - alpha) if alpha < 1.0 else 0.0
 
-    # min(max(x, 0), 1) is np.clip to the bit, NaN and -0.0 included.
-    oo = tuple(min(max(x, 0.0), 1.0) for x in (q0 - oo01, oo01, oo10, oo11))
-    no = tuple(min(max(x, 0.0), 1.0) for x in (1.0 - no01, no01, 0.0, 0.0))
-    return oo, no
-
-
-def _assemble_joint(m: ObservedMoments, oo: tuple[float, ...], no: tuple[float, ...]) -> LatentJoint:
     # float(): moments given as NumPy scalars still give Python-float cells.
     nn = float(0.25 * (1.0 - m.p_s1_d1))
     weight_no = m.p_s1_d1 - m.p_s1_d0
     cells: list[float] = []
-    for oo_mass, no_mass in zip(oo, no):
+    for oo_mass, no_mass in zip((q0 - oo01, oo01, oo10, oo11), (1.0 - no01, no01, 0.0, 0.0)):
+        # min(max(x, 0), 1) is np.clip to the bit, NaN and -0.0 included.
+        oo_mass, no_mass = min(max(oo_mass, 0.0), 1.0), min(max(no_mass, 0.0), 1.0)
         # The cells of one (y0, y1), in canonical order: NN, NO, ON, OO.
         cells += (nn, float(no_mass * weight_no), 0.0, float(oo_mass * m.p_s1_d0))
     return LatentJoint(cells=tuple(cells), p_d1=m.p_d1)
 
 
-def construct_bound_distribution(m: ObservedMoments, a: AssumptionSet, side: Side) -> LatentJoint:
-    """Latent joint that attains one endpoint of the identified interval.
-
-    The result satisfies assumption set ``a``, forward-maps back to the
-    four identified probabilities of ``m``, and has a probability of
-    causation equal to the corresponding closed-form bound.  Strata receive
-    masses ``P[OO] = p_s1_d0``, ``P[NO] = p_s1_d1 - p_s1_d0``, ``P[ON] = 0``
-    and ``P[NN] = 1 - p_s1_d1``; the NN stratum spreads its mass uniformly
-    over its four outcome cells, which no observable quantity depends on.
-
-    Raises a descriptive ``ValueError`` when the moments violate a
-    restriction required by ``a``.
-    """
-    p1, q0, alpha = _checked_rates(m, a)
-    oo, no = _conditional_tables(p1, q0, alpha, a, side)
-    return _assemble_joint(m, oo, no)
-
-
 def construct_interior_distribution(m: ObservedMoments, a: AssumptionSet, omega: float) -> LatentJoint:
-    """Latent joint attaining ``omega * LB + (1 - omega) * UB``.
+    """Latent joint attaining ``omega * LB + (1 - omega) * UB``: the mix of the two endpoint joints.
 
-    Cell-wise convex combination of the two endpoint assignments.  Both
-    endpoints share the same stratum masses, so the combination keeps the
-    forward map intact, and the target functional is linear in the OO
-    cells with a denominator pinned at ``q0``, so it lands exactly at the
-    convex combination of the bounds.
+    Both endpoint joints of :func:`construct_bound_distribution` put the
+    same masses on the strata, and with those pinned every restriction is
+    linear in the cells: the forward map's sums, the cells A3 and A4 set
+    to zero, and the A5 floor ``P[Y1=1, OO] >= p1 * P[S=1|D=0]``.  So is
+    theta, whose denominator is pinned at ``q0 * P[S=1|D=0]``.  The mix
+    thus satisfies ``a``, reproduces ``m`` and has theta at the same mix.
     """
     if not 0.0 < omega < 1.0:
         raise ValueError(f"omega = {omega!r} must lie strictly in (0, 1)")
-    p1, q0, alpha = _checked_rates(m, a)
-    oo_lo, no_lo = _conditional_tables(p1, q0, alpha, a, Side.LOWER)
-    oo_hi, no_hi = _conditional_tables(p1, q0, alpha, a, Side.UPPER)
-    oo = tuple(omega * lo + (1.0 - omega) * hi for lo, hi in zip(oo_lo, oo_hi))
-    no = tuple(omega * lo + (1.0 - omega) * hi for lo, hi in zip(no_lo, no_hi))
-    return _assemble_joint(m, oo, no)
+    lower = construct_bound_distribution(m, a, Side.LOWER)
+    upper = construct_bound_distribution(m, a, Side.UPPER)
+    cells = tuple(float(omega * lo + (1.0 - omega) * hi) for lo, hi in zip(lower.cells, upper.cells))
+    return LatentJoint(cells=cells, p_d1=m.p_d1)
 
 
 # ---------------------------------------------------------------------------

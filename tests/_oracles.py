@@ -4,14 +4,16 @@ Everything in here is deliberately kept independent of the code paths it
 checks: the moment inversion solves the bound equations by hand-derived
 algebra, the moment/joint samplers use only the model's permitted-cell
 patterns, the reference CSV loader checks and counts every row on its
-own, and the reference bootstrap reads each percentile interval with its
-own ``np.quantile`` call.
+own, the reference bootstrap reads each percentile interval with its
+own ``np.quantile`` call, and the exact envelope solves the oracle's
+program in integers, with no tolerance.
 """
 
 from __future__ import annotations
 
 import csv
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +22,7 @@ from pocbounds import AssumptionSet, ObservedMoments
 from pocbounds.cli import ConfigError, CsvFormatError
 from pocbounds.estimation import Dataset, stratified_fields, table_position
 from pocbounds.inference import UNSTABLE, BootstrapResult, EndpointIntervals
-from pocbounds.latent import CELL_ORDER, OBSERVE
+from pocbounds.latent import CELL_ORDER, OBSERVE, _vertices, cell_index
 
 #: Published point bounds the fixture moments must reproduce.
 TABLE_UB1 = 0.609
@@ -138,6 +140,34 @@ def reference_holds(joint, a: AssumptionSet) -> bool:
     rate_oo = math.fsum(cells[oo & (y1 == 1)]) / mass_oo
     rate_no = math.fsum(cells[no & (y1 == 1)]) / mass_no
     return bool(rate_oo - rate_no >= -1e-12)
+
+
+def exact_envelope(control, treated, a: AssumptionSet) -> tuple[Fraction, Fraction] | None:
+    """Theta's identified range on one count table, in exact arithmetic; None where no basic solution is feasible.
+
+    ``control`` and ``treated`` are arms (selected ``y = 1``, selected
+    ``y = 0``, unselected).  Every basis inverse of the oracle's program is
+    an integer matrix, so scaling its right-hand side by ``n0 * n1 * s1``,
+    with ``s1`` the selected treated units, makes every basic solution an
+    integer vector.  A solution is feasible when it is ``>= 0`` exactly,
+    and each endpoint is the target cell over the scaled denominator
+    ``q0 * P[S=1|D=0]``, a ``Fraction`` clipped to [0, 1].  Needs a
+    selected control failure and a selected treated unit.
+    """
+    (c1, c0, _), (t1, t0, _) = control, treated
+    n0, n1, s0, s1 = sum(control), sum(treated), c1 + c0, t1 + t0
+    # 1, P[S=1|D=1], P[S=1|D=0], p1 * P[S=1|D=1], q0 * P[S=1|D=0] and, under
+    # A5, the floor p1 * P[S=1|D=0], each times n0 * n1 * s1.
+    b = [n0 * n1 * s1, n0 * s1 * s1, n1 * s1 * s0, n0 * s1 * t1, n1 * s1 * c0]
+    if a.a5:
+        b.append(n1 * t1 * s0)
+    solutions = np.rint(_vertices(a)).astype(np.int64) @ np.array(b, dtype=np.int64)
+    target = solutions[(solutions >= 0).all(axis=1), cell_index(0, 1, 1, 1)]
+    if not target.size:
+        return None
+    denominator = n1 * s1 * c0
+    lo, hi = Fraction(int(target.min()), denominator), Fraction(int(target.max()), denominator)
+    return min(max(lo, Fraction(0)), Fraction(1)), min(max(hi, Fraction(0)), Fraction(1))
 
 
 def weaker_or_equal(a: AssumptionSet, b: AssumptionSet) -> bool:

@@ -24,6 +24,11 @@ SOURCES = sorted((REPO / "src" / "pocbounds").glob("*.py"))
 SCRIPTS_AND_TESTS = sorted((REPO / "scripts").glob("*.py")) + sorted((REPO / "tests").glob("*.py"))
 
 
+def marked(node: ast.stmt, lines: list[str]) -> bool:
+    """Whether a line of the statement carries ``# noqa: F401``."""
+    return any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+
+
 def unused_imports(source: str) -> list[str]:
     """Names bound by imports that are neither referenced nor in ``__all__``, unless marked."""
     tree = ast.parse(source)
@@ -39,7 +44,7 @@ def unused_imports(source: str) -> list[str]:
     for node in ast.walk(tree):
         if not isinstance(node, (ast.Import, ast.ImportFrom)) or getattr(node, "module", None) == "__future__":
             continue
-        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+        if marked(node, lines):
             continue
         for alias in node.names:
             name = alias.asname or alias.name.partition(".")[0]
@@ -179,6 +184,31 @@ def test_benchmark_tracer_names_exist():
     assert [f"{owner}.{attr}" for owner, attr in names if not hasattr(tracer._resolve(owner), attr)] == []
     # Its replicate counters read these fields off every bootstrap result.
     assert {"replications", "failed_replicates"} <= {f.name for f in dataclasses.fields(BootstrapResult)}
+
+
+def marked_imports(source: str) -> list[str]:
+    """Names bound by the imports that ``# noqa: F401`` exempts from the dead-import check."""
+    lines = source.splitlines()
+    return [
+        alias.asname or alias.name.partition(".")[0]
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and marked(node, lines)
+        for alias in node.names
+    ]
+
+
+def test_marked_imports_are_ones_the_tracer_patches():
+    # An import kept only by ``# noqa: F401`` must be a name the benchmark's tracer patches in that
+    # module; once the tracer drops it, this flags the import that can go.
+    assert marked_imports("import os\nfrom x import (\n    y as z,  # noqa: F401\n    w,\n)\nos.sep\n") == ["z", "w"]
+    tracer = load_benchmark_module("tracer")
+    patched = {(owner, attr) for owner, attr, _ in tracer.SPANNED + tracer.COUNTED}
+    found = {
+        ("pocbounds" if path.stem == "__init__" else f"pocbounds.{path.stem}", name)
+        for path in SOURCES
+        for name in marked_imports(path.read_text(encoding="utf-8"))
+    }
+    assert sorted(found - patched) == []
 
 
 def test_benchmark_cli_flags_parse(tmp_path):

@@ -403,7 +403,8 @@ class TestConstructions:
     def test_equal_raw_success_rates_attained(self):
         # Every table with nonempty cells, at most 12 units per arm, equal
         # raw success rates and the selection restriction holding sits on
-        # the outcome-restriction boundary, which the model allows.
+        # the outcome-restriction boundary, which the model allows.  The
+        # midpoint joint, the mix of the two endpoint joints, must hold too.
         tables = 0
         for control, treated in itertools.product(_small_arms(12), repeat=2):
             n0, n1 = sum(control), sum(treated)
@@ -415,8 +416,11 @@ class TestConstructions:
             m = estimate_moments(Dataset(labels=(None,), counts=[control, treated]))
             for a in AssumptionSet:
                 interval = compute_bounds(m, a)
-                for side, target in ((Side.LOWER, interval.lb), (Side.UPPER, interval.ub)):
-                    joint = construct_bound_distribution(m, a, side)
+                for joint, target in (
+                    (construct_bound_distribution(m, a, Side.LOWER), interval.lb),
+                    (construct_bound_distribution(m, a, Side.UPPER), interval.ub),
+                    (construct_interior_distribution(m, a, 0.5), 0.5 * interval.lb + 0.5 * interval.ub),
+                ):
                     assert check_assumptions(joint).holds(a)
                     assert abs(theta_oo(joint) - target) <= 1e-12
                     mm = observed_from_latent(joint)
@@ -474,7 +478,7 @@ class TestInteriorConstruction:
 class TestValidityOnRandomJoints:
     @pytest.mark.parametrize("a", list(AssumptionSet), ids=lambda a: a.value)
     def test_theta_inside_interval(self, a):
-        rng = np.random.default_rng(hash(a.value) % 2**32)
+        rng = np.random.default_rng(tuple(AssumptionSet).index(a))
         for _ in range(300):
             joint = draw_latent_joint(a, rng)
             interval = compute_bounds(observed_from_latent(joint), a)

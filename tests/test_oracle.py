@@ -1,12 +1,13 @@
 """Brute-force envelope oracle against the closed-form intervals and HiGHS references."""
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.optimize import milp
 
-from _oracles import draw_restricted_moments
+from _oracles import draw_restricted_moments, exact_envelope
 from pocbounds import (
     AssumptionSet,
     ObservedMoments,
@@ -17,6 +18,7 @@ from pocbounds import (
     theta_oo,
 )
 from pocbounds import latent
+from pocbounds.bounds import bound_fields
 from pocbounds.simulate import draw_latent_joint
 
 RNG = np.random.default_rng(777)
@@ -151,6 +153,50 @@ class TestLpMode:
                 else:
                     lo, hi = sharp_envelope_oracle(m, a)
                     assert lo <= hi
+
+
+def draw_count_tables(rng, n):
+    """``n`` count tables (control, treated) of 2-40 units per arm that satisfy the selection restriction.
+
+    Each arm is (selected ``y = 1``, selected ``y = 0``, unselected), with a
+    selected control failure and a selected treated unit.  Every third
+    table has equal arms, so both restrictions hold with equality.
+    """
+    def arm():
+        return tuple(rng.multinomial(rng.integers(2, 41), rng.dirichlet(np.ones(3))).tolist())
+
+    tables = []
+    while len(tables) < n:
+        control = arm()
+        treated = control if len(tables) % 3 == 0 else arm()
+        (c1, c0, _), (t1, t0, _) = control, treated
+        if c0 and t1 + t0 and (t1 + t0) * sum(control) >= (c1 + c0) * sum(treated):
+            tables.append((control, treated))
+    return tables
+
+
+def test_exact_envelope_equals_closed_forms_on_count_tables():
+    # In exact arithmetic the oracle's program and the closed forms agree with
+    # no tolerance, at the restriction equalities too, and the program has no
+    # feasible vertex exactly where restriction_violations flags the table.
+    mismatches, refused = [], 0
+    for control, treated in draw_count_tables(np.random.default_rng(115), 1000):
+        (c1, c0, u0), (t1, t0, u1) = control, treated
+        m = ObservedMoments(
+            p_y1_s1d1=Fraction(t1, t1 + t0),
+            p_y0_s1d0=Fraction(c0, c1 + c0),
+            p_s1_d1=Fraction(t1 + t0, t1 + t0 + u1),
+            p_s1_d0=Fraction(c1 + c0, c1 + c0 + u0),
+        )
+        for a in AssumptionSet:
+            envelope = exact_envelope(control, treated, a)
+            refused += envelope is None
+            fields = bound_fields(m, a)
+            expected = None if restriction_violations(m, a) else (fields["lb"], fields["ub"])
+            if envelope != expected:
+                mismatches.append((control, treated, a.value, envelope, expected))
+    assert mismatches == []
+    assert refused > 0
 
 
 def moment_values(m):
